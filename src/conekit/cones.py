@@ -3,11 +3,21 @@
 Every representation knows how to project a point, classify the face whose
 relative interior contains the projection (used by intrinsic-volume
 estimators), and produce its polar.  Structural simplifications are applied
-where they are exact: polars of finitely generated cones become inequality
-cones, linear images of generated cones become generated cones, and planar
-cones reduce to closed-form wedge arithmetic.  Iterative fallbacks (NNLS
-active sets, Dykstra alternating projections, accelerated projected
-gradient) cover the remaining representations.
+where they are exact:
+
+* polars of finitely generated cones become inequality cones and back;
+* linear images of generated cones become generated cones;
+* images of inequality cones under square invertible maps (rotations
+  included) become inequality cones, A{x : W^T x <= 0} = {y : (A^{-T}W)^T y
+  <= 0};
+* intersections of two inequality cones stack their outer normals;
+* planar cones reduce to closed-form wedge arithmetic.
+
+Generated and inequality cones project by a Lawson-Hanson NNLS active set.
+Two iterative fallbacks cover what remains: Dykstra's alternating
+projections for intersections with a side that has no inequality matrix
+(e.g. a generated cone), and accelerated projected gradient for images
+under non-square or singular maps.
 """
 
 from __future__ import annotations
@@ -917,7 +927,16 @@ def generators_of(cone: Cone) -> np.ndarray | None:
 
 
 def linear_image(A: np.ndarray, inner: Cone) -> Cone:
-    """The image cone A(inner), simplified structurally when exact."""
+    """The image cone A(inner), simplified structurally when exact.
+
+    Exact rules, in order: subspaces map to the span of the mapped basis;
+    cones with generators V map to ``GeneratorCone(A V)``; inequality
+    cones {x : W^T x <= 0} under a square invertible A (smallest singular
+    value above 1e-12 times the largest) map to ``InequalityCone(A^{-T} W)``,
+    which for a rotation Q is ``InequalityCone(Q W)``.  Every other pair,
+    including inequality cones under non-square or singular maps, returns a
+    :class:`LinearImage`.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != inner.n:
         raise ValueError("A must map the inner cone's space")
@@ -926,6 +945,11 @@ def linear_image(A: np.ndarray, inner: Cone) -> Cone:
     V = generators_of(inner)
     if V is not None:
         return GeneratorCone(A @ V)
+    W = _inequality_matrix(inner)
+    if W is not None and A.shape[0] == A.shape[1]:
+        s = np.linalg.svd(A, compute_uv=False)
+        if s[-1] > 1e-12 * s[0]:
+            return InequalityCone(np.linalg.solve(A.T, W))
     return LinearImage(A, inner)
 
 
@@ -955,10 +979,14 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
 def intersect(C: Cone, D: Cone) -> Cone:
     """Intersection C ∩ D.
 
-    Planar pairs resolve exactly through angle arithmetic; subspace pairs
-    and subspace sections of inequality-representable cones reduce to exact
-    lower-dimensional representations; other pairs return an
-    :class:`IntersectionCone` projected by Dykstra's algorithm.
+    Exact rules, in order: planar pairs resolve through angle arithmetic;
+    subspace pairs and subspace sections of inequality-representable cones
+    reduce to exact lower-dimensional representations; two inequality cones
+    {x : W_C^T x <= 0} and {x : W_D^T x <= 0} give
+    ``InequalityCone([W_C W_D])``.  Every other pair, such as one with a
+    generated cone, an l1 subdifferential cone or a :class:`LinearImage` on
+    either side, returns an :class:`IntersectionCone` projected by
+    Dykstra's algorithm.
     """
     if C.n != D.n:
         raise ValueError("ambient dimensions must match")
@@ -984,6 +1012,9 @@ def intersect(C: Cone, D: Cone) -> Cone:
                     return zero_cone(C.n)
                 section = L.basis.T @ W
                 return LinearImage(L.basis, InequalityCone(section))
+    WC, WD = _inequality_matrix(C), _inequality_matrix(D)
+    if WC is not None and WD is not None:
+        return InequalityCone(np.hstack([WC, WD]))
     return IntersectionCone(C, D)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .cones import (Cone, Subspace, intersect, linear_image, project, rotate)
 from .numerics import SeededStream, haar_from_rng, map_blocks, row_projection
-from .statdim import Estimate, IVProfile, estimate_intrinsic_volumes, tails
+from .statdim import (MAX_FAILURE_FRACTION, Estimate, IVProfile,
+                      estimate_intrinsic_volumes, tails)
 from .solvers import LPStandardForm, lp_solve_standard
 
 __all__ = [
@@ -80,9 +81,6 @@ class CroftonReport:
         return {k: getattr(self, k) for k in
                 ("hit_rate", "stderr", "target", "target_stderr", "z",
                  "samples", "seed", "verdict")}
-
-
-MAX_FAILURE_FRACTION = 0.01
 
 
 def _zscores(lhs, lse, rhs, rse):

@@ -7,11 +7,11 @@ import pytest
 
 from conftest import planar_wedge, random_generator_cone
 
-from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
-                           LinearImage, NonnegOrthant, ProductCone, Subspace,
-                           cone_from_dict, full_space, intersect,
-                           linear_image, polar, preimage_cone, project,
-                           rotate, zero_cone)
+from conekit.cones import (GeneratorCone, InequalityCone, IntersectionCone,
+                           L1SubdiffCone, LinearImage, NonnegOrthant,
+                           ProductCone, Subspace, cone_from_dict, full_space,
+                           intersect, linear_image, polar, preimage_cone,
+                           project, rotate, zero_cone)
 from conekit.numerics import SeededStream, haar_orthogonal
 
 
@@ -223,6 +223,105 @@ def test_intersect_cone_with_polar_is_zero():
     for _ in range(20):
         x = rng.standard_normal(3)
         assert np.linalg.norm(project(Z, x).point) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# exact H-representation rules against the iterative oracles
+# ---------------------------------------------------------------------------
+
+def hrep_pairs():
+    """Seeded pairs of inequality-representable cones in R^3 to R^5."""
+    rng = np.random.default_rng(20)
+    pairs = []
+    for n in (3, 4, 5):
+        Q = haar_orthogonal(n, SeededStream(20, n))
+        P = polar(NonnegOrthant(n))
+        K = InequalityCone(rng.standard_normal((n, n)))
+        pairs += [
+            (P, rotate(P, Q)),
+            (NonnegOrthant(n), InequalityCone(rng.standard_normal((n, 3)))),
+            (InequalityCone(rng.standard_normal((n, 2))),
+             rotate(InequalityCone(rng.standard_normal((n, n - 1))), Q)),
+            (K, K),
+        ]
+    return pairs
+
+
+def assert_matches_dykstra(L, R, points):
+    """intersect(L, R) is an InequalityCone agreeing with Dykstra's
+    projection and face dimension wherever Dykstra converged; returns the
+    number of converged points."""
+    C = intersect(L, R)
+    assert isinstance(C, InequalityCone)
+    oracle = IntersectionCone(L, R)
+    converged = 0
+    for x in points:
+        got = project(C, x)
+        want = oracle.project_point(x)
+        if not want.converged:
+            continue
+        converged += 1
+        assert got.converged
+        assert (np.linalg.norm(got.point - want.point)
+                <= 1e-6 * (1.0 + np.linalg.norm(x)))
+        assert got.face_dim == want.face_dim
+    return converged
+
+
+def test_hrep_intersection_matches_dykstra():
+    rng = np.random.default_rng(21)
+    converged = total = 0
+    for L, R in hrep_pairs():
+        points = rng.standard_normal((50, L.n))
+        converged += assert_matches_dykstra(L, R, points)
+        total += len(points)
+    assert converged >= 0.95 * total
+
+
+def test_hrep_intersection_when_planar_rule_gives_up(monkeypatch):
+    # no planar pair of real cones is known to leave _planar_intersect
+    # unresolved, so force it: the stacked-normal rule must still apply
+    monkeypatch.setattr("conekit.cones._planar_intersect", lambda f, g: None)
+    rng = np.random.default_rng(22)
+    L = InequalityCone(rng.standard_normal((2, 1)))
+    R = rotate(polar(NonnegOrthant(2)), haar_orthogonal(2, SeededStream(22)))
+    points = rng.standard_normal((50, 2))
+    assert assert_matches_dykstra(L, R, points) == len(points)
+
+
+def test_rotated_inequality_cone_matches_linear_image():
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 4, 5):
+        W = rng.standard_normal((n, n + 1))
+        Q = haar_orthogonal(n, SeededStream(23, n))
+        R = rotate(InequalityCone(W), Q)
+        assert isinstance(R, InequalityCone)
+        oracle = LinearImage(Q, InequalityCone(W))
+        for x in rng.standard_normal((20, n)):
+            assert np.allclose(project(R, x).point, project(oracle, x).point,
+                               atol=1e-10, rtol=0.0)
+
+
+def test_invertible_image_matches_fista():
+    rng = np.random.default_rng(24)
+    A = rng.standard_normal((4, 4))
+    W = rng.standard_normal((4, 3))
+    C = linear_image(A, InequalityCone(W))
+    assert isinstance(C, InequalityCone)
+    oracle = LinearImage(A, InequalityCone(W))
+    for x in rng.standard_normal((30, 4)):
+        want = oracle.project_point(x)
+        assert want.converged
+        assert (np.linalg.norm(project(C, x).point - want.point)
+                <= 1e-6 * (1.0 + np.linalg.norm(x)))
+
+
+def test_singular_image_stays_linear_image():
+    A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    C = linear_image(A, InequalityCone(np.eye(3)))
+    assert type(C) is LinearImage
+    assert type(linear_image(np.ones((2, 3)), InequalityCone(np.eye(3)))) \
+        is LinearImage
 
 
 def test_linear_image_isometric_fast_path():

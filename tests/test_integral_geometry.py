@@ -76,6 +76,7 @@ def test_polar_kinematic_sum_via_polarity():
     C = NonnegOrthant(2)
     rep = verify_kinematic(polar(C), polar(C), 20000, stream(305))
     assert rep.verdict
+    assert rep.failures == 0
     # v_0(C° cap QC°) corresponds to v_4(C + QC) mass: the sum is full
     # whenever the polar intersection is trivial; rhs bins are the
     # convolution tail sums
