@@ -3,9 +3,8 @@
 Every subcommand takes a mandatory --seed and emits either a CSV file
 (metadata comment line, header row, '.' decimals, ',' separators, LF
 endings) or a JSON report.  Identical (config, seed) pairs produce
-byte-identical output; --threads only changes wall time, never values.
-A JSON file passed via --config supplies defaults for any flag, with
-explicit command-line flags taking precedence.
+byte-identical output.  A JSON file passed via --config supplies defaults
+for any flag, with explicit command-line flags taking precedence.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,26 +34,6 @@ from .statdim import (descent_statdim_l1, estimate_intrinsic_volumes,
                       estimate_statdim, stojnic_recipe_l1, tails)
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated invocation record: command, parameters, seed, output."""
-
-    command: str
-    parameters: dict
-    seed: int
-    samples: int | None
-    out: str | None
-
-    def __post_init__(self):
-        if self.seed is None:
-            raise ValueError("a seed is mandatory")
-        self.seed = int(self.seed)
-        if self.samples is not None:
-            self.samples = int(self.samples)
-            if self.samples <= 0:
-                raise ValueError("samples must be positive")
-
-
 def _fmt(x) -> str:
     """Deterministic CSV cell formatting."""
     if isinstance(x, bool):
@@ -74,25 +52,20 @@ def _emit_csv(out, header, rows, meta: dict):
     lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+    _emit_text(out, lines)
 
 
 def _emit_json(out, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+    _write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_text(out, lines):
-    text = "\n".join(lines) + "\n"
+    _write(out, "\n".join(lines) + "\n")
+
+
+def _write(out, text: str):
+    """Write text to the --out path with LF endings, or to stdout when the
+    path is absent or '-'."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -150,8 +123,7 @@ def cmd_tv_statdim(args) -> int:
         signs = rng.choice([-1.0, 1.0], size=s)
         inst = AnalysisInstance.from_support(D, support, signs)
         est_inner = estimate_statdim(reduced_analysis_cone(inst),
-                                     args.samples, sub.child(1),
-                                     threads=args.threads)
+                                     args.samples, sub.child(1))
         mc = n - est_inner.mean
         bound = analysis_statdim_bound(inst)
         rows.append((s, mc, est_inner.stderr, bound))
@@ -259,12 +231,10 @@ def cmd_statdim(args) -> int:
     """Statistical dimension (and optional face profile) of a cone."""
     C = _parse_cone(args.cone)
     stream = SeededStream(args.seed, 0)
-    est = estimate_statdim(C, args.samples, stream.child(0),
-                           threads=args.threads)
+    est = estimate_statdim(C, args.samples, stream.child(0))
     payload = {"statdim": est.to_dict()}
     if args.profile:
-        prof = estimate_intrinsic_volumes(C, args.samples, stream.child(1),
-                                          threads=args.threads)
+        prof = estimate_intrinsic_volumes(C, args.samples, stream.child(1))
         t, h = tails(prof)
         payload["profile"] = prof.to_dict()
         payload["tails"] = t.tolist()
@@ -480,7 +450,7 @@ def cmd_verify(args) -> int:
     for name in names:
         sub = stream.child(all_names.index(name))
         for check, ok, detail, z in _VERIFY_SUITES[name](args.samples, sub):
-            all_ok &= ok
+            all_ok &= bool(ok)
             results.append({"suite": name, "check": check, "passed": bool(ok),
                             "detail": detail, "z": z})
             lines.append(
@@ -504,7 +474,6 @@ def _add_common(p, samples_default=None):
     if samples_default is not None:
         p.add_argument("--samples", type=int, default=samples_default)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--config", default=None,
                    help="JSON file with default parameter values")
@@ -645,12 +614,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "seed", None) is None:
         ap.error("--seed is mandatory (flag or config)")
-    ExperimentConfig(command=args.command,
-                     parameters={k: v for k, v in vars(args).items()
-                                 if k not in ("fn", "command")},
-                     seed=args.seed,
-                     samples=getattr(args, "samples", None),
-                     out=args.out)
+    if getattr(args, "samples", None) is not None and args.samples <= 0:
+        ap.error("--samples must be positive")
     return args.fn(args)
 
 

@@ -24,7 +24,7 @@ from .cones import (Cone, GeneratorCone, InequalityCone, NonnegOrthant,
                     Subspace, generators_of)
 from .numerics import SeededStream, haar_from_rng
 from .solvers import LPStandardForm, lp_solve_standard
-from .statdim import Estimate
+from .statdim import Estimate, mc_estimate
 
 __all__ = [
     "RestrictedValue",
@@ -496,9 +496,7 @@ def kappa_bar(A, m: int, samples: int, stream: SeededStream) -> Estimate:
                 raise RuntimeError("rank-deficient compressions keep "
                                    f"appearing ({resampled} resamples)")
         vals[i] = (s[0] / s[-1]) ** 2
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples))
-    return Estimate(mean, se, samples, stream.master_seed)
+    return mc_estimate(vals, np.ones(samples, dtype=bool), stream.master_seed)
 
 
 def gordon_kappa_bound(A, m: int) -> float:

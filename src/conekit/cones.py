@@ -10,14 +10,17 @@ where they are exact:
 * images of inequality cones under square invertible maps (rotations
   included) become inequality cones, A{x : W^T x <= 0} = {y : (A^{-T}W)^T y
   <= 0};
-* intersections of two inequality cones stack their outer normals;
+* intersections of two inequality cones stack their outer normals, and a
+  generated cone with square invertible V counts as the inequality cone
+  {x : V^{-1} x >= 0};
 * planar cones reduce to closed-form wedge arithmetic.
 
 Generated and inequality cones project by a Lawson-Hanson NNLS active set.
 Two iterative fallbacks cover what remains: Dykstra's alternating
 projections for intersections with a side that has no inequality matrix
-(e.g. a generated cone), and accelerated projected gradient for images
-under non-square or singular maps.
+(e.g. a generated cone with more generators than dimensions), and
+accelerated projected gradient for images under non-square or singular
+maps.
 """
 
 from __future__ import annotations
@@ -968,11 +971,20 @@ def preimage_cone(A: np.ndarray, D: Cone) -> Cone:
 
 
 def _inequality_matrix(cone: Cone) -> np.ndarray | None:
-    """Outer-normal matrix W with cone = {x : W^T x <= 0}, when available."""
+    """Outer-normal matrix W with cone = {x : W^T x <= 0}, when available.
+
+    A generated cone with a square invertible V (smallest singular value
+    above 1e-12 times the largest, as in :func:`linear_image`) is
+    {x : V^{-1} x >= 0}, so W = -V^{-T}.
+    """
     if isinstance(cone, InequalityCone):
         return cone.W
     if isinstance(cone, NonnegOrthant):
         return -np.eye(cone.n)
+    if isinstance(cone, GeneratorCone) and cone.n == cone.k:
+        s = np.linalg.svd(cone.V, compute_uv=False)
+        if s[-1] > 1e-12 * s[0]:
+            return -np.linalg.inv(cone.V).T
     return None
 
 
@@ -983,10 +995,11 @@ def intersect(C: Cone, D: Cone) -> Cone:
     subspace pairs and subspace sections of inequality-representable cones
     reduce to exact lower-dimensional representations; two inequality cones
     {x : W_C^T x <= 0} and {x : W_D^T x <= 0} give
-    ``InequalityCone([W_C W_D])``.  Every other pair, such as one with a
-    generated cone, an l1 subdifferential cone or a :class:`LinearImage` on
-    either side, returns an :class:`IntersectionCone` projected by
-    Dykstra's algorithm.
+    ``InequalityCone([W_C W_D])``, where a generated cone with square
+    invertible V has W = -V^{-T}.  Every other pair, such as one with a
+    generated cone of more generators than dimensions, an l1
+    subdifferential cone or a :class:`LinearImage` on either side, returns
+    an :class:`IntersectionCone` projected by Dykstra's algorithm.
     """
     if C.n != D.n:
         raise ValueError("ambient dimensions must match")

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (Cone, Subspace, intersect, linear_image, project, rotate)
-from .numerics import SeededStream, haar_from_rng, map_blocks, row_projection
-from .statdim import (MAX_FAILURE_FRACTION, Estimate, IVProfile,
-                      estimate_intrinsic_volumes, tails)
+from .numerics import SeededStream, haar_from_rng, row_projection
+from .statdim import (Estimate, estimate_intrinsic_volumes, face_histogram,
+                      mc_estimate, tails)
 from .solvers import LPStandardForm, lp_solve_standard
 
 __all__ = [
@@ -94,53 +94,32 @@ def _zscores(lhs, lse, rhs, rse):
 
 
 def _face_histogram_over_rotations(samples, stream, n_hist, make_cone,
-                                   ambient, threads=1):
+                                   ambient):
     """Histogram of face dims of Proj_{K(Q)}(g) over rotations Q.
 
     make_cone(Q) builds the random cone; one Gaussian is drawn per rotation
     from the same substream.
     """
-
-    def work(block, start, count):
-        hist = np.zeros(n_hist + 1, dtype=np.int64)
-        failures = 0
-        for i in range(start, start + count):
-            gen = stream.gen(i)
-            K = make_cone(haar_from_rng(ambient, gen))
-            g = gen.standard_normal(K.n)
-            r = project(K, g)
-            if not r.converged or r.face_dim is None:
-                failures += 1
-                continue
-            hist[r.face_dim] += 1
-        return hist, failures
-
-    parts = map_blocks(samples, work, threads=threads)
-    hist = np.zeros(n_hist + 1, dtype=np.int64)
-    failures = 0
-    for h, f in parts:
-        hist += h
-        failures += f
-    if failures > MAX_FAILURE_FRACTION * samples:
-        raise RuntimeError(
-            f"projection failed on {failures}/{samples} rotation draws")
-    n_eff = samples - failures
-    v = hist / n_eff
-    se = np.sqrt(v * (1 - v) / n_eff)
-    return v, se, n_eff, failures
+    fd = np.zeros(samples, dtype=np.int64)
+    ok = np.zeros(samples, dtype=bool)
+    for i in range(samples):
+        gen = stream.gen(i)
+        K = make_cone(haar_from_rng(ambient, gen))
+        r = project(K, gen.standard_normal(K.n))
+        if r.converged and r.face_dim is not None:
+            fd[i], ok[i] = r.face_dim, True
+    return face_histogram(fd, ok, n_hist)
 
 
-def verify_kinematic(C: Cone, D: Cone, samples: int, stream: SeededStream,
-                     threads: int = 1) -> IdentityCheckReport:
+def verify_kinematic(C: Cone, D: Cone, samples: int,
+                     stream: SeededStream) -> IdentityCheckReport:
     """Check E[v_k(C cap QD)] = v_{k+n}(C x D) for k >= 1 (with the v_0 bin
     fixed by normalization) against the convolved product profile."""
     if C.n != D.n:
         raise ValueError("C and D must share an ambient dimension")
     n = C.n
-    profC = estimate_intrinsic_volumes(C, samples, stream.child(1),
-                                       threads=threads)
-    profD = estimate_intrinsic_volumes(D, samples, stream.child(2),
-                                       threads=threads)
+    profC = estimate_intrinsic_volumes(C, samples, stream.child(1))
+    profD = estimate_intrinsic_volumes(D, samples, stream.child(2))
     conv = np.convolve(profC.v, profD.v)
     conv_var = np.zeros(2 * n + 1)
     for j in range(2 * n + 1):
@@ -157,7 +136,7 @@ def verify_kinematic(C: Cone, D: Cone, samples: int, stream: SeededStream,
 
     lhs, lse, n_eff, failures = _face_histogram_over_rotations(
         samples, stream.child(0), n, lambda Q: intersect(C, rotate(D, Q)),
-        n, threads)
+        n)
     z = _zscores(lhs, lse, rhs, rse)
     return IdentityCheckReport(
         "kinematic", list(range(n + 1)), lhs, lse, rhs, rse, z, n_eff,
@@ -219,8 +198,7 @@ def _subspace_hits_cone(C: Cone, B: np.ndarray, tol: float = 1e-6) -> bool:
 
 
 def crofton_probability(C: Cone, m: int, samples: int,
-                        stream: SeededStream,
-                        threads: int = 1) -> CroftonReport:
+                        stream: SeededStream) -> CroftonReport:
     """Estimate P{C cap QL != {0}} for a random subspace L of codimension m
     and compare against the half-tail h_{m+1}(C)."""
     n = C.n
@@ -230,24 +208,16 @@ def crofton_probability(C: Cone, m: int, samples: int,
         raise ValueError("C must not be a linear subspace")
     d = n - m
 
-    def work(block, start, count):
-        hits = 0
-        for i in range(start, start + count):
-            gen = stream.gen(i)
-            Q = haar_from_rng(n, gen)
-            B = Q[:, :d]
-            if d == 1:
-                hits += _line_hits_cone(C, B[:, 0])
-            else:
-                hits += _subspace_hits_cone(C, B)
-        return (hits,)
-
-    parts = map_blocks(samples, work, threads=threads)
-    hits = sum(p[0] for p in parts)
+    hits = 0
+    for i in range(samples):
+        B = haar_from_rng(n, stream.gen(i))[:, :d]
+        if d == 1:
+            hits += _line_hits_cone(C, B[:, 0])
+        else:
+            hits += _subspace_hits_cone(C, B)
     rate = hits / samples
     se = math.sqrt(rate * (1 - rate) / samples)
-    prof = estimate_intrinsic_volumes(C, samples, stream.child(1),
-                                      threads=threads)
+    prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     _, h = tails(prof)
     target = float(h[m + 1]) if m + 1 <= n else 0.0
     tse = 2.0 * math.sqrt(float(np.sum(prof.stderr[m + 1::2] ** 2)))
@@ -257,12 +227,11 @@ def crofton_probability(C: Cone, m: int, samples: int,
                          stream.master_seed, abs(z) <= 3.0)
 
 
-def _compression_report(name, C, m, samples, stream, make_map, threads=1):
+def _compression_report(name, C, m, samples, stream, make_map):
     """Shared core of the projection-formula and full-rank checks:
     E[v_k(T Q C)] = v_k(C) for k < m and E[v_m(T Q C)] = t_m(C)."""
     n = C.n
-    prof = estimate_intrinsic_volumes(C, samples, stream.child(1),
-                                      threads=threads)
+    prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     t, _ = tails(prof)
     rhs = np.empty(m + 1)
     rse = np.empty(m + 1)
@@ -272,7 +241,7 @@ def _compression_report(name, C, m, samples, stream, make_map, threads=1):
     rse[m] = math.sqrt(float(np.sum(prof.stderr[m:] ** 2)))
     lhs, lse, n_eff, failures = _face_histogram_over_rotations(
         samples, stream.child(0), m, lambda Q: linear_image(make_map(Q), C),
-        n, threads)
+        n)
     z = _zscores(lhs, lse, rhs, rse)
     return IdentityCheckReport(
         name, list(range(m + 1)), lhs, lse, rhs, rse, z, n_eff, failures,
@@ -280,8 +249,7 @@ def _compression_report(name, C, m, samples, stream, make_map, threads=1):
 
 
 def verify_projection_formula(C: Cone, m: int, samples: int,
-                              stream: SeededStream,
-                              threads: int = 1) -> IdentityCheckReport:
+                              stream: SeededStream) -> IdentityCheckReport:
     """Check the random-compression identity with an orthogonal projection
     onto the first m coordinates."""
     n = C.n
@@ -289,11 +257,11 @@ def verify_projection_formula(C: Cone, m: int, samples: int,
         raise ValueError("need 1 <= m <= n")
     P = row_projection(m, n)
     return _compression_report("projection", C, m, samples, stream,
-                               lambda Q: P @ Q, threads)
+                               lambda Q: P @ Q)
 
 
-def verify_tqc(T, C: Cone, samples: int, stream: SeededStream,
-               threads: int = 1) -> IdentityCheckReport:
+def verify_tqc(T, C: Cone, samples: int,
+               stream: SeededStream) -> IdentityCheckReport:
     """Check the full-rank compression identity E[v_k(TQC)] = v_k(C),
     k < m, and E[v_m(TQC)] = t_m(C)."""
     T = np.asarray(T, dtype=float)
@@ -306,44 +274,25 @@ def verify_tqc(T, C: Cone, samples: int, stream: SeededStream,
     if s[-1] <= 1e-14 * s[0]:
         raise ValueError("T must be of full rank")
     return _compression_report("tqc", C, m, samples, stream,
-                               lambda Q: T @ Q, threads)
+                               lambda Q: T @ Q)
 
 
 def projected_statdim(C: Cone, m: int, samples: int,
-                      stream: SeededStream, threads: int = 1) -> Estimate:
+                      stream: SeededStream) -> Estimate:
     """Estimate E_Q[delta(P Q C)] for the projection onto the first m
     coordinates, with one Gaussian per rotation."""
     n = C.n
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     P = row_projection(m, n)
-
-    def work(block, start, count):
-        s1 = s2 = 0.0
-        failures = 0
-        for i in range(start, start + count):
-            gen = stream.gen(i)
-            K = linear_image(P @ haar_from_rng(n, gen), C)
-            g = gen.standard_normal(m)
-            r = project(K, g)
-            if not r.converged:
-                failures += 1
-                continue
-            val = float(r.point @ r.point)
-            s1 += val
-            s2 += val * val
-        return s1, s2, failures
-
-    parts = map_blocks(samples, work, threads=threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    failures = sum(p[2] for p in parts)
-    if failures > MAX_FAILURE_FRACTION * samples:
-        raise RuntimeError(f"{failures}/{samples} projected draws failed")
-    n_eff = samples - failures
-    mean = s1 / n_eff
-    var = max(s2 / n_eff - mean * mean, 0.0) * n_eff / max(n_eff - 1, 1)
-    return Estimate(mean, math.sqrt(var / n_eff), n_eff, stream.master_seed)
+    vals = np.zeros(samples)
+    ok = np.zeros(samples, dtype=bool)
+    for i in range(samples):
+        gen = stream.gen(i)
+        K = linear_image(P @ haar_from_rng(n, gen), C)
+        r = project(K, gen.standard_normal(m))
+        vals[i], ok[i] = r.point @ r.point, r.converged
+    return mc_estimate(vals, ok, stream.master_seed)
 
 
 def eta_for_projection_margin(delta: float, m: int) -> float:

@@ -4,13 +4,12 @@ All Monte Carlo code in this package draws from :class:`SeededStream`, a
 counter-based stream built on numpy's Philox generator.  Sample ``i`` of a
 stream is generated from the 128-bit key ``(master_seed, counter + i)`` and
 therefore depends only on the stream identity and the sample index, never on
-scheduling or worker count.  Independent child streams are derived by hashing
-the parent identity, so distinct estimator calls never share keys.
+the order in which samples are drawn.  Independent child streams are derived
+by hashing the parent identity, so distinct estimator calls never share keys.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "gaussian_vector",
     "row_projection",
     "block_ranges",
-    "map_blocks",
 ]
 
 # Fixed block size for bulk sampling.  Block b of a stream is keyed by
@@ -85,20 +83,6 @@ def block_ranges(total: int, block: int = BLOCK):
         yield b, start, count
         b += 1
         start += count
-
-
-def map_blocks(total: int, fn, threads: int = 1, block: int = BLOCK) -> list:
-    """Run ``fn(block_index, start, count)`` over all blocks.
-
-    Results are returned in block order regardless of ``threads``, so any
-    reduction over them is scheduling-independent.
-    """
-    jobs = list(block_ranges(total, block))
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(b, s, c) for b, s, c in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(fn, b, s, c) for b, s, c in jobs]
-        return [f.result() for f in futs]
 
 
 def svd(M: np.ndarray):

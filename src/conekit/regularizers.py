@@ -306,7 +306,7 @@ def reduced_analysis_cone(inst: AnalysisInstance) -> Cone:
 
 
 def descent_statdim_analysis(inst: AnalysisInstance, samples: int,
-                             stream: SeededStream, threads: int = 1,
+                             stream: SeededStream,
                              reduced: bool = False) -> Estimate:
     """Monte Carlo statistical dimension of the descent cone of ``||D .||_1``.
 
@@ -323,7 +323,7 @@ def descent_statdim_analysis(inst: AnalysisInstance, samples: int,
         :func:`reduced_analysis_cone` instead of ``D^T`` directly.
     """
     K = reduced_analysis_cone(inst) if reduced else analysis_subdiff_cone(inst)
-    est = estimate_statdim(K, samples, stream, threads=threads)
+    est = estimate_statdim(K, samples, stream)
     return Estimate(mean=inst.n - est.mean, stderr=est.stderr,
                     samples=est.samples, seed=est.seed)
 

@@ -7,7 +7,11 @@ concentration bound and the closed-form/Monte-Carlo recipe for the descent
 cones of the l1 norm.
 
 All estimators draw through counter-based substreams: sample block j always
-uses the same Philox key, so results are bit-identical for any worker count.
+uses the same Philox key, so seeded results are bit-identical run to run.
+Every mean, standard error and face histogram is reduced by
+:func:`mc_estimate` or :func:`face_histogram`, which drop non-converged
+samples, report how many remain and raise once more than
+``MAX_FAILURE_FRACTION`` of them failed.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone, L1SubdiffCone
-from .numerics import SeededStream, block_ranges, map_blocks
+from .cones import Cone, L1SubdiffCone, polar
+from .numerics import SeededStream, block_ranges
 from .solvers import golden_section_min
 
 __all__ = [
@@ -28,6 +32,8 @@ __all__ = [
     "estimate_moment",
     "estimate_width",
     "estimate_intrinsic_volumes",
+    "mc_estimate",
+    "face_histogram",
     "tails",
     "concentration_bound",
     "a_eta",
@@ -84,14 +90,52 @@ class IVProfile:
         return "\n".join(lines) + "\n"
 
 
-def _check_failures(failures: int, samples: int):
-    if failures > MAX_FAILURE_FRACTION * samples:
+def _check_failures(ok: np.ndarray) -> int:
+    """Number of samples not flagged in ``ok``; raises ``RuntimeError``
+    when it exceeds ``MAX_FAILURE_FRACTION`` of them."""
+    failures = int(ok.size - ok.sum())
+    if failures > MAX_FAILURE_FRACTION * ok.size:
         raise RuntimeError(
-            f"projection failed to converge on {failures}/{samples} samples")
+            f"projection failed to converge on {failures}/{ok.size} samples")
+    return failures
 
 
-def estimate_moment(C: Cone, r: float, samples: int, stream: SeededStream,
-                    threads: int = 1) -> Estimate:
+def mc_estimate(vals, ok, seed: int) -> Estimate:
+    """Mean and standard error std(ddof=1)/sqrt(n_eff) of per-sample values.
+
+    Only the samples flagged in ``ok`` count; more than
+    ``MAX_FAILURE_FRACTION`` of them failing raises ``RuntimeError``.
+    """
+    ok = np.asarray(ok, dtype=bool)
+    _check_failures(ok)
+    x = np.asarray(vals, dtype=float)[ok]
+    return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)),
+                    x.size, seed)
+
+
+def face_histogram(fd, ok, n: int):
+    """Face-dimension frequencies v[0..n] over the samples flagged in ``ok``.
+
+    Returns ``(v, stderr, n_eff, failures)`` with the binomial standard
+    error sqrt(v(1-v)/n_eff); the failure limit is that of
+    :func:`mc_estimate`.
+    """
+    ok = np.asarray(ok, dtype=bool)
+    failures = _check_failures(ok)
+    n_eff = ok.size - failures
+    v = np.bincount(np.asarray(fd)[ok], minlength=n + 1) / n_eff
+    return v, np.sqrt(v * (1 - v) / n_eff), n_eff, failures
+
+
+def _projected_blocks(C: Cone, samples: int, stream: SeededStream):
+    """``C.project_batch`` of each block of Gaussian samples; block b is
+    ``stream.normal_block(b, ...)``."""
+    for b, _, count in block_ranges(samples):
+        yield C.project_batch(stream.normal_block(b, count, C.n))
+
+
+def estimate_moment(C: Cone, r: float, samples: int,
+                    stream: SeededStream) -> Estimate:
     """Estimate the raw projection moment E||Proj_C g||^r.
 
     Parameters
@@ -104,53 +148,39 @@ def estimate_moment(C: Cone, r: float, samples: int, stream: SeededStream,
         Number of Gaussian samples, at least 100.
     stream : SeededStream
         Source of randomness; block j of samples always uses substream j.
-    threads : int, optional
-        Worker threads; the result is identical for any value.
 
     Returns
     -------
     Estimate
-        Mean, standard error, sample count and master seed.
+        Mean and standard error over the converged samples, their count
+        and the master seed.
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
     if samples < 100:
         raise ValueError("need at least 100 samples")
-
-    def work(block, start, count):
-        G = stream.normal_block(block, count, C.n)
-        P, _, conv = C.project_batch(G)
-        vals = np.linalg.norm(P, axis=1) ** r
-        ok = conv
-        return (float(vals[ok].sum()), float((vals[ok] ** 2).sum()),
-                int(count - ok.sum()))
-
-    parts = map_blocks(samples, work, threads=threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    failures = sum(p[2] for p in parts)
-    _check_failures(failures, samples)
-    n_eff = samples - failures
-    mean = s1 / n_eff
-    var = max(s2 / n_eff - mean * mean, 0.0) * n_eff / max(n_eff - 1, 1)
-    return Estimate(mean, math.sqrt(var / n_eff), n_eff, stream.master_seed)
+    vals, ok = [], []
+    for P, _, conv in _projected_blocks(C, samples, stream):
+        vals.append(np.linalg.norm(P, axis=1) ** r)
+        ok.append(conv)
+    return mc_estimate(np.concatenate(vals), np.concatenate(ok),
+                       stream.master_seed)
 
 
-def estimate_statdim(C: Cone, samples: int, stream: SeededStream,
-                     threads: int = 1) -> Estimate:
+def estimate_statdim(C: Cone, samples: int,
+                     stream: SeededStream) -> Estimate:
     """Estimate the statistical dimension delta(C) = E||Proj_C g||^2."""
-    return estimate_moment(C, 2, samples, stream, threads=threads)
+    return estimate_moment(C, 2, samples, stream)
 
 
-def estimate_width(C: Cone, samples: int, stream: SeededStream,
-                   threads: int = 1) -> Estimate:
+def estimate_width(C: Cone, samples: int, stream: SeededStream) -> Estimate:
     """Estimate the Gaussian width w(C) = E max_{x in C, |x|<=1} <g, x>,
     which equals the first projection moment E||Proj_C g||."""
-    return estimate_moment(C, 1, samples, stream, threads=threads)
+    return estimate_moment(C, 1, samples, stream)
 
 
-def estimate_intrinsic_volumes(C: Cone, samples: int, stream: SeededStream,
-                               threads: int = 1) -> IVProfile:
+def estimate_intrinsic_volumes(C: Cone, samples: int,
+                               stream: SeededStream) -> IVProfile:
     """Estimate intrinsic volumes as the face-dimension histogram of
     projected Gaussians.
 
@@ -159,28 +189,16 @@ def estimate_intrinsic_volumes(C: Cone, samples: int, stream: SeededStream,
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    n = C.n
-
-    def work(block, start, count):
-        G = stream.normal_block(block, count, n)
-        P, fd, conv = C.project_batch(G)
+    fds, ok = [], []
+    for _, fd, conv in _projected_blocks(C, samples, stream):
         if np.any(fd < 0):
             raise ValueError(
                 "cone representation does not classify faces; "
                 "use a polyhedral representation")
-        hist = np.bincount(fd[conv], minlength=n + 1)
-        return hist, int(count - conv.sum())
-
-    parts = map_blocks(samples, work, threads=threads)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    failures = 0
-    for h, f in parts:
-        hist += h
-        failures += f
-    _check_failures(failures, samples)
-    n_eff = samples - failures
-    v = hist / n_eff
-    se = np.sqrt(v * (1 - v) / n_eff)
+        fds.append(fd)
+        ok.append(conv)
+    v, se, n_eff, _ = face_histogram(np.concatenate(fds), np.concatenate(ok),
+                                     C.n)
     return IVProfile(v, se, n_eff, stream.master_seed)
 
 
@@ -281,7 +299,6 @@ def stojnic_recipe_l1(n: int, s: int, mode: str = "closed_form",
         off = np.maximum(np.abs(G[:, s:]) - tau, 0.0) ** 2
         return on.sum(axis=1) + off.sum(axis=1)
 
-    total = np.zeros(0)
     vals_at = {}
 
     def mean_at(tau):
@@ -300,40 +317,21 @@ def stojnic_recipe_l1(n: int, s: int, mode: str = "closed_form",
     up = grid[min(j + 1, len(grid) - 1)]
     tau_star, _ = golden_section_min(mean_at, float(lo), float(up), tol=1e-6)
     # final pass collects per-sample values for the standard error
-    per = []
-    for b, start, count in block_ranges(samples):
-        G = stream.normal_block(b, count, n)
-        per.append(dist2(G, tau_star))
-    total = np.concatenate(per)
-    mean = float(total.mean())
-    se = float(total.std(ddof=1) / math.sqrt(samples))
-    return Estimate(mean, se, samples, stream.master_seed)
+    vals = np.concatenate([dist2(stream.normal_block(b, count, n), tau_star)
+                           for b, _, count in block_ranges(samples)])
+    return mc_estimate(vals, np.ones(samples, dtype=bool), stream.master_seed)
 
 
 def descent_statdim_l1(n: int, support, signs, samples: int,
-                       stream: SeededStream, weights=None,
-                       threads: int = 1) -> Estimate:
+                       stream: SeededStream, weights=None) -> Estimate:
     """Statistical dimension of the descent cone of the (weighted) l1 norm
     at a point with the given support and sign pattern.
 
-    Uses the polar identity: the squared distance of g to the cone over the
-    subdifferential equals the squared projection onto the descent cone, so
-    each sample solves one exact piecewise-quadratic minimization.
+    The descent cone is the polar of the cone over the subdifferential, so
+    by Moreau each sample is the squared distance of g to that cone, one
+    exact piecewise-quadratic minimization.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    K = L1SubdiffCone(n, support, signs, weights)
-
-    def work(block, start, count):
-        G = stream.normal_block(block, count, n)
-        P, _, _ = K.project_batch(G)
-        vals = ((G - P) ** 2).sum(axis=1)
-        return float(vals.sum()), float((vals ** 2).sum())
-
-    parts = map_blocks(samples, work, threads=threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0) * samples / (samples - 1)
-    return Estimate(mean, math.sqrt(var / samples), samples,
-                    stream.master_seed)
+    return estimate_statdim(polar(L1SubdiffCone(n, support, signs, weights)),
+                            samples, stream)

@@ -147,6 +147,17 @@ def test_verify_suite_exit_codes(tmp_path):
     assert "[pass]" in text and "FAIL" not in text
 
 
+def test_verify_json_output(tmp_path):
+    # the statdim suite's checks return numpy booleans
+    rc, text = run_to_file(
+        ["verify", "--suite", "statdim", "--seed", "42", "--samples", "400",
+         "--json"], tmp_path / "verify.json")
+    doc = json.loads(text)
+    assert doc["passed"] is (rc == 0)
+    assert [c["check"] for c in doc["checks"]] == ["orthant-profile",
+                                                   "complementarity"]
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -161,14 +172,6 @@ def test_csv_outputs_byte_identical(tmp_path):
             "8", "--m-step", "4", "--trials", "5", "--seed", "29"]
     _, a = run_to_file(argv, tmp_path / "c.csv")
     _, b = run_to_file(argv, tmp_path / "d.csv")
-    assert a == b
-
-
-def test_threads_do_not_change_estimates(tmp_path):
-    base = ["statdim", "--cone", ORTHANT4, "--seed", "31",
-            "--samples", "3000"]
-    _, a = run_to_file(base + ["--threads", "1"], tmp_path / "t1.txt")
-    _, b = run_to_file(base + ["--threads", "4"], tmp_path / "t4.txt")
     assert a == b
 
 
@@ -210,6 +213,13 @@ def test_missing_seed_errors(capsys):
         main(["statdim", "--cone", ORTHANT4])
     err = capsys.readouterr().err
     assert "--seed is mandatory" in err
+
+
+def test_nonpositive_samples_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["statdim", "--cone", ORTHANT4, "--seed", "7", "--samples", "0"])
+    assert exc.value.code == 2
+    assert "--samples must be positive" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -232,6 +232,7 @@ def test_intersect_cone_with_polar_is_zero():
 def hrep_pairs():
     """Seeded pairs of inequality-representable cones in R^3 to R^5."""
     rng = np.random.default_rng(20)
+    rng_gen = np.random.default_rng(23)
     pairs = []
     for n in (3, 4, 5):
         Q = haar_orthogonal(n, SeededStream(20, n))
@@ -243,6 +244,10 @@ def hrep_pairs():
             (InequalityCone(rng.standard_normal((n, 2))),
              rotate(InequalityCone(rng.standard_normal((n, n - 1))), Q)),
             (K, K),
+            # generated cones with square invertible V
+            (NonnegOrthant(n), rotate(NonnegOrthant(n), Q)),
+            (GeneratorCone(rng_gen.standard_normal((n, n))),
+             InequalityCone(rng_gen.standard_normal((n, 2)))),
         ]
     return pairs
 

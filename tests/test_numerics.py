@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conekit.numerics import (SeededStream, block_ranges, gaussian_vector,
-                              haar_orthogonal, map_blocks, row_projection,
-                              svd)
+                              haar_orthogonal, row_projection, svd)
 
 
 def test_stream_reproducible_across_instances():
@@ -29,16 +28,6 @@ def test_block_ranges_cover_exactly():
         assert [b for b, _, _ in ranges] == list(range(len(ranges)))
         for (_, s0, c0), (_, s1, _) in zip(ranges, ranges[1:]):
             assert s0 + c0 == s1
-
-
-def test_map_blocks_thread_invariant():
-    def fn(b, start, count):
-        rng = SeededStream(9, 0).gen(b)
-        return float(np.sum(rng.standard_normal(count)))
-
-    one = map_blocks(5000, fn, threads=1)
-    four = map_blocks(5000, fn, threads=4)
-    assert one == four
 
 
 def test_svd_diagonal_and_bidiagonal():

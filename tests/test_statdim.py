@@ -337,3 +337,48 @@ def test_estimate_metadata_roundtrip():
     assert d["samples"] == 500
     assert d["mean"] == est.mean
     assert d["stderr"] == est.stderr
+
+
+# ---------------------------------------------------------------------------
+# failure accounting: non-converged samples are dropped, then refused
+# ---------------------------------------------------------------------------
+
+class FailingOrthant(NonnegOrthant):
+    """Orthant whose batch projection marks its first k rows as not
+    converged and fills them with points that would spoil any estimate."""
+
+    def __init__(self, n, k):
+        super().__init__(n)
+        self.k = k
+
+    def project_batch(self, X):
+        P, fd, conv = super().project_batch(X)
+        P[:self.k] = 1e6
+        fd[:self.k] = self.n
+        conv[:self.k] = False
+        return P, fd, conv
+
+
+def test_estimators_drop_unconverged_rows():
+    n, samples, k = 4, 1000, 10  # one block; k is 1% of the request
+    st = stream(140)
+    G = st.normal_block(0, samples, n)[k:]
+    vals = (np.maximum(G, 0.0) ** 2).sum(axis=1)
+    est = estimate_statdim(FailingOrthant(n, k), samples, st)
+    assert est.samples == samples - k
+    assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+    assert est.stderr == pytest.approx(
+        vals.std(ddof=1) / math.sqrt(samples - k), rel=1e-12)
+    prof = estimate_intrinsic_volumes(FailingOrthant(n, k), samples, st)
+    assert prof.samples == samples - k
+    want = np.bincount((G > 0).sum(axis=1), minlength=n + 1) / (samples - k)
+    assert np.array_equal(prof.v, want)
+
+
+def test_estimators_raise_above_failure_limit():
+    n, samples, k = 4, 1000, 11
+    with pytest.raises(RuntimeError, match="11/1000"):
+        estimate_statdim(FailingOrthant(n, k), samples, stream(141))
+    with pytest.raises(RuntimeError, match="11/1000"):
+        estimate_intrinsic_volumes(FailingOrthant(n, k), samples,
+                                   stream(141))
