@@ -82,16 +82,13 @@ from .integral_geometry import (
 )
 from .regularizers import (
     AnalysisInstance,
-    SubdifferentialModel,
     TVSpectrum,
     analysis_subdiff_cone,
     build_BC_matrices,
     descent_statdim_analysis,
     finite_difference_matrix,
-    model_from_point,
     reduced_analysis_cone,
     reduced_subdiff_cone,
-    subdiff_cone,
     tv_singular_values,
 )
 from .bounds import (

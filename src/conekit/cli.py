@@ -31,7 +31,8 @@ from .regularizers import (AnalysisInstance, finite_difference_matrix,
                            reduced_analysis_cone)
 from .solvers import crossing_from_rows, phase_transition_experiment
 from .statdim import (descent_statdim_l1, estimate_intrinsic_volumes,
-                      estimate_statdim, stojnic_recipe_l1, tails)
+                      estimate_statdim, mc_estimate, stojnic_recipe_l1,
+                      tails)
 
 
 def _fmt(x) -> str:
@@ -180,16 +181,15 @@ def cmd_kappa_dg(args) -> int:
                 G = sub.gen(t).standard_normal((n, m))
                 s = np.linalg.svd(D @ G, compute_uv=False)
                 kappas[t] = s[0] / s[-1]
-            mean = float(kappas.mean())
-            se = float(kappas.std(ddof=1) / math.sqrt(args.trials)) \
-                if args.trials > 1 else math.nan
+            est = mc_estimate(kappas, np.ones(args.trials, dtype=bool),
+                              args.seed)
             try:
                 bound = gordon_kappa_bound(D, m)
                 flag = "ok"
             except ValueError:
                 bound = math.nan
                 flag = "bound_vacuous"
-            rows.append((n, rho, mean, se, bound, flag))
+            rows.append((n, rho, est.mean, est.stderr, bound, flag))
     _emit_csv(args.out, ["n", "rho", "mean_kappa", "stderr", "gordon_bound",
                          "flag"], rows, _meta(args, trials=args.trials))
     return 0

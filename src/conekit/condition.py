@@ -326,14 +326,7 @@ def renegar(A, C: Cone, D: Cone, method: str = "auto",
             stream: SeededStream | None = None) -> float:
     """||A|| divided by the distance to the ill-posed set,
     max{sigma_{C->D}(A), sigma_{D->C}(-A^T)}; inf when both vanish."""
-    A = np.asarray(A, dtype=float)
-    op = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
-    sp = restricted_sv(A, C, D, method, stream).value
-    sd = restricted_sv(-A.T, D, C, method, stream).value
-    dist = max(sp, sd)
-    if dist <= 1e-15 * max(op, 1.0):
-        return math.inf
-    return op / dist
+    return condition_report(A, C, D, method, stream).renegar_R
 
 
 def renegar_single(A, C: Cone, method: str = "auto",
@@ -347,12 +340,12 @@ def condition_report(A, C: Cone, D: Cone, method: str = "auto",
                      stream: SeededStream | None = None) -> ConditionReport:
     """Assemble the restricted quantities and condition numbers of A."""
     A = np.asarray(A, dtype=float)
+    rp = restricted_sv(A, C, D, method, stream)   # validates the shapes
+    rd = restricted_sv(-A.T, D, C, method, stream)
     s = np.linalg.svd(A, compute_uv=False)
     op = float(s[0])
     smin = float(s[min(A.shape) - 1])
     kappa = op / smin if smin > 1e-300 else math.inf
-    rp = restricted_sv(A, C, D, method, stream)
-    rd = restricted_sv(-A.T, D, C, method, stream)
     dist = max(rp.value, rd.value)
     R = op / dist if dist > 1e-15 * max(op, 1.0) else math.inf
     return ConditionReport(op, rp.value, rd.value, R, kappa, rp.method,
@@ -563,10 +556,13 @@ def empirical_gordon_check(sigma, m: int, trials: int,
         smin[i] = s[min(n, m) - 1]
     fro = float(np.linalg.norm(sig))
     root = math.sqrt(m)
-    mn, sn = float(smin.mean()), float(smin.std(ddof=1) / math.sqrt(trials))
-    mx, sx = float(smax.mean()), float(smax.std(ddof=1) / math.sqrt(trials))
+    ok = np.ones(trials, dtype=bool)
+    lo = mc_estimate(smin, ok, stream.master_seed)
+    hi = mc_estimate(smax, ok, stream.master_seed)
     return GordonReport(
-        smin_mean=mn, smin_stderr=sn, smax_mean=mx, smax_stderr=sx,
-        fro_norm=fro, smin_lower=fro - root, smax_upper=fro + root,
-        smin_ok=mn >= (fro - root) - 3 * sn, smax_ok=mx <= (fro + root) + 3 * sx,
+        smin_mean=lo.mean, smin_stderr=lo.stderr, smax_mean=hi.mean,
+        smax_stderr=hi.stderr, fro_norm=fro, smin_lower=fro - root,
+        smax_upper=fro + root,
+        smin_ok=lo.mean >= (fro - root) - 3 * lo.stderr,
+        smax_ok=hi.mean <= (fro + root) + 3 * hi.stderr,
         trials=trials, seed=stream.master_seed)

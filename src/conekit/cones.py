@@ -185,7 +185,15 @@ def _planar_polar(form):
 
 
 def _planar_intersect(f1, f2):
-    """Exact intersection of two planar forms; None when not resolvable."""
+    """Exact intersection of two planar forms.
+
+    Total for the forms this module builds: every arc has width w <= pi
+    (``_planar_from_generators`` gives exactly pi or less than
+    pi - 1e-9, ``_planar_polar`` gives pi - w), so the overlap lies
+    inside the first arc and is at most a halfplane.  The overlap splits
+    into two pieces only when w1 + w2 >= 2 pi - 2e-12, that is, for two
+    halfplanes with opposite boundaries, which meet in a line.
+    """
     for f, g in ((f1, f2), (f2, f1)):
         if f[0] == "zero":
             return ("zero",)
@@ -217,18 +225,12 @@ def _planar_intersect(f1, f2):
     if not merged:
         return ("zero",)
     if len(merged) > 1:
-        # two opposite touching arcs: a line when both are degenerate rays
-        (a1, b1), (a2, b2) = merged
-        if b1 - a1 < 1e-9 and b2 - a2 < 1e-9 and \
-                abs(abs(a2 - a1) - math.pi) < 1e-9:
-            return ("line", a1 % _TWO_PI)
-        return None
+        # two halfplanes touching in two antipodal degenerate pieces
+        return ("line", merged[0][0] % _TWO_PI)
     lo, hi = merged[0]
     w = hi - lo
     if w <= 1e-12:
         return ("ray", lo % _TWO_PI)
-    if w > math.pi + 1e-9:
-        return None
     return ("arc", lo % _TWO_PI, min(w, math.pi))
 
 
@@ -991,10 +993,12 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
 def intersect(C: Cone, D: Cone) -> Cone:
     """Intersection C ∩ D.
 
-    Exact rules, in order: planar pairs resolve through angle arithmetic;
-    subspace pairs and subspace sections of inequality-representable cones
-    reduce to exact lower-dimensional representations; two inequality cones
-    {x : W_C^T x <= 0} and {x : W_D^T x <= 0} give
+    Exact rules, in order: two cones in the plane that both have a planar
+    form always resolve through angle arithmetic (:func:`_planar_intersect`
+    is total); subspace pairs and subspace sections of
+    inequality-representable cones reduce to exact lower-dimensional
+    representations; two inequality cones {x : W_C^T x <= 0} and
+    {x : W_D^T x <= 0} give
     ``InequalityCone([W_C W_D])``, where a generated cone with square
     invertible V has W = -V^{-T}.  Every other pair, such as one with a
     generated cone of more generators than dimensions, an l1
@@ -1006,9 +1010,7 @@ def intersect(C: Cone, D: Cone) -> Cone:
     if C.n == 2:
         f1, f2 = C._planar_form(), D._planar_form()
         if f1 is not None and f2 is not None:
-            form = _planar_intersect(f1, f2)
-            if form is not None:
-                return _cone_from_planar(form)
+            return _cone_from_planar(_planar_intersect(f1, f2))
     if isinstance(C, Subspace) and isinstance(D, Subspace):
         stacked = np.hstack([C.basis, -D.basis])
         if stacked.shape[1] == 0:

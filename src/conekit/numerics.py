@@ -118,8 +118,7 @@ def haar_orthogonal(n: int, stream: SeededStream, index: int = 0) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rng = stream.gen(index) if isinstance(stream, SeededStream) else stream
-    return haar_from_rng(n, rng)
+    return haar_from_rng(n, stream.gen(index))
 
 
 def haar_from_rng(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,8 +134,7 @@ def gaussian_vector(n: int, stream: SeededStream, index: int = 0) -> np.ndarray:
     """Standard Gaussian vector in R^n (sample ``index`` of the stream)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = stream.gen(index) if isinstance(stream, SeededStream) else stream
-    return rng.standard_normal(n)
+    return stream.gen(index).standard_normal(n)
 
 
 def row_projection(m: int, n: int) -> np.ndarray:

@@ -4,10 +4,14 @@ The regularizers covered are the l1 norm, the weighted l1 norm, and the
 l1-analysis (cosparse) form ``x -> ||D x||_1``.  At an anchor point the
 subdifferential of each is a face of a (weighted) hypercube; the convex
 cone it generates is the polar of the descent cone, which is the object
-that controls recovery from random linear measurements.  This module
-builds those cones, the finite-difference operators used as analysis
-maps, and the orthonormal reduction that compresses the subdifferential
-cone of ``||D x||_1`` into its spanning subspace.
+that controls recovery from random linear measurements.
+
+The plain and weighted l1 cones are
+``conekit.cones.L1SubdiffCone(n, support, signs, weights)``.  This module
+builds the analysis cone ``analysis_subdiff_cone(AnalysisInstance(D, x0))``,
+the finite-difference operators used as analysis maps, and the
+orthonormal reduction that compresses the analysis cone into its
+spanning subspace.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Cone, L1SubdiffCone, LinearImage, linear_image
+from .cones import Cone, L1SubdiffCone, linear_image
 from .numerics import SeededStream, svd
 from .statdim import Estimate, estimate_statdim
 
@@ -34,108 +38,6 @@ def _support_pattern(y: np.ndarray):
     mask = np.abs(y) >= SUPPORT_RELTOL * scale
     idx = np.flatnonzero(mask)
     return idx, np.sign(y[idx])
-
-
-@dataclass
-class SubdifferentialModel:
-    """Sign pattern data describing the subdifferential of an l1-type norm.
-
-    Parameters
-    ----------
-    family : str
-        One of ``"l1"``, ``"weighted_l1"``, ``"l1_analysis"``.
-    ambient : int
-        Dimension of the argument of the (weighted) l1 norm.  For the
-        analysis family this is the number of rows of `D`.
-    support : ndarray of int
-        Indices where the anchor (or ``D x0``) is nonzero.  Must be
-        nonempty: at an anchor with empty support the function is
-        minimal and the descent cone degenerates.
-    signs : ndarray
-        Entries ``+-1``, one per support index.
-    weights : ndarray, optional
-        Positive per-coordinate weights; defaults to all ones, in which
-        case ``weighted_l1`` coincides with ``l1``.
-    D : ndarray, optional
-        Analysis operator, required exactly when ``family`` is
-        ``"l1_analysis"``; its row count must equal `ambient`.
-    """
-
-    family: str
-    ambient: int
-    support: np.ndarray
-    signs: np.ndarray
-    weights: np.ndarray | None = None
-    D: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.family not in ("l1", "weighted_l1", "l1_analysis"):
-            raise ValueError(f"unknown family {self.family!r}")
-        self.support = np.asarray(self.support, dtype=int).ravel()
-        self.signs = np.asarray(self.signs, dtype=float).ravel()
-        if self.support.size == 0:
-            raise ValueError("empty support: the descent cone degenerates "
-                             "at a minimizer of the regularizer")
-        if len(np.unique(self.support)) != len(self.support):
-            raise ValueError("support indices must be distinct")
-        if self.support.min() < 0 or self.support.max() >= self.ambient:
-            raise ValueError("support indices out of range")
-        if self.signs.shape != self.support.shape or \
-                not np.all(np.abs(self.signs) == 1.0):
-            raise ValueError("signs must be +-1, one per support index")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float).ravel()
-            if self.weights.shape != (self.ambient,) or \
-                    np.any(self.weights <= 0):
-                raise ValueError("weights must be positive, one per "
-                                 "coordinate")
-        if self.family == "l1_analysis":
-            if self.D is None:
-                raise ValueError("l1_analysis requires the operator D")
-            self.D = np.asarray(self.D, dtype=float)
-            if self.D.ndim != 2 or self.D.shape[0] != self.ambient:
-                raise ValueError("D must have `ambient` rows")
-        elif self.D is not None:
-            raise ValueError("only the l1_analysis family takes D")
-
-    @property
-    def s(self) -> int:
-        return int(self.support.size)
-
-
-def model_from_point(x0, weights=None) -> SubdifferentialModel:
-    """Subdifferential model of the (weighted) l1 norm at the point x0."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    idx, sgn = _support_pattern(x0)
-    family = "l1" if weights is None else "weighted_l1"
-    return SubdifferentialModel(family, x0.size, idx, sgn, weights)
-
-
-def subdiff_cone(model: SubdifferentialModel) -> Cone:
-    """Cone generated by the subdifferential of the model's regularizer.
-
-    For the plain and weighted l1 norms at an anchor with support ``I``
-    and signs ``sgn`` this is::
-
-        {z : z_i = t * sgn_i * w_i  (i in I),
-             |z_j| <= t * w_j       (j not in I),  t >= 0},
-
-    the nonnegative hull of a face of the weighted hypercube.  It is the
-    closure of the polar of the descent cone.  For the analysis family
-    the cone is pushed forward through ``D^T``.
-
-    Returns
-    -------
-    Cone
-        An exact-projection cone for ``l1``/``weighted_l1`` (full
-        support yields the single ray through the sign vector); a
-        linear-image cone for ``l1_analysis``.
-    """
-    inner = L1SubdiffCone(model.ambient, model.support, model.signs,
-                          model.weights)
-    if model.family == "l1_analysis":
-        return linear_image(model.D.T, inner)
-    return inner
 
 
 @dataclass
@@ -306,24 +208,19 @@ def reduced_analysis_cone(inst: AnalysisInstance) -> Cone:
 
 
 def descent_statdim_analysis(inst: AnalysisInstance, samples: int,
-                             stream: SeededStream,
-                             reduced: bool = False) -> Estimate:
+                             stream: SeededStream) -> Estimate:
     """Monte Carlo statistical dimension of the descent cone of ``||D .||_1``.
 
     Uses polarity: the descent cone at ``x0`` is polar to the
     subdifferential cone, and statistical dimensions of polar pairs add
     up to the ambient dimension.  The returned estimate is therefore
-    ``n - delta_hat(subdifferential cone)`` with the same standard
-    error.
-
-    Parameters
-    ----------
-    reduced : bool
-        Project through the compressed representation from
-        :func:`reduced_analysis_cone` instead of ``D^T`` directly.
+    ``n - delta_hat(analysis_subdiff_cone(inst))`` with the same standard
+    error.  The cone is projected through ``D^T`` directly, which works
+    for every D; :func:`reduced_analysis_cone` is the same set in the
+    frame of :func:`build_BC_matrices` and gives the same estimate to
+    Monte Carlo error.
     """
-    K = reduced_analysis_cone(inst) if reduced else analysis_subdiff_cone(inst)
-    est = estimate_statdim(K, samples, stream)
+    est = estimate_statdim(analysis_subdiff_cone(inst), samples, stream)
     return Estimate(mean=inst.n - est.mean, stderr=est.stderr,
                     samples=est.samples, seed=est.seed)
 

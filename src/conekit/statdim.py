@@ -83,12 +83,6 @@ class IVProfile:
         return {"v": self.v.tolist(), "stderr": self.stderr.tolist(),
                 "samples": self.samples, "seed": self.seed}
 
-    def to_csv(self) -> str:
-        lines = ["k,v_k,stderr"]
-        for k, (vk, se) in enumerate(zip(self.v, self.stderr)):
-            lines.append(f"{k},{vk:.10g},{se:.10g}")
-        return "\n".join(lines) + "\n"
-
 
 def _check_failures(ok: np.ndarray) -> int:
     """Number of samples not flagged in ``ok``; raises ``RuntimeError``
@@ -104,13 +98,14 @@ def mc_estimate(vals, ok, seed: int) -> Estimate:
     """Mean and standard error std(ddof=1)/sqrt(n_eff) of per-sample values.
 
     Only the samples flagged in ``ok`` count; more than
-    ``MAX_FAILURE_FRACTION`` of them failing raises ``RuntimeError``.
+    ``MAX_FAILURE_FRACTION`` of them failing raises ``RuntimeError``.  A
+    single sample has a nan standard error.
     """
     ok = np.asarray(ok, dtype=bool)
     _check_failures(ok)
     x = np.asarray(vals, dtype=float)[ok]
-    return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)),
-                    x.size, seed)
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.nan
+    return Estimate(float(x.mean()), se, x.size, seed)
 
 
 def face_histogram(fd, ok, n: int):

@@ -1,6 +1,8 @@
 """Command line interface: outputs, config precedence, determinism."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +123,24 @@ def test_kappa_dg_csv(tmp_path):
         assert float(mean_kappa) <= float(bound) + 1e-9
         assert flag == "ok"
         assert float(rho) == 0.2
+
+
+def test_kappa_dg_flags_and_single_trial(tmp_path):
+    # n = 10: rho 0.05 leaves m = 0; at m = 8, ||D||_F = sqrt(19) is below
+    # sqrt(m)||D||, so the Gordon bound is vacuous
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, text = run_to_file(
+            ["kappa-dg", "--n-min", "10", "--n-max", "10",
+             "--rho-list", "0.05,0.2,0.8", "--trials", "1", "--seed", "13"],
+            tmp_path / "dg.csv")
+    assert rc == 0
+    rows = [l.split(",") for l in text.strip().splitlines()[2:]]
+    assert [r[5] for r in rows] == ["m_below_1", "ok", "bound_vacuous"]
+    assert rows[0][2:5] == ["nan", "nan", "nan"]
+    for r in rows[1:]:
+        assert math.isfinite(float(r[2])) and r[3] == "nan"
+    assert math.isfinite(float(rows[1][4])) and rows[2][4] == "nan"
 
 
 def test_phase_csv(tmp_path):

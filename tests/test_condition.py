@@ -199,6 +199,12 @@ def test_renegar_pair_at_least_one():
         assert R >= 1.0 - 1e-9
 
 
+def test_renegar_rejects_empty_matrix():
+    # the cone shapes are checked before the svd, which has nothing to index
+    with pytest.raises(ValueError):
+        renegar(np.zeros((0, 2)), NonnegOrthant(2), NonnegOrthant(1))
+
+
 def test_renegar_single_cone_below_matrix_condition():
     # restricting the minimum to a cone can only raise it, so the
     # single-cone condition number never exceeds the classical one

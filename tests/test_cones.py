@@ -283,15 +283,20 @@ def test_hrep_intersection_matches_dykstra():
     assert converged >= 0.95 * total
 
 
-def test_hrep_intersection_when_planar_rule_gives_up(monkeypatch):
-    # no planar pair of real cones is known to leave _planar_intersect
-    # unresolved, so force it: the stacked-normal rule must still apply
-    monkeypatch.setattr("conekit.cones._planar_intersect", lambda f, g: None)
+def test_opposite_halfplanes_meet_in_a_line():
+    # the only planar pair whose overlap splits into two pieces
     rng = np.random.default_rng(22)
-    L = InequalityCone(rng.standard_normal((2, 1)))
-    R = rotate(polar(NonnegOrthant(2)), haar_orthogonal(2, SeededStream(22)))
-    points = rng.standard_normal((50, 2))
-    assert assert_matches_dykstra(L, R, points) == len(points)
+    for a in rng.uniform(0.0, 2 * math.pi, 8):
+        u = np.array([[math.cos(a)], [math.sin(a)]])
+        H, G = InequalityCone(u), InequalityCone(-u)
+        L = intersect(H, G)
+        assert isinstance(L, Subspace) and L.dim == 1
+        oracle = IntersectionCone(H, G)
+        for x in rng.standard_normal((10, 2)):
+            got, want = project(L, x), oracle.project_point(x)
+            assert want.converged
+            assert np.allclose(got.point, want.point, atol=1e-6)
+            assert got.face_dim == want.face_dim
 
 
 def test_rotated_inequality_cone_matches_linear_image():

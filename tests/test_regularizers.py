@@ -11,8 +11,8 @@ from conekit.cones import L1SubdiffCone, preimage_cone, project
 from conekit.regularizers import (AnalysisInstance, analysis_subdiff_cone,
                                   build_BC_matrices,
                                   descent_statdim_analysis,
-                                  finite_difference_matrix, model_from_point,
-                                  reduced_subdiff_cone, subdiff_cone,
+                                  finite_difference_matrix,
+                                  reduced_analysis_cone, reduced_subdiff_cone,
                                   tv_singular_values)
 from conekit.statdim import descent_statdim_l1, estimate_statdim
 
@@ -21,19 +21,9 @@ from conekit.statdim import descent_statdim_l1, estimate_statdim
 # subdifferential cones of the (weighted) l1 norm
 # ---------------------------------------------------------------------------
 
-def test_subdiff_projection_scalar_oracle():
-    # n=2, support {0}, positive sign; projecting (0, 2) minimizes
-    # (0-t)^2 + ((2-t)_+)^2 over t >= 0, so t = 1 and the point is (1, 1)
-    model = model_from_point(np.array([5.0, 0.0]))
-    C = subdiff_cone(model)
-    res = project(C, np.array([0.0, 2.0]))
-    assert np.allclose(res.point, [1.0, 1.0], atol=1e-10)
-
-
 def test_subdiff_full_support_is_a_ray():
-    model = model_from_point(np.array([3.0, -1.0, 2.0]))
-    C = subdiff_cone(model)
     sgn = np.array([1.0, -1.0, 1.0])
+    C = L1SubdiffCone(3, [0, 1, 2], sgn)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(3)
@@ -44,16 +34,15 @@ def test_subdiff_full_support_is_a_ray():
 
 def test_zero_anchor_rejected():
     with pytest.raises(ValueError):
-        model_from_point(np.zeros(3))
+        L1SubdiffCone(3, [], [])
     with pytest.raises(ValueError):
         AnalysisInstance(np.eye(3), np.zeros(3))
 
 
 def test_weights_one_match_plain_l1():
     rng = np.random.default_rng(1)
-    x0 = np.array([2.0, 0.0, -1.0, 0.0])
-    plain = subdiff_cone(model_from_point(x0))
-    weighted = subdiff_cone(model_from_point(x0, weights=np.ones(4)))
+    plain = L1SubdiffCone(4, [0, 2], [1.0, -1.0])
+    weighted = L1SubdiffCone(4, [0, 2], [1.0, -1.0], np.ones(4))
     for _ in range(200):
         g = rng.standard_normal(4)
         assert np.allclose(project(plain, g).point,
@@ -86,7 +75,7 @@ def test_analysis_identity_reduces_to_plain_subdiff():
     x0 = np.array([0.0, 2.0, 0.0, -1.0])
     inst = AnalysisInstance(np.eye(4), x0)
     C1 = analysis_subdiff_cone(inst)
-    C2 = subdiff_cone(model_from_point(x0))
+    C2 = L1SubdiffCone(4, [1, 3], [1.0, -1.0])
     rng = np.random.default_rng(3)
     for _ in range(100):
         g = rng.standard_normal(4)
@@ -268,8 +257,8 @@ def test_reduced_statdim_matches_plain_route():
     x0 = np.concatenate([np.zeros(5), np.ones(5)])
     inst = AnalysisInstance(D, x0)
     a = descent_statdim_analysis(inst, 20000, stream(408))
-    b = descent_statdim_analysis(inst, 20000, stream(409), reduced=True)
-    assert abs(a.mean - b.mean) <= 3 * combined_stderr(a, b)
+    b = estimate_statdim(reduced_analysis_cone(inst), 20000, stream(409))
+    assert abs(a.mean - (inst.n - b.mean)) <= 3 * combined_stderr(a, b)
 
 
 def test_reduced_subdiff_cone_dimensions():

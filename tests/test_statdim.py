@@ -128,14 +128,6 @@ def test_profile_statdim_matches_moment_estimator():
     assert abs(prof.statdim() - from_profile) <= 1e-12
 
 
-def test_profile_csv_shape():
-    prof = estimate_intrinsic_volumes(NonnegOrthant(3), 500, stream(116))
-    txt = prof.to_csv()
-    lines = [l for l in txt.strip().splitlines() if not l.startswith("#")]
-    assert lines[0].split(",")[0] == "k"
-    assert len(lines) == 1 + 4
-
-
 def test_gauss_bonnet_alternating_sum():
     rng = np.random.default_rng(3)
     for i in range(5):
