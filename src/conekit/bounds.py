@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import SeededStream, svd
+from .numerics import svd
 from .regularizers import AnalysisInstance, build_BC_matrices
 from .statdim import Estimate, a_eta, stojnic_recipe_l1
 

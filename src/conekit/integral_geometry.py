@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, Subspace, intersect, linear_image, project, rotate)
+from .cones import (Cone, GeneratorCone, InequalityCone, Subspace,
+                    _inequality_matrix, generators_of, intersect,
+                    linear_image, project, rotate)
 from .numerics import SeededStream, haar_from_rng, row_projection
 from .statdim import (Estimate, estimate_intrinsic_volumes, face_histogram,
                       mc_estimate, tails)
@@ -152,28 +154,34 @@ def _line_hits_cone(C: Cone, u: np.ndarray, tol: float = 1e-9) -> bool:
     return False
 
 
-def _subspace_hits_cone(C: Cone, B: np.ndarray, tol: float = 1e-6) -> bool:
-    """Whether C cap span(B) != {0}."""
-    from .cones import InequalityCone, _inequality_matrix
+def _subspace_hits_cone(C: Cone, Q: np.ndarray, d: int,
+                        tol: float = 1e-6) -> bool:
+    """Whether C cap span(Q[:, :d]) != {0}, for 2 <= d < n and a rotation Q
+    drawn from the Haar measure."""
+    B = Q[:, :d]
     W = _inequality_matrix(C)
     if W is not None:
         # exact: the section {c : (B^T W)^T c <= 0} is nontrivial iff its
         # planar/low-dimensional form is
         section = B.T @ W
-        d = B.shape[1]
-        if d == 1:
-            w = section[0]
-            return bool(np.all(w <= 1e-12) or np.all(w >= -1e-12))
         if d == 2:
             return InequalityCone(section)._planar[0] != "zero"
         K = InequalityCone(section)
         if K.lineality_dim() > 0:
             return True
         # fall through to the margin LP on the polar generators
-    from .cones import generators_of
     V = generators_of(C)
     if V is None:
-        raise ValueError("hit detection needs a generator representation")
+        if W is None:
+            raise ValueError("hit detection needs a generator or inequality "
+                             "representation")
+        # conic alternative: a Haar subspace L is in general position with
+        # probability 1, so C cap L != {0} exactly when cone(W), the polar
+        # of C, meets the complement L^perp = span(Q[:, d:]) only at 0
+        P, rest = GeneratorCone(W), Q.shape[1] - d
+        if rest == 1:
+            return not _line_hits_cone(P, Q[:, d])
+        return not _subspace_hits_cone(P, np.roll(Q, -d, axis=1), rest)
     V = V / np.maximum(np.linalg.norm(V, axis=0), 1e-300)
     M = V - B @ (B.T @ V)  # component of each generator off the subspace
     r, k = M.shape
@@ -210,11 +218,11 @@ def crofton_probability(C: Cone, m: int, samples: int,
 
     hits = 0
     for i in range(samples):
-        B = haar_from_rng(n, stream.gen(i))[:, :d]
+        Q = haar_from_rng(n, stream.gen(i))
         if d == 1:
-            hits += _line_hits_cone(C, B[:, 0])
+            hits += _line_hits_cone(C, Q[:, 0])
         else:
-            hits += _subspace_hits_cone(C, B)
+            hits += _subspace_hits_cone(C, Q, d)
     rate = hits / samples
     se = math.sqrt(rate * (1 - rate) / samples)
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))

@@ -10,7 +10,7 @@ Both are deterministic given their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,14 +220,18 @@ class LPResult:
         return self.status == "optimal"
 
 
-def lp_solve_standard(lp: LPStandardForm, tol: float = 1e-8,
-                      max_iter: int = 200) -> LPResult:
+LP_TOL = 1e-8       # relative residual and duality-gap target
+LP_MAX_ITER = 200   # interior-point iterations before giving up
+
+
+def lp_solve_standard(lp: LPStandardForm) -> LPResult:
     """Solve a standard-form LP with Mehrotra's predictor-corrector method.
 
     Dense normal-equations implementation with Ruiz equilibration of the
     constraint matrix.  Convergence requires relative primal/dual
-    residuals and the relative duality gap all below ``tol``; the
-    reported residuals refer to the original (unscaled) data.
+    residuals and the relative duality gap all below ``LP_TOL`` within
+    ``LP_MAX_ITER`` iterations; the reported residuals refer to the
+    original (unscaled) data.
     """
     A0, b0, c0 = lp.A, lp.b, lp.c
     m, n = A0.shape
@@ -269,7 +273,7 @@ def lp_solve_standard(lp: LPStandardForm, tol: float = 1e-8,
     it = 0
     best_merit = math.inf
     best_xys = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, LP_MAX_ITER + 1):
         rp = A @ x - b
         rd = A.T @ y + s - c
         gap = float(x @ s)
@@ -282,7 +286,7 @@ def lp_solve_standard(lp: LPStandardForm, tol: float = 1e-8,
         if merit < best_merit:
             best_merit = merit
             best_xys = (x.copy(), y.copy(), s.copy())
-        if pres <= tol and dres <= tol and relgap <= tol:
+        if pres <= LP_TOL and dres <= LP_TOL and relgap <= LP_TOL:
             status = "optimal"
             break
         # bail out (and fall back to the best iterate) once the iteration
@@ -391,57 +395,49 @@ class RecoveryOutcome:
     objective: float
 
 
-def solve_bp_analysis(D: np.ndarray, A: np.ndarray, b: np.ndarray,
-                      tol: float = 1e-8, max_iter: int = 200) -> LPResult:
-    """Solve ``min ||D x||_1  subject to  A x = b`` as a standard-form LP.
+def solve_bp_analysis(D: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
+    """Solve ``min ||D x||_1  subject to  A x = b`` for square invertible D.
 
-    Reformulation with u >= |D x| via variables (x+, x-, u, s1, s2):
-    D x + u - s1 = 0 and u - D x - s2 = 0 with all block variables >= 0.
-    The returned LPResult carries the stacked variable vector; use
-    :func:`bp_extract` for the recovered x.
+    With z = D x this is the split LP ``min 1^T (z+ + z-)`` subject to
+    ``(A D^{-1}) (z+ - z-) = b`` and ``z+, z- >= 0``: m rows, 2n columns,
+    unit costs.  The returned LPResult carries (z+, z-), so its
+    ``primal_obj`` is ``||D x_hat||_1``; use :func:`bp_extract` for x_hat.
+    Raises ValueError unless D is n x n with n = ``A.shape[1]`` and
+    invertible.
     """
     D = np.asarray(D, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if D.ndim != 2 or A.ndim != 2 or D.shape[1] != A.shape[1]:
-        raise ValueError("D and A must act on the same space")
+    if A.ndim != 2 or D.shape != (A.shape[1], A.shape[1]):
+        raise ValueError("D must be n x n for A with n columns")
     if b.shape != (A.shape[0],):
         raise ValueError("b length must match rows of A")
-    p, n = D.shape
-    m = A.shape[0]
-    Z = np.zeros
-    I = np.eye(p)
-    E = np.block([
-        [A, -A, Z((m, p)), Z((m, p)), Z((m, p))],
-        [D, -D, I, -I, Z((p, p))],
-        [-D, D, I, Z((p, p)), -I],
-    ])
-    d = np.concatenate([b, np.zeros(2 * p)])
-    # The tiny cost on the sign-split columns keeps x+ + x- bounded; with a
-    # zero cost the split LP has no strictly feasible dual and the central
-    # path degenerates (visible as divergence whenever A x = b pins x).
-    cost = np.concatenate([np.full(2 * n, 1e-9), np.ones(p), np.zeros(2 * p)])
-    return lp_solve_standard(LPStandardForm(cost, E, d), tol=tol,
-                             max_iter=max_iter)
+    try:
+        M = np.linalg.solve(D.T, A.T).T
+    except np.linalg.LinAlgError:
+        raise ValueError("D must be invertible") from None
+    return lp_solve_standard(
+        LPStandardForm(np.ones(2 * M.shape[1]), np.hstack([M, -M]), b))
 
 
-def bp_extract(res: LPResult, n: int) -> np.ndarray:
-    """Recover x from the stacked basis-pursuit LP variables."""
-    return res.x[:n] - res.x[n:2 * n]
+def bp_extract(res: LPResult, D: np.ndarray) -> np.ndarray:
+    """Recover ``x = D^{-1} (z+ - z-)`` from the basis-pursuit LP variables."""
+    zp, zm = res.x.reshape(2, -1)
+    return np.linalg.solve(D, zp - zm)
 
 
-def recover(D: np.ndarray, A: np.ndarray, x0: np.ndarray,
-            tol: float = 1e-8) -> RecoveryOutcome:
+def recover(D: np.ndarray, A: np.ndarray, x0: np.ndarray) -> RecoveryOutcome:
     """Run basis pursuit on measurements ``b = A x0`` and grade the result.
 
-    Success means ``||x_hat - x0||_inf <= 1e-4 * max(1, ||x0||_inf)``;
-    solver non-convergence is flagged separately and never counts as a
+    D must be square invertible (see :func:`solve_bp_analysis`).  Success
+    means ``||x_hat - x0||_inf <= 1e-4 * max(1, ||x0||_inf)``; solver
+    non-convergence is flagged separately and never counts as a
     successful recovery.
     """
     x0 = np.asarray(x0, dtype=float)
     b = A @ x0
-    res = solve_bp_analysis(D, A, b, tol=tol)
-    x_hat = bp_extract(res, A.shape[1])
+    res = solve_bp_analysis(D, A, b)
+    x_hat = bp_extract(res, D)
     err = float(np.max(np.abs(x_hat - x0))) if x0.size else 0.0
     thresh = 1e-4 * max(1.0, float(np.max(np.abs(x0))) if x0.size else 1.0)
     ok = res.converged and err <= thresh
@@ -481,18 +477,21 @@ class PhaseRow:
 
 def phase_transition_experiment(n: int, s: int, m_values, trials: int,
                                 stream: SeededStream,
-                                D: np.ndarray | None = None,
-                                tol: float = 1e-8) -> list[PhaseRow]:
+                                D: np.ndarray | None = None) -> list[PhaseRow]:
     """Empirical recovery rates of basis pursuit across measurement counts.
 
     For each m, ``trials`` independent instances are drawn: a Gaussian
     measurement matrix and a signal whose sparsity structure lives in the
     analysis domain (s nonzero entries of D x0 when D is given, of x0
     itself otherwise, with +-1 values on a uniformly random support).
+    D must be n x n and invertible; a :func:`recover` solve that does not
+    end ``optimal`` counts in the row's ``solver_failures``.
     """
     if not 0 < s <= n:
         raise ValueError("need 0 < s <= n")
     D_eff = np.eye(n) if D is None else np.asarray(D, dtype=float)
+    if D_eff.shape != (n, n):
+        raise ValueError("analysis signals need an n x n invertible D")
     rows = []
     for mi, m in enumerate(m_values):
         m = int(m)
@@ -505,7 +504,7 @@ def phase_transition_experiment(n: int, s: int, m_values, trials: int,
             rng = sub.gen(t)
             x0 = _sparse_signal(n, s, rng, D_eff if D is not None else None)
             A = rng.standard_normal((m, n))
-            out = recover(D_eff, A, x0, tol=tol)
+            out = recover(D_eff, A, x0)
             if not out.solver_status == "optimal":
                 fails += 1
             if out.success:
@@ -518,18 +517,10 @@ def phase_transition_experiment(n: int, s: int, m_values, trials: int,
 def _sparse_signal(n: int, s: int, rng: np.random.Generator,
                    D: np.ndarray | None) -> np.ndarray:
     """Signal with an s-sparse +-1 pattern, in the analysis domain if D given."""
-    if D is None:
-        idx = rng.choice(n, size=s, replace=False)
-        x0 = np.zeros(n)
-        x0[idx] = rng.choice([-1.0, 1.0], size=s)
-        return x0
-    p = D.shape[0]
-    if p != D.shape[1]:
-        raise ValueError("analysis signals need square invertible D")
-    idx = rng.choice(p, size=s, replace=False)
-    y0 = np.zeros(p)
+    idx = rng.choice(n, size=s, replace=False)
+    y0 = np.zeros(n)
     y0[idx] = rng.choice([-1.0, 1.0], size=s)
-    return np.linalg.solve(D, y0)
+    return y0 if D is None else np.linalg.solve(D, y0)
 
 
 def crossing_from_rows(rows: list[PhaseRow], level: float = 0.5):

@@ -273,7 +273,8 @@ def stojnic_recipe_l1(n: int, s: int, mode: str = "closed_form",
 
     closed_form evaluates the Gaussian integral exactly and minimizes by
     golden section; monte_carlo estimates the objective on a tau grid with
-    common random numbers, then refines around the best grid point.
+    common random numbers (``samples * n`` floats, drawn once for every
+    tau), then refines around the best grid point.
     """
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n")
@@ -294,13 +295,14 @@ def stojnic_recipe_l1(n: int, s: int, mode: str = "closed_form",
         off = np.maximum(np.abs(G[:, s:]) - tau, 0.0) ** 2
         return on.sum(axis=1) + off.sum(axis=1)
 
+    blocks = [stream.normal_block(b, count, n)
+              for b, _, count in block_ranges(samples)]
     vals_at = {}
 
     def mean_at(tau):
         if tau not in vals_at:
             acc = 0.0
-            for b, start, count in block_ranges(samples):
-                G = stream.normal_block(b, count, n)
+            for G in blocks:
                 acc += dist2(G, tau).sum()
             vals_at[tau] = acc / samples
         return vals_at[tau]
@@ -312,8 +314,7 @@ def stojnic_recipe_l1(n: int, s: int, mode: str = "closed_form",
     up = grid[min(j + 1, len(grid) - 1)]
     tau_star, _ = golden_section_min(mean_at, float(lo), float(up), tol=1e-6)
     # final pass collects per-sample values for the standard error
-    vals = np.concatenate([dist2(stream.normal_block(b, count, n), tau_star)
-                           for b, _, count in block_ranges(samples)])
+    vals = np.concatenate([dist2(G, tau_star) for G in blocks])
     return mc_estimate(vals, np.ones(samples, dtype=bool), stream.master_seed)
 
 

@@ -13,7 +13,7 @@ from conekit.bounds import (BoundReport, admissible_projection,
                             l1_analysis_threshold, min_admissible_m,
                             optimal_m_search, projected_condition_bound,
                             sandwich_bounds)
-from conekit.cones import GeneratorCone, rotate
+from conekit.cones import GeneratorCone
 from conekit.regularizers import (AnalysisInstance, descent_statdim_analysis,
                                   finite_difference_matrix)
 from conekit.statdim import (Estimate, a_eta, estimate_moment,

@@ -8,7 +8,7 @@ import pytest
 from conftest import combined_stderr, stream
 
 from conekit.cones import (GeneratorCone, NonnegOrthant, ProductCone,
-                           Subspace, intersect, polar, rotate)
+                           Subspace, polar)
 from conekit.integral_geometry import (IDENTITY_SUITES, crofton_probability,
                                        eta_for_projection_margin,
                                        projected_statdim, run_identity_suite,
@@ -127,6 +127,14 @@ def test_crofton_target_matches_half_tail():
     rep = crofton_probability(C, 1, 20000, stream(312))
     se = 3 * math.hypot(rep.stderr, 2 * float(np.linalg.norm(prof.stderr)))
     assert abs(rep.hit_rate - h[2]) <= se
+
+
+def test_crofton_inequality_cone_without_generators():
+    # the negative orthant in R^4 is an InequalityCone with no generator
+    # form; a random 3-plane hits it with probability h_2 = 14/16
+    rep = crofton_probability(polar(NonnegOrthant(4)), 1, 2000, stream(314))
+    assert abs(rep.hit_rate - 0.875) <= 3 * rep.stderr
+    assert rep.verdict
 
 
 def test_crofton_rejects_subspaces():

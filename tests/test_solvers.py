@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conekit.numerics import SeededStream
+from conekit.regularizers import finite_difference_matrix
 from conekit.solvers import (LPStandardForm, bp_extract, crossing_from_rows,
                              golden_section_min, lp_solve_standard, nnls,
                              phase_transition_experiment, recover,
@@ -125,7 +126,7 @@ def test_bp_zero_rhs_gives_zero():
     A = rng.standard_normal((5, 8))
     res = solve_bp_analysis(np.eye(8), A, np.zeros(5))
     assert res.status == "optimal"
-    assert np.max(np.abs(bp_extract(res, 8))) <= 1e-8
+    assert np.max(np.abs(bp_extract(res, np.eye(8)))) <= 1e-8
 
 
 def test_bp_square_invertible_recovers_unique_point():
@@ -134,12 +135,12 @@ def test_bp_square_invertible_recovers_unique_point():
     x = rng.standard_normal(6)
     res = solve_bp_analysis(np.eye(6), A, A @ x)
     assert res.status == "optimal"
-    assert np.max(np.abs(bp_extract(res, 6) - x)) <= 1e-6
+    assert np.max(np.abs(bp_extract(res, np.eye(6)) - x)) <= 1e-6
 
 
 def test_bp_square_systems_all_converge():
-    # pinned-x instances once diverged; the split-cost epsilon keeps the
-    # central path alive even when the equality block determines x
+    # a square A pins x, which leaves only the z+/z- split free: the
+    # degenerate case where the interior-point path is most likely to stall
     rng = np.random.default_rng(0)
     n = 20
     x0 = np.zeros(n)
@@ -148,7 +149,34 @@ def test_bp_square_systems_all_converge():
         A = rng.standard_normal((n, n))
         res = solve_bp_analysis(np.eye(n), A, A @ x0)
         assert res.status == "optimal"
-        assert np.max(np.abs(bp_extract(res, n) - x0)) <= 1e-6
+        assert np.max(np.abs(bp_extract(res, np.eye(n)) - x0)) <= 1e-6
+
+
+def test_bp_analysis_operator_recovers_signal():
+    # a piecewise-constant signal is 2-sparse under the square difference
+    # operator, and the LP objective is ||D x_hat||_1
+    rng = np.random.default_rng(8)
+    n = 10
+    D = finite_difference_matrix(n, "square_bidiagonal")
+    x0 = np.linalg.solve(D, np.eye(n)[0] - np.eye(n)[6])
+    A = rng.standard_normal((8, n))
+    res = solve_bp_analysis(D, A, A @ x0)
+    x_hat = bp_extract(res, D)
+    assert res.status == "optimal"
+    assert np.max(np.abs(x_hat - x0)) <= 1e-6
+    assert abs(res.primal_obj - np.abs(D @ x_hat).sum()) <= 1e-8
+    assert recover(D, A, x0).success
+
+
+def test_bp_rejects_d_that_is_not_square_invertible():
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((4, 6))
+    b = rng.standard_normal(4)
+    singular = np.eye(6)
+    singular[5] = singular[4]
+    for D in (np.ones((4, 6)), np.eye(8), singular):
+        with pytest.raises(ValueError):
+            solve_bp_analysis(D, A, b)
 
 
 def test_bp_one_sparse_recovery_rate():
@@ -194,10 +222,25 @@ def test_phase_experiment_full_measurements_always_succeed():
     assert rows[0].solver_failures == 0
 
 
+def test_phase_experiment_solves_every_instance():
+    # criterion 11's instances at m <= 12; an earlier 5-block form of the
+    # LP stopped at its iteration cap on 5 or 6 of these 180 solves
+    rows = phase_transition_experiment(60, 6, list(range(2, 14, 2)),
+                                       trials=30, stream=SeededStream(1018, 0))
+    assert [r.solver_failures for r in rows] == [0] * 6
+
+
 def test_phase_experiment_rejects_zero_m():
     with pytest.raises(ValueError):
         phase_transition_experiment(10, 2, [0], trials=2,
                                     stream=SeededStream(1, 0))
+
+
+def test_phase_experiment_rejects_d_of_wrong_shape():
+    for D in (np.eye(12), np.ones((10, 12))):
+        with pytest.raises(ValueError):
+            phase_transition_experiment(10, 2, [4], trials=2,
+                                        stream=SeededStream(1, 0), D=D)
 
 
 def test_crossing_interpolation():
