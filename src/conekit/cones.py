@@ -369,10 +369,6 @@ class Cone:
         """
         return None
 
-    def lineality_dim(self) -> int:
-        """Dimension of the largest linear subspace contained in the cone."""
-        return 0
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -417,9 +413,6 @@ class Subspace(Cone):
 
     def face_basis(self, p, atol=None):
         return self.basis
-
-    def lineality_dim(self):
-        return self.dim
 
     def to_dict(self):
         return {"variant": "subspace", "basis": self.basis.tolist()}
@@ -517,12 +510,6 @@ class GeneratorCone(Cone):
         S = coef > ctol
         return _orth(self.V[:, S]) if S.any() else np.zeros((self.n, 0))
 
-    def lineality_dim(self):
-        if self._planar is not None:
-            return {"zero": 0, "ray": 0, "arc": 0, "line": 1,
-                    "full": 2}[self._planar[0]]
-        return 0
-
     def to_dict(self):
         return {"variant": "generator_cone", "V": self.V.tolist()}
 
@@ -584,12 +571,6 @@ class InequalityCone(Cone):
         if not J.any():
             return np.eye(self.n)
         return _null_basis(self.W[:, J].T, self.n)
-
-    def lineality_dim(self):
-        if self.r == 0:
-            return self.n
-        s = np.linalg.svd(self.W.T, compute_uv=False)
-        return self.n - int(np.sum(s > 1e-10 * max(1.0, s[0])))
 
     def to_dict(self):
         return {"variant": "inequality_cone", "W": self.W.tolist()}
@@ -753,9 +734,6 @@ class LinearImage(Cone):
         B = self.inner.face_basis(self.A.T @ p, atol)
         return None if B is None else self.A @ B
 
-    def lineality_dim(self):
-        return self.inner.lineality_dim() if self._isometric else 0
-
     def to_dict(self):
         return {"variant": "linear_image", "A": self.A.tolist(),
                 "inner": self.inner.to_dict()}
@@ -837,9 +815,6 @@ class ProductCone(Cone):
             out[sl, col:col + B.shape[1]] = B
             col += B.shape[1]
         return out
-
-    def lineality_dim(self):
-        return sum(p.lineality_dim() for p in self.parts)
 
     def to_dict(self):
         return {"variant": "product",

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, GeneratorCone, InequalityCone, Subspace,
-                    _inequality_matrix, generators_of, intersect,
-                    linear_image, project, rotate)
+from .cones import (Cone, Subspace, _inequality_matrix, generators_of,
+                    intersect, linear_image, project, rotate)
 from .numerics import SeededStream, haar_from_rng, row_projection
 from .statdim import (Estimate, estimate_intrinsic_volumes, face_histogram,
                       mc_estimate, tails)
-from .solvers import LPStandardForm, lp_solve_standard
+from .solvers import nnls
 
 __all__ = [
     "IdentityCheckReport",
@@ -145,70 +144,70 @@ def verify_kinematic(C: Cone, D: Cone, samples: int,
         failures, bool(np.all(np.abs(z) <= 3.0)))
 
 
-def _line_hits_cone(C: Cone, u: np.ndarray, tol: float = 1e-9) -> bool:
+_LINE_TOL = 1e-9    # distance at which a projected line point counts as in C
+_SECTION_TOL = 1e-9  # NNLS residual cutoff, relative to 1 + sum(lambda)
+
+
+def _line_hits_cone(C: Cone, u: np.ndarray) -> bool:
     """Whether span{u} meets C beyond the origin."""
     for s in (u, -u):
         p = C.project_point(s).point
-        if np.linalg.norm(p - s) <= tol:
+        if np.linalg.norm(p - s) <= _LINE_TOL:
             return True
     return False
 
 
-def _subspace_hits_cone(C: Cone, Q: np.ndarray, d: int,
-                        tol: float = 1e-6) -> bool:
-    """Whether C cap span(Q[:, :d]) != {0}, for 2 <= d < n and a rotation Q
-    drawn from the Haar measure."""
-    B = Q[:, :d]
+def _section_nontrivial(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether {c : M^T c <= 0} != {0} for M = B^T A, with d = B.shape[1].
+
+    By Gordan's alternative the set is {0} exactly when the columns of M
+    positively span R^d: more than d of them, rank M = d, and M lam = 0
+    for some lam > 0.  With zero columns dropped and the rest scaled to
+    unit length, the last condition is -M 1 in cone(M), one NNLS solve.
+    Its residual is judged against 1e-9 (1 + sum lam), which stays
+    scale-free when near-antipodal columns need a large lam.
+    """
+    M = B.T @ A
+    norms = np.linalg.norm(M, axis=0)
+    keep = norms > 1e-12 * np.linalg.norm(A, axis=0)
+    M = M[:, keep] / norms[keep]
+    d = B.shape[1]
+    if M.shape[1] <= d or np.linalg.matrix_rank(M) < d:
+        return True
+    res = nnls(M, -M.sum(axis=1))
+    return res.residual > _SECTION_TOL * (1.0 + float(res.coef.sum()))
+
+
+def _subspace_hits_cone(C: Cone, Q: np.ndarray, d: int) -> bool:
+    """Whether C cap span(Q[:, :d]) != {0}, for a rotation Q drawn from the
+    Haar measure."""
     W = _inequality_matrix(C)
     if W is not None:
-        # exact: the section {c : (B^T W)^T c <= 0} is nontrivial iff its
-        # planar/low-dimensional form is
-        section = B.T @ W
-        if d == 2:
-            return InequalityCone(section)._planar[0] != "zero"
-        K = InequalityCone(section)
-        if K.lineality_dim() > 0:
-            return True
-        # fall through to the margin LP on the polar generators
+        return _section_nontrivial(W, Q[:, :d])
     V = generators_of(C)
     if V is None:
-        if W is None:
-            raise ValueError("hit detection needs a generator or inequality "
-                             "representation")
-        # conic alternative: a Haar subspace L is in general position with
-        # probability 1, so C cap L != {0} exactly when cone(W), the polar
-        # of C, meets the complement L^perp = span(Q[:, d:]) only at 0
-        P, rest = GeneratorCone(W), Q.shape[1] - d
-        if rest == 1:
-            return not _line_hits_cone(P, Q[:, d])
-        return not _subspace_hits_cone(P, np.roll(Q, -d, axis=1), rest)
-    V = V / np.maximum(np.linalg.norm(V, axis=0), 1e-300)
-    M = V - B @ (B.T @ V)  # component of each generator off the subspace
-    r, k = M.shape
-    # min t subject to -t <= (M lam)_i <= t, lam in simplex
-    E = np.zeros((2 * r + 1, k + 2 * r + 1))
-    E[:r, :k] = M
-    E[:r, k:k + r] = np.eye(r)
-    E[:r, -1] = -1.0
-    E[r:2 * r, :k] = -M
-    E[r:2 * r, k + r:k + 2 * r] = np.eye(r)
-    E[r:2 * r, -1] = -1.0
-    E[2 * r, :k] = 1.0
-    b = np.zeros(2 * r + 1)
-    b[2 * r] = 1.0
-    c = np.zeros(k + 2 * r + 1)
-    c[-1] = 1.0
-    res = lp_solve_standard(LPStandardForm(c=c, A=E, b=b))
-    if res.status == "optimal" or (res.primal_residual <= 1e-6 and
-                                   res.rel_gap <= 1e-4):
-        return float(res.x[-1]) <= tol
-    raise RuntimeError(f"hit-detection LP failed: {res.status}")
+        raise ValueError("hit detection needs a generator or inequality "
+                         "representation")
+    # conic alternative: a Haar subspace L is in general position with
+    # probability 1, so C meets L exactly when the polar meets L^perp
+    # only at 0
+    return not _section_nontrivial(V, Q[:, d:])
 
 
 def crofton_probability(C: Cone, m: int, samples: int,
                         stream: SeededStream) -> CroftonReport:
     """Estimate P{C cap QL != {0}} for a random subspace L of codimension m
-    and compare against the half-tail h_{m+1}(C)."""
+    and compare against the half-tail h_{m+1}(C).
+
+    Each draw decides its hit exactly.  A line (d = n - m = 1) hits C when
+    u or -u projects onto C at distance <= 1e-9; this serves every cone.
+    For d >= 2 the hit is one section test (Gordan's alternative, one NNLS
+    solve): a cone with an inequality matrix W hits when its section
+    {c : (B^T W)^T c <= 0}, B = Q[:, :d], is nontrivial; a cone with only
+    generators V hits when the section of its polar {y : V^T y <= 0} by
+    L^perp = span(Q[:, d:]) is trivial.  A cone with neither
+    representation raises ValueError for d >= 2.
+    """
     n = C.n
     if not 1 <= m <= n - 1:
         raise ValueError("need 1 <= m <= n-1")
@@ -227,7 +226,7 @@ def crofton_probability(C: Cone, m: int, samples: int,
     se = math.sqrt(rate * (1 - rate) / samples)
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     _, h = tails(prof)
-    target = float(h[m + 1]) if m + 1 <= n else 0.0
+    target = float(h[m + 1])
     tse = 2.0 * math.sqrt(float(np.sum(prof.stderr[m + 1::2] ** 2)))
     denom = math.sqrt(se ** 2 + tse ** 2)
     z = (rate - target) / denom if denom > 0 else 0.0

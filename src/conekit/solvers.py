@@ -222,6 +222,8 @@ class LPResult:
 
 LP_TOL = 1e-8       # relative residual and duality-gap target
 LP_MAX_ITER = 200   # interior-point iterations before giving up
+LP_STALL = 1e3      # primal-residual growth over its best that marks a stall
+LP_STALL_ITER = 30  # stalled iterations in a row that end the solve
 
 
 def lp_solve_standard(lp: LPStandardForm) -> LPResult:
@@ -231,7 +233,8 @@ def lp_solve_standard(lp: LPStandardForm) -> LPResult:
     constraint matrix.  Convergence requires relative primal/dual
     residuals and the relative duality gap all below ``LP_TOL`` within
     ``LP_MAX_ITER`` iterations; the reported residuals refer to the
-    original (unscaled) data.
+    original (unscaled) data.  A diverging or stalled iteration ends
+    ``numerical`` and returns the best iterate seen.
     """
     A0, b0, c0 = lp.A, lp.b, lp.c
     m, n = A0.shape
@@ -272,6 +275,9 @@ def lp_solve_standard(lp: LPStandardForm) -> LPResult:
     status = "max_iter"
     it = 0
     best_merit = math.inf
+    best_pres = math.inf
+    prev_gap = math.inf
+    stalled = 0
     best_xys = None
     for it in range(1, LP_MAX_ITER + 1):
         rp = A @ x - b
@@ -294,6 +300,20 @@ def lp_solve_standard(lp: LPStandardForm) -> LPResult:
         if not math.isfinite(merit) or merit > max(1e8, 1e4 * best_merit):
             status = "numerical"
             break
+        # ... or once it stalls: the primal residual stays above the
+        # tolerance and LP_STALL times its best value while the gap keeps
+        # shrinking, for LP_STALL_ITER iterations in a row.  x and s then
+        # shrink by orders of magnitude per step toward underflow, and the
+        # iterate does not regain feasibility
+        best_pres = min(best_pres, pres)
+        if pres > max(LP_TOL, LP_STALL * best_pres) and gap < prev_gap:
+            stalled += 1
+            if stalled == LP_STALL_ITER:
+                status = "numerical"
+                break
+        else:
+            stalled = 0
+        prev_gap = gap
 
         d = x / s
         M = (A * d) @ A.T

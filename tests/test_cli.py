@@ -159,6 +159,22 @@ def test_phase_csv(tmp_path):
         assert float(r[2]) <= float(r[1]) <= float(r[3])
 
 
+@pytest.mark.parametrize("family,seed,trials", [("l1", "2", "48"),
+                                                ("tv_square", "1", "32")])
+def test_phase_stalled_lp_ends_without_overflow(tmp_path, family, seed,
+                                                trials):
+    # the last trial at m = 2 is a near-degenerate split LP whose primal
+    # residual stalls while x and s collapse; the solve must stop before
+    # x / s overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, text = run_to_file(
+            ["phase", "--family", family, "--seed", seed, "--m-max", "2",
+             "--trials", trials], tmp_path / "phase.csv")
+    assert rc == 0
+    assert text.strip().splitlines()[2].startswith("2,0,")
+
+
 def test_verify_suite_exit_codes(tmp_path):
     rc, text = run_to_file(
         ["verify", "--suite", "cones", "--seed", "42", "--samples", "400"],

@@ -7,14 +7,17 @@ import pytest
 
 from conftest import combined_stderr, stream
 
-from conekit.cones import (GeneratorCone, NonnegOrthant, ProductCone,
-                           Subspace, polar)
-from conekit.integral_geometry import (IDENTITY_SUITES, crofton_probability,
+from conekit.cones import (GeneratorCone, InequalityCone, NonnegOrthant,
+                           ProductCone, Subspace, _inequality_matrix,
+                           full_space, generators_of, polar)
+from conekit.integral_geometry import (IDENTITY_SUITES, _line_hits_cone,
+                                       _section_nontrivial,
+                                       crofton_probability,
                                        eta_for_projection_margin,
                                        projected_statdim, run_identity_suite,
                                        verify_kinematic,
                                        verify_projection_formula, verify_tqc)
-from conekit.numerics import row_projection
+from conekit.numerics import haar_from_rng, row_projection
 from conekit.statdim import (estimate_intrinsic_volumes, estimate_statdim,
                              tails)
 
@@ -135,6 +138,87 @@ def test_crofton_inequality_cone_without_generators():
     rep = crofton_probability(polar(NonnegOrthant(4)), 1, 2000, stream(314))
     assert abs(rep.hit_rate - 0.875) <= 3 * rep.stderr
     assert rep.verdict
+
+
+def test_crofton_product_with_line_is_not_always_hit():
+    # R^3_+ x R contains the line 0 x R, yet a random plane in R^4 hits it
+    # only with probability h_3 = 2 v_3 = 2 (3/8) = 3/4
+    C = ProductCone([NonnegOrthant(3), full_space(1)])
+    rep = crofton_probability(C, 2, 2000, stream(4))
+    assert abs(rep.hit_rate - 0.75) <= 3 * rep.stderr
+    assert rep.verdict
+
+
+# a generated cone in R^3 with five generators and no inequality matrix
+V_3X5 = np.random.default_rng(0).standard_normal((3, 5))
+
+
+def test_crofton_generated_cone_with_more_generators_than_dimensions():
+    C = GeneratorCone(V_3X5)
+    assert _inequality_matrix(C) is None and generators_of(C) is not None
+    rep = crofton_probability(C, 1, 2000, stream(325))
+    assert rep.verdict
+
+
+def _routes(C, Q, d):
+    """Hit answers of the inequality route and the generator route that C
+    carries, for the subspace span(Q[:, :d])."""
+    W, V = _inequality_matrix(C), generators_of(C)
+    out = []
+    if W is not None:
+        out.append(_section_nontrivial(W, Q[:, :d]))
+    if V is not None:
+        out.append(not _section_nontrivial(V, Q[:, d:]))
+    return out
+
+
+def test_section_test_matches_line_projection():
+    # at d = 1 projecting +-u onto C is an independent oracle for every
+    # route a cone carries, including generators with a +- pair
+    rng = np.random.default_rng(3)
+    cones = [NonnegOrthant(3), polar(NonnegOrthant(4)),
+             GeneratorCone(rng.standard_normal((3, 3))),
+             GeneratorCone(V_3X5),
+             InequalityCone(-np.abs(rng.standard_normal((3, 5)))),
+             ProductCone([NonnegOrthant(2), full_space(1)])]
+    for j, C in enumerate(cones):
+        st = stream(326, j)
+        hits = 0
+        for i in range(300):
+            Q = haar_from_rng(C.n, st.gen(i))
+            oracle = _line_hits_cone(C, Q[:, 0])
+            routes = _routes(C, Q, 1)
+            assert routes and all(r == oracle for r in routes)
+            hits += oracle
+        assert 0 < hits < 300
+
+
+def test_section_test_inequality_route_matches_generator_route():
+    rng = np.random.default_rng(4)
+    for j, C in enumerate([NonnegOrthant(5),
+                           GeneratorCone(rng.standard_normal((5, 5)))]):
+        for d in range(1, C.n):
+            st = stream(327, 10 * j + d)
+            for i in range(200):
+                Q = haar_from_rng(C.n, st.gen(i))
+                w_route, v_route = _routes(C, Q, d)
+                assert w_route == v_route
+
+
+@pytest.mark.parametrize("deg", [0.003, 0.0003])
+def test_section_test_near_antipodal_columns(deg):
+    # columns at 0, 90 and 180 + deg degrees positively span the plane, so
+    # the section is trivial; lam = O(1/deg) lifts the NNLS residual above
+    # an absolute 1e-9 cutoff.  Mirrored to 180 - deg, the three leave a
+    # thin wedge free and the section is nontrivial.
+    e = math.radians(deg)
+    Q = haar_from_rng(3, np.random.default_rng(5))
+    for sign, nontrivial in ((1.0, False), (-1.0, True)):
+        M = np.array([[1.0, 0.0], [-math.cos(e), -sign * math.sin(e)],
+                      [0.0, 1.0]]).T
+        assert _section_nontrivial(M, np.eye(2)) is nontrivial
+        # the same columns inside a random plane of R^3
+        assert _section_nontrivial(Q[:, :2] @ M, Q[:, :2]) is nontrivial
 
 
 def test_crofton_rejects_subspaces():
