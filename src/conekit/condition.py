@@ -170,9 +170,6 @@ def _membership_mask(C: Cone, U: np.ndarray, tol: float = 1e-9):
         wn = np.maximum(np.linalg.norm(C.W, axis=0), 1.0)
         return (U @ C.W <= tol * wn).all(axis=1)
     if isinstance(C, GeneratorCone):
-        if C._planar is not None:
-            P, _, _ = C.project_batch(U)
-            return np.linalg.norm(U - P, axis=1) <= tol
         if C.k == C.n:
             try:
                 coef = np.linalg.solve(C.V, U.T)
@@ -201,9 +198,9 @@ def _sphere_grid(n: int, resolution: float):
     raise ValueError("grid oracle supports ambient dimension <= 3")
 
 
-def _grid_extremum(A, C, D, sense, resolution=GRID_RESOLUTION):
+def _grid_extremum(A, C, D, sense):
     n = C.n
-    U = _sphere_grid(n, resolution)
+    U = _sphere_grid(n, GRID_RESOLUTION)
     best_val = -math.inf if sense > 0 else math.inf
     best_u = None
     chunk = 1_000_000
@@ -224,8 +221,7 @@ def _grid_extremum(A, C, D, sense, resolution=GRID_RESOLUTION):
     return RestrictedValue(best_val, best_u, "grid_oracle", False)
 
 
-def _multistart_extremum(A, C, D, sense, stream, starts=MULTISTART_DEFAULT,
-                         tol=MULTISTART_TOL, max_iter=500):
+def _multistart_extremum(A, C, D, sense, stream):
     n = C.n
     s = np.linalg.svd(A, compute_uv=False)
     lip = 2.0 * float(s[0] ** 2) if s.size else 1.0
@@ -242,7 +238,7 @@ def _multistart_extremum(A, C, D, sense, stream, starts=MULTISTART_DEFAULT,
     _, _, Vt = np.linalg.svd(A)
     seeds = [Vt[0], Vt[-1]]
     gen = stream.gen(0)
-    while len(seeds) < starts:
+    while len(seeds) < MULTISTART_DEFAULT:
         seeds.append(gen.standard_normal(n))
     best_val = -math.inf if sense > 0 else math.inf
     best_x = None
@@ -252,7 +248,7 @@ def _multistart_extremum(A, C, D, sense, stream, starts=MULTISTART_DEFAULT,
             continue
         fx = f(x)
         eta = eta0
-        for _ in range(max_iter):
+        for _ in range(500):
             g = 2.0 * (A.T @ D.project_point(A @ x).point)
             improved = False
             moved = math.inf
@@ -268,7 +264,7 @@ def _multistart_extremum(A, C, D, sense, stream, starts=MULTISTART_DEFAULT,
                     improved = True
                     break
                 eta *= 0.5
-            if not improved or moved <= tol:
+            if not improved or moved <= MULTISTART_TOL:
                 break
         val = math.sqrt(max(fx, 0.0))
         if (sense > 0 and val > best_val) or (sense < 0 and val < best_val):
@@ -278,9 +274,7 @@ def _multistart_extremum(A, C, D, sense, stream, starts=MULTISTART_DEFAULT,
     return RestrictedValue(best_val, best_x, "multistart", True)
 
 
-def _restricted_extremum(A, C, D, sense, method="auto", stream=None,
-                         starts=MULTISTART_DEFAULT,
-                         resolution=GRID_RESOLUTION):
+def _restricted_extremum(A, C, D, sense, method="auto", stream=None):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape != (D.n, C.n):
         raise ValueError(f"A must be {D.n} x {C.n} for these cones")
@@ -294,28 +288,22 @@ def _restricted_extremum(A, C, D, sense, method="auto", stream=None,
             raise ValueError("no exact form for this cone pair; "
                              "use multistart or grid_oracle")
     if method == "grid_oracle":
-        return _grid_extremum(A, C, D, sense, resolution)
+        return _grid_extremum(A, C, D, sense)
     return _multistart_extremum(A, C, D, sense,
                                 stream if stream is not None
-                                else _DEFAULT_STREAM, starts)
+                                else _DEFAULT_STREAM)
 
 
 def restricted_norm(A, C: Cone, D: Cone, method: str = "auto",
-                    stream: SeededStream | None = None,
-                    starts: int = MULTISTART_DEFAULT,
-                    resolution: float = GRID_RESOLUTION) -> RestrictedValue:
+                    stream: SeededStream | None = None) -> RestrictedValue:
     """max ||Proj_D(A x)|| over unit x in C (a lower bound for multistart)."""
-    return _restricted_extremum(A, C, D, +1, method, stream, starts,
-                                resolution)
+    return _restricted_extremum(A, C, D, +1, method, stream)
 
 
 def restricted_sv(A, C: Cone, D: Cone, method: str = "auto",
-                  stream: SeededStream | None = None,
-                  starts: int = MULTISTART_DEFAULT,
-                  resolution: float = GRID_RESOLUTION) -> RestrictedValue:
+                  stream: SeededStream | None = None) -> RestrictedValue:
     """min ||Proj_D(A x)|| over unit x in C (an upper bound for multistart)."""
-    return _restricted_extremum(A, C, D, -1, method, stream, starts,
-                                resolution)
+    return _restricted_extremum(A, C, D, -1, method, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +344,17 @@ def condition_report(A, C: Cone, D: Cone, method: str = "auto",
 # feasibility classification
 # ---------------------------------------------------------------------------
 
-def _feasibility_margin(M: np.ndarray, side: str) -> float:
-    """Optimal margin of the feasibility alternative encoded by M.
+def _feasibility_margin(M: np.ndarray) -> float:
+    """Optimal margin min t with M lam <= t, lam in the simplex.
 
-    side 'primal': min t with M lam <= t, lam in the simplex (<= 0 means
-    some nonzero x in C has A x in the polar of D).
-    side 'dual':   max t with M^T mu >= t, mu in the simplex.
+    A value <= 0 means some nonzero x in C has A x in the polar of D.  By
+    the minimax theorem the dual margin max t with M^T mu >= t, mu in the
+    simplex, has the same value, so one LP serves both sides.
     """
-    K = M if side == "primal" else -M.T
-    r, k = K.shape
+    r, k = M.shape
     # variables: lam (k), slack (r), t+ , t-
     E = np.zeros((r + 1, k + r + 2))
-    E[:r, :k] = K
+    E[:r, :k] = M
     E[:r, k:k + r] = np.eye(r)
     E[:r, k + r] = -1.0
     E[:r, k + r + 1] = 1.0
@@ -382,8 +369,7 @@ def _feasibility_margin(M: np.ndarray, side: str) -> float:
     res = lp_solve_standard(LPStandardForm(c=c, A=E, b=b))
     if res.status != "optimal":
         raise RuntimeError(f"feasibility margin LP did not solve: {res.status}")
-    t = float(res.x[k + r] - res.x[k + r + 1])
-    return t if side == "primal" else -t
+    return float(res.x[k + r] - res.x[k + r + 1])
 
 
 def classify_feasibility(A, C: Cone, D: Cone, tol: float | None = None,
@@ -397,8 +383,9 @@ def classify_feasibility(A, C: Cone, D: Cone, tol: float | None = None,
     Ambiguous: the margins contradict each other beyond tol.
 
     Polyhedral pairs (both cones carry generator matrices) are classified
-    exactly by a pair of margin linear programs; otherwise restricted
-    singular values at the requested method decide.
+    exactly by one margin linear program, whose optimum is both the primal
+    and the dual margin; otherwise restricted singular values at the
+    requested method decide.
     """
     A = np.asarray(A, dtype=float)
     op = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
@@ -412,8 +399,7 @@ def classify_feasibility(A, C: Cone, D: Cone, tol: float | None = None,
         VCn = VC / np.maximum(np.linalg.norm(VC, axis=0), 1e-300)
         VDn = VD / np.maximum(np.linalg.norm(VD, axis=0), 1e-300)
         M = VDn.T @ A @ VCn
-        tp = _feasibility_margin(M, "primal")
-        td = _feasibility_margin(M, "dual")
+        tp = td = _feasibility_margin(M)
     else:
         tp = restricted_sv(A, C, D, method, stream).value
         td = -restricted_sv(-A.T, D, C, method, stream).value

@@ -10,15 +10,17 @@ where they are exact:
 * images of inequality cones under square invertible maps (rotations
   included) become inequality cones, A{x : W^T x <= 0} = {y : (A^{-T}W)^T y
   <= 0};
-* intersections of two inequality cones stack their outer normals, and a
+* intersections of two inequality cones stack their outer normals; a
   generated cone with square invertible V counts as the inequality cone
-  {x : V^{-1} x >= 0};
-* planar cones reduce to closed-form wedge arithmetic.
+  {x : V^{-1} x >= 0}, and a planar generated cone takes its normals from
+  its polar wedge;
+* planar generated and inequality cones project by closed-form wedge
+  arithmetic.
 
 Generated and inequality cones project by a Lawson-Hanson NNLS active set.
 Two iterative fallbacks cover what remains: Dykstra's alternating
 projections for intersections with a side that has no inequality matrix
-(e.g. a generated cone with more generators than dimensions), and
+(e.g. a generated cone in R^3 with more generators than dimensions), and
 accelerated projected gradient for images under non-square or singular
 maps.
 """
@@ -144,7 +146,7 @@ def _unit(a: float) -> np.ndarray:
 
 
 def _planar_from_generators(V: np.ndarray):
-    """Planar form of cone(V) for V with 2 rows; None if not representable."""
+    """Planar form of cone(V) for V with 2 rows; every such V has one."""
     norms = np.linalg.norm(V, axis=0)
     keep = norms > 1e-14 * max(1.0, norms.max(initial=0.0))
     if not keep.any():
@@ -182,70 +184,6 @@ def _planar_polar(form):
     if abs(w - math.pi) <= 1e-12:
         return ("ray", (a - math.pi / 2) % _TWO_PI)
     return ("arc", (a + w + math.pi / 2) % _TWO_PI, math.pi - w)
-
-
-def _planar_intersect(f1, f2):
-    """Exact intersection of two planar forms.
-
-    Total for the forms this module builds: every arc has width w <= pi
-    (``_planar_from_generators`` gives exactly pi or less than
-    pi - 1e-9, ``_planar_polar`` gives pi - w), so the overlap lies
-    inside the first arc and is at most a halfplane.  The overlap splits
-    into two pieces only when w1 + w2 >= 2 pi - 2e-12, that is, for two
-    halfplanes with opposite boundaries, which meet in a line.
-    """
-    for f, g in ((f1, f2), (f2, f1)):
-        if f[0] == "zero":
-            return ("zero",)
-        if f[0] == "full":
-            return g
-    if f1[0] == "line" or f2[0] == "line":
-        line, other = (f1, f2) if f1[0] == "line" else (f2, f1)
-        hits = [a for a in (line[1], line[1] + math.pi)
-                if _planar_contains(other, a)]
-        if len(hits) == 2:
-            return line
-        if len(hits) == 1:
-            return ("ray", hits[0] % _TWO_PI)
-        return ("zero",)
-    lo1, w1 = (f1[1], 0.0) if f1[0] == "ray" else (f1[1], f1[2])
-    lo2, w2 = (f2[1], 0.0) if f2[0] == "ray" else (f2[1], f2[2])
-    pieces = []
-    for k in (-1, 0, 1):
-        lo = max(lo1, lo2 + k * _TWO_PI)
-        hi = min(lo1 + w1, lo2 + w2 + k * _TWO_PI)
-        if hi >= lo - 1e-12:
-            pieces.append((lo, max(hi, lo)))
-    merged = []
-    for lo, hi in sorted(pieces):
-        if merged and lo <= merged[-1][1] + 1e-12:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    if not merged:
-        return ("zero",)
-    if len(merged) > 1:
-        # two halfplanes touching in two antipodal degenerate pieces
-        return ("line", merged[0][0] % _TWO_PI)
-    lo, hi = merged[0]
-    w = hi - lo
-    if w <= 1e-12:
-        return ("ray", lo % _TWO_PI)
-    return ("arc", lo % _TWO_PI, min(w, math.pi))
-
-
-def _planar_contains(form, angle: float, tol: float = 1e-9) -> bool:
-    kind = form[0]
-    if kind == "zero":
-        return False
-    if kind == "full":
-        return True
-    if kind == "line":
-        return min((angle - form[1]) % math.pi,
-                   math.pi - (angle - form[1]) % math.pi) <= tol
-    w = 0.0 if kind == "ray" else form[2]
-    rel = (angle - form[1]) % _TWO_PI
-    return rel <= w + tol or rel >= _TWO_PI - tol
 
 
 def _planar_project(form, X: np.ndarray):
@@ -372,10 +310,6 @@ class Cone:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
-    def _planar_form(self):
-        """Planar form for 2-dimensional ambient spaces, else None."""
-        return None
-
 
 class Subspace(Cone):
     """A linear subspace, stored as an orthonormal basis (n x d).
@@ -417,16 +351,6 @@ class Subspace(Cone):
     def to_dict(self):
         return {"variant": "subspace", "basis": self.basis.tolist()}
 
-    def _planar_form(self):
-        if self.n != 2:
-            return None
-        if self.dim == 0:
-            return ("zero",)
-        if self.dim == 2:
-            return ("full",)
-        b = self.basis[:, 0]
-        return ("line", math.atan2(b[1], b[0]) % _TWO_PI)
-
 
 class NonnegOrthant(Cone):
     """The nonnegative orthant in R^n."""
@@ -454,9 +378,6 @@ class NonnegOrthant(Cone):
 
     def to_dict(self):
         return {"variant": "nonneg_orthant", "n": self.n}
-
-    def _planar_form(self):
-        return ("arc", 0.0, math.pi / 2) if self.n == 2 else None
 
 
 class GeneratorCone(Cone):
@@ -512,9 +433,6 @@ class GeneratorCone(Cone):
 
     def to_dict(self):
         return {"variant": "generator_cone", "V": self.V.tolist()}
-
-    def _planar_form(self):
-        return self._planar
 
 
 class InequalityCone(Cone):
@@ -574,9 +492,6 @@ class InequalityCone(Cone):
 
     def to_dict(self):
         return {"variant": "inequality_cone", "W": self.W.tolist()}
-
-    def _planar_form(self):
-        return self._planar
 
 
 class L1SubdiffCone(Cone):
@@ -950,14 +865,18 @@ def preimage_cone(A: np.ndarray, D: Cone) -> Cone:
 def _inequality_matrix(cone: Cone) -> np.ndarray | None:
     """Outer-normal matrix W with cone = {x : W^T x <= 0}, when available.
 
-    A generated cone with a square invertible V (smallest singular value
-    above 1e-12 times the largest, as in :func:`linear_image`) is
-    {x : V^{-1} x >= 0}, so W = -V^{-T}.
+    A planar generated cone, with any number of generators, takes W from
+    the generators of its polar wedge, since a closed cone is the polar of
+    its polar.  A generated cone with a square invertible V (smallest
+    singular value above 1e-12 times the largest, as in
+    :func:`linear_image`) is {x : V^{-1} x >= 0}, so W = -V^{-T}.
     """
     if isinstance(cone, InequalityCone):
         return cone.W
     if isinstance(cone, NonnegOrthant):
         return -np.eye(cone.n)
+    if isinstance(cone, GeneratorCone) and cone._planar is not None:
+        return _planar_generator_matrix(_planar_polar(cone._planar))
     if isinstance(cone, GeneratorCone) and cone.n == cone.k:
         s = np.linalg.svd(cone.V, compute_uv=False)
         if s[-1] > 1e-12 * s[0]:
@@ -968,24 +887,21 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
 def intersect(C: Cone, D: Cone) -> Cone:
     """Intersection C ∩ D.
 
-    Exact rules, in order: two cones in the plane that both have a planar
-    form always resolve through angle arithmetic (:func:`_planar_intersect`
-    is total); subspace pairs and subspace sections of
+    Exact rules, in order: subspace pairs and subspace sections of
     inequality-representable cones reduce to exact lower-dimensional
     representations; two inequality cones {x : W_C^T x <= 0} and
-    {x : W_D^T x <= 0} give
-    ``InequalityCone([W_C W_D])``, where a generated cone with square
-    invertible V has W = -V^{-T}.  Every other pair, such as one with a
-    generated cone of more generators than dimensions, an l1
-    subdifferential cone or a :class:`LinearImage` on either side, returns
-    an :class:`IntersectionCone` projected by Dykstra's algorithm.
+    {x : W_D^T x <= 0} give ``InequalityCone([W_C W_D])``, where a
+    generated cone with square invertible V has W = -V^{-T} and a planar
+    generated cone takes W from its polar wedge.  So every planar pair of
+    subspaces, orthants, generated and inequality cones is exact, and the
+    planar result projects in closed form.  Every other pair, such as one
+    with a generated cone of more generators than dimensions in R^3 and
+    up, an l1 subdifferential cone or a :class:`LinearImage` on either
+    side, returns an :class:`IntersectionCone` projected by Dykstra's
+    algorithm.
     """
     if C.n != D.n:
         raise ValueError("ambient dimensions must match")
-    if C.n == 2:
-        f1, f2 = C._planar_form(), D._planar_form()
-        if f1 is not None and f2 is not None:
-            return _cone_from_planar(_planar_intersect(f1, f2))
     if isinstance(C, Subspace) and isinstance(D, Subspace):
         stacked = np.hstack([C.basis, -D.basis])
         if stacked.shape[1] == 0:
@@ -1006,16 +922,6 @@ def intersect(C: Cone, D: Cone) -> Cone:
     if WC is not None and WD is not None:
         return InequalityCone(np.hstack([WC, WD]))
     return IntersectionCone(C, D)
-
-
-def _cone_from_planar(form) -> Cone:
-    if form[0] == "zero":
-        return zero_cone(2)
-    if form[0] == "full":
-        return full_space(2)
-    if form[0] == "line":
-        return Subspace(_unit(form[1]).reshape(2, 1))
-    return GeneratorCone(_planar_generator_matrix(form))
 
 
 # ---------------------------------------------------------------------------
@@ -1041,8 +947,7 @@ def project(cone: Cone, x: np.ndarray) -> ProjectionResult:
 # iterative kernels
 # ---------------------------------------------------------------------------
 
-def _dykstra(Ca: Cone, Cb: Cone, x: np.ndarray,
-             tol: float = DYKSTRA_TOL, max_sweeps: int = DYKSTRA_MAX_SWEEPS):
+def _dykstra(Ca: Cone, Cb: Cone, x: np.ndarray):
     """Dykstra's alternating projections onto Ca ∩ Cb.
 
     Returns (point, sweeps, converged, last_point_in_Ca).
@@ -1053,22 +958,21 @@ def _dykstra(Ca: Cone, Cb: Cone, x: np.ndarray,
     qb = np.zeros_like(x)
     prev = None
     ya = p
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, DYKSTRA_MAX_SWEEPS + 1):
         ya = Ca.project_point(p + qa).point
         qa = p + qa - ya
         yb = Cb.project_point(ya + qb).point
         qb = ya + qb - yb
         if prev is not None and \
-                np.linalg.norm(ya - yb) <= tol * scale and \
-                np.linalg.norm(yb - prev) <= tol * scale:
+                np.linalg.norm(ya - yb) <= DYKSTRA_TOL * scale and \
+                np.linalg.norm(yb - prev) <= DYKSTRA_TOL * scale:
             return yb, sweep, True, ya
         prev = yb
         p = yb
-    return prev if prev is not None else p, max_sweeps, False, ya
+    return prev if prev is not None else p, DYKSTRA_MAX_SWEEPS, False, ya
 
 
-def _fista_image(A: np.ndarray, inner: Cone, X: np.ndarray, lip: float,
-                 tol: float = FISTA_TOL, max_iter: int = FISTA_MAX_ITER):
+def _fista_image(A: np.ndarray, inner: Cone, X: np.ndarray, lip: float):
     """Accelerated projected gradient for min_{v in inner} ||x - A v||^2.
 
     Batched over the rows of X with per-row adaptive restart; returns
@@ -1084,14 +988,14 @@ def _fista_image(A: np.ndarray, inner: Cone, X: np.ndarray, lip: float,
     scale = 1.0 + np.linalg.norm(X, axis=1)
     conv = np.zeros(N, dtype=bool)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FISTA_MAX_ITER + 1):
         G = (Y @ A.T - X) @ A
         Vn = inner.project_batch(Y - G / lip)[0]
         step = Vn - V
         # adaptive restart: drop momentum on rows moving against the step
         bad = np.einsum("ij,ij->i", Y - Vn, step) > 0
         res = lip * np.linalg.norm(Y - Vn, axis=1)
-        conv = res <= tol * scale
+        conv = res <= FISTA_TOL * scale
         if conv.all():
             V = Vn
             break

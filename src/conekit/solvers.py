@@ -47,22 +47,19 @@ class NNLSResult:
     kkt_residual: float
 
 
-def nnls(A: np.ndarray, y: np.ndarray, tol: float | None = None,
-         max_iter: int | None = None) -> NNLSResult:
+def nnls(A: np.ndarray, y: np.ndarray) -> NNLSResult:
     """Solve ``min ||A c - y||_2`` subject to ``c >= 0``.
 
     Active-set method of Lawson and Hanson working on the normal equations.
     At the solution the KKT conditions hold: the gradient ``A^T(Ac - y)`` is
-    ~0 on the passive set and >= -tol elsewhere.
+    ~0 on the passive set and >= -tol elsewhere, with the dual feasibility
+    tolerance ``tol = 1e-10 * max(1, |A^T y|_inf)``.  Active-set changes are
+    capped at ``3 * k + 30``.
 
     Parameters
     ----------
     A : ndarray, shape (m, k)
     y : ndarray, shape (m,)
-    tol : float, optional
-        Dual feasibility tolerance.  Defaults to ``1e-10 * max(1, |A^T y|_inf)``.
-    max_iter : int, optional
-        Cap on active-set changes; defaults to ``3 * k + 30``.
 
     Raises
     ------
@@ -77,7 +74,7 @@ def nnls(A: np.ndarray, y: np.ndarray, tol: float | None = None,
         raise ValueError("nnls expects finite input")
     G = A.T @ A
     w0 = A.T @ y
-    coef, iters, converged = _nnls_gram(G, w0, tol=tol, max_iter=max_iter)
+    coef, iters, converged = _nnls_gram(G, w0)
     r = A @ coef - y
     grad = G @ coef - w0
     kkt = _kkt_residual(coef, grad)
@@ -95,16 +92,13 @@ def _kkt_residual(c: np.ndarray, grad: np.ndarray) -> float:
     return res
 
 
-def _nnls_gram(G: np.ndarray, w0: np.ndarray, tol: float | None = None,
-               max_iter: int | None = None):
+def _nnls_gram(G: np.ndarray, w0: np.ndarray):
     """Lawson-Hanson on precomputed Gram matrix G = A^T A and w0 = A^T y."""
     k = G.shape[0]
     if k == 0:
         return np.zeros(0), 0, True
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(w0))) if k else 1.0)
-    if max_iter is None:
-        max_iter = 3 * k + 30
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(w0))))
+    max_iter = 3 * k + 30
     passive = np.zeros(k, dtype=bool)
     c = np.zeros(k)
     it = 0
@@ -155,19 +149,19 @@ def _nnls_gram(G: np.ndarray, w0: np.ndarray, tol: float | None = None,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-10,
-                       max_iter: int = 200):
+def golden_section_min(f, a: float, b: float, tol: float = 1e-10):
     """Minimize a unimodal function on [a, b] by golden-section search.
 
     Returns ``(x_min, f_min)``.  The bracket shrinks by the inverse golden
-    ratio each step, so ``max_iter`` of 200 covers any practical tolerance.
+    ratio each step until it is at most ``tol`` wide, for at most 200 steps,
+    which covers any practical tolerance.
     """
     if b < a:
         a, b = b, a
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= tol:
             break
         if f1 <= f2:

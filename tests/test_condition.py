@@ -240,6 +240,17 @@ def test_gaussian_instances_never_ill_posed():
     assert counts.get("Ambiguous", 0) == 0
 
 
+@pytest.mark.parametrize("seed,status", [(518, "DualFeasible"),
+                                         (752, "DualFeasible"),
+                                         (1555, "PrimalFeasible")])
+def test_polyhedral_classification_solves_one_margin_lp(seed, status):
+    # by the minimax theorem the primal and dual margins are one value
+    A = np.random.default_rng(seed).standard_normal((3, 3))
+    out = classify_feasibility(A, NonnegOrthant(3), NonnegOrthant(3))
+    assert out.status == status
+    assert out.primal_margin == out.dual_margin
+
+
 def test_classification_matches_grid_oracle():
     # primal feasible <=> some x >= 0 on the unit arc has A x <= 0
     rng = np.random.default_rng(13)

@@ -9,9 +9,10 @@ from conftest import planar_wedge, random_generator_cone
 
 from conekit.cones import (GeneratorCone, InequalityCone, IntersectionCone,
                            L1SubdiffCone, LinearImage, NonnegOrthant,
-                           ProductCone, Subspace, cone_from_dict, full_space,
-                           intersect, linear_image, polar, preimage_cone,
-                           project, rotate, zero_cone)
+                           ProductCone, Subspace, _inequality_matrix,
+                           cone_from_dict, full_space, intersect,
+                           linear_image, polar, preimage_cone, project,
+                           rotate, zero_cone)
 from conekit.numerics import SeededStream, haar_orthogonal
 
 
@@ -284,19 +285,85 @@ def test_hrep_intersection_matches_dykstra():
 
 
 def test_opposite_halfplanes_meet_in_a_line():
-    # the only planar pair whose overlap splits into two pieces
     rng = np.random.default_rng(22)
     for a in rng.uniform(0.0, 2 * math.pi, 8):
         u = np.array([[math.cos(a)], [math.sin(a)]])
         H, G = InequalityCone(u), InequalityCone(-u)
         L = intersect(H, G)
-        assert isinstance(L, Subspace) and L.dim == 1
         oracle = IntersectionCone(H, G)
         for x in rng.standard_normal((10, 2)):
             got, want = project(L, x), oracle.project_point(x)
             assert want.converged
             assert np.allclose(got.point, want.point, atol=1e-6)
             assert got.face_dim == want.face_dim
+
+
+def _unit_columns(angles):
+    return np.vstack([np.cos(angles), np.sin(angles)])
+
+
+def planar_cone_families(rng):
+    """One random cone in the plane from each family that intersect
+    resolves exactly."""
+    a = rng.uniform(0.0, 2 * math.pi)
+    w = rng.uniform(0.1, math.pi - 0.1)
+    Q = haar_orthogonal(2, SeededStream(int(rng.integers(1 << 30)), 0))
+    return [
+        NonnegOrthant(2),
+        rotate(NonnegOrthant(2), Q),
+        InequalityCone(rng.standard_normal((2, int(rng.integers(1, 4))))),
+        GeneratorCone(rng.standard_normal((2, int(rng.integers(1, 5))))),
+        # a ray and pointed wedges spanned by 3 and 4 generators
+        GeneratorCone(_unit_columns(np.array([a + w]))),
+        GeneratorCone(_unit_columns(a + w * np.array([0.0, 0.3, 1.0]))),
+        GeneratorCone(_unit_columns(a + w * np.array([0.0, 0.5, 0.7, 1.0]))),
+        # a halfplane from 3 generators, a thin and a near-pi arc
+        GeneratorCone(_unit_columns(a + np.array([0.0, w, math.pi]))),
+        planar_wedge(1e-2, a),
+        planar_wedge(math.pi - 1e-2, a),
+        Subspace(_unit_columns(rng.uniform(0.0, math.pi, 1))),
+        zero_cone(2),
+        full_space(2),
+        polar(GeneratorCone(rng.standard_normal((2, 3)))),
+        polar(InequalityCone(rng.standard_normal((2, 2)))),
+    ]
+
+
+def test_planar_intersections_are_exact():
+    rng = np.random.default_rng(25)
+    converged = total = 0
+    for _ in range(3):
+        family = planar_cone_families(rng)
+        for i, L in enumerate(family):
+            for R in family[i:]:
+                C = intersect(L, R)
+                assert not isinstance(C, IntersectionCone)
+                oracle = IntersectionCone(L, R)
+                for x in rng.standard_normal((2, 2)):
+                    total += 1
+                    got, want = project(C, x), oracle.project_point(x)
+                    if not want.converged:
+                        continue
+                    converged += 1
+                    assert got.converged
+                    assert (np.linalg.norm(got.point - want.point)
+                            <= 1e-6 * (1.0 + np.linalg.norm(x)))
+                    assert got.face_dim == want.face_dim
+    assert converged >= 0.95 * total
+
+
+@pytest.mark.parametrize("angles", [[0.4, 1.1, 0.4 + math.pi],
+                                    [-0.3, 0.2, 0.6, 1.2]])
+def test_planar_generated_cone_has_inequality_matrix(angles):
+    # generators of unequal lengths: a halfplane from 3, a wedge from 4
+    G = GeneratorCone(_unit_columns(np.array(angles))
+                      * np.arange(1.0, len(angles) + 1.0))
+    H = InequalityCone(_inequality_matrix(G))
+    rng = np.random.default_rng(26)
+    for x in rng.standard_normal((40, 2)):
+        got, want = project(H, x), project(G, x)
+        assert np.allclose(got.point, want.point, atol=1e-12, rtol=0.0)
+        assert got.face_dim == want.face_dim
 
 
 def test_rotated_inequality_cone_matches_linear_image():
