@@ -5,11 +5,16 @@ relative interior contains the projection (used by intrinsic-volume
 estimators), and produce its polar.  Structural simplifications are applied
 where they are exact:
 
-* polars of finitely generated cones become inequality cones and back;
+* polars of finitely generated cones become inequality cones and back, and
+  a generic polar takes its generators from the inner cone's normals and
+  its normals from the inner cone's generators;
 * linear images of generated cones become generated cones;
+* l1 subdifferential cones carry outer normals, so they count as inequality
+  cones wherever normals are needed;
 * images of inequality cones under square invertible maps (rotations
   included) become inequality cones, A{x : W^T x <= 0} = {y : (A^{-T}W)^T y
-  <= 0};
+  <= 0}, and under tall maps of full column rank A = QR they become the
+  isometric image Q{x : (R^{-T}W)^T x <= 0};
 * intersections of two inequality cones stack their outer normals; a
   generated cone with square invertible V counts as the inequality cone
   {x : V^{-1} x >= 0}, and a planar generated cone takes its normals from
@@ -17,12 +22,13 @@ where they are exact:
 * planar generated and inequality cones project by closed-form wedge
   arithmetic.
 
-Generated and inequality cones project by a Lawson-Hanson NNLS active set.
-Two iterative fallbacks cover what remains: Dykstra's alternating
-projections for intersections with a side that has no inequality matrix
-(e.g. a generated cone in R^3 with more generators than dimensions), and
-accelerated projected gradient for images under non-square or singular
-maps.
+Generated and inequality cones project by a Lawson-Hanson NNLS active set:
+``project_batch`` advances all rows together in one batched kernel, and
+``project_point`` runs the scalar one.  Two iterative fallbacks cover what
+remains: Dykstra's alternating projections for intersections with a side
+that has no inequality matrix (e.g. a generated cone in R^3 with more
+generators than dimensions), and accelerated projected gradient for images
+under wide or singular maps.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import _nnls_gram
+from .solvers import _chunk_rows, _nnls_batch, _nnls_gram
 from .numerics import svd
 
 __all__ = [
@@ -117,6 +123,25 @@ def _null_basis(M: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
     _, s, Vt = np.linalg.svd(M, full_matrices=True)
     r = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
     return Vt[r:].T
+
+
+def _masked_ranks(M: np.ndarray, mask: np.ndarray):
+    """Rank of the columns M[:, mask] for a 1-d mask, or for each row of a
+    2-d mask (one chunked, batched svd); singular values count above
+    1e-10 * max(1, largest)."""
+    masks = np.atleast_2d(mask)
+    ranks = np.empty(masks.shape[0], dtype=np.int64)
+    step = _chunk_rows(M.size)
+    for a in range(0, masks.shape[0], step):
+        s = np.linalg.svd(M * masks[a:a + step, None, :], compute_uv=False)
+        ranks[a:a + step] = (s > 1e-10 * np.maximum(1.0, s[:, :1])).sum(axis=1)
+    return ranks if mask.ndim == 2 else ranks[0]
+
+
+def _orthonormal_columns(A: np.ndarray) -> bool:
+    """Whether A^T A is the identity to 1e-10 (an isometric embedding)."""
+    return A.shape[0] >= A.shape[1] and bool(
+        np.allclose(A.T @ A, np.eye(A.shape[1]), atol=1e-10))
 
 
 def _span_intersection_dim(Ba: np.ndarray, Bb: np.ndarray) -> int:
@@ -398,25 +423,24 @@ class GeneratorCone(Cone):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, x[None, :])
             return ProjectionResult(P[0], int(fd[0]), 0, True)
-        if self.k == 0:
-            return ProjectionResult(np.zeros(self.n), 0, 0, True)
         coef, iters, ok = _nnls_gram(self._gram, self.V.T @ x)
         p = self.V @ coef
-        return ProjectionResult(p, self._face_dim_from_coef(coef, x), iters, ok)
+        return ProjectionResult(p, int(self._face_dim_from_coef(coef)), iters,
+                                ok)
 
     def project_batch(self, X):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
             return P, fd, np.ones(X.shape[0], dtype=bool)
-        return super().project_batch(X)
+        coef, _, ok = _nnls_batch(self._gram, X @ self.V)
+        return coef @ self.V.T, self._face_dim_from_coef(coef), ok
 
-    def _face_dim_from_coef(self, coef, x):
-        ctol = FACE_TOL * max(1.0, float(np.max(coef, initial=0.0)))
-        S = coef > ctol
-        if not S.any():
-            return 0
-        s = np.linalg.svd(self.V[:, S], compute_uv=False)
-        return int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    def _face_dim_from_coef(self, coef):
+        """Rank of the generators with positive coefficients; coef is one
+        coefficient vector or one per row."""
+        ctol = FACE_TOL * np.maximum(
+            1.0, np.max(coef, axis=-1, keepdims=True, initial=0.0))
+        return _masked_ranks(self.V, coef > ctol)
 
     def face_basis(self, p, atol=None):
         if self._planar is not None:
@@ -454,31 +478,29 @@ class InequalityCone(Cone):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, x[None, :])
             return ProjectionResult(P[0], int(fd[0]), 0, True)
-        if self.r == 0:
-            return ProjectionResult(x.copy(), self.n, 0, True)
         # Moreau: subtract the projection onto the polar cone cone(W)
         coef, iters, ok = _nnls_gram(self._gram, self.W.T @ x)
         p = x - self.W @ coef
-        return ProjectionResult(p, self._face_dim_at(p), iters, ok)
+        return ProjectionResult(p, int(self._face_dim_at(p)), iters, ok)
 
     def project_batch(self, X):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
             return P, fd, np.ones(X.shape[0], dtype=bool)
-        return super().project_batch(X)
+        coef, _, ok = _nnls_batch(self._gram, X @ self.W)
+        P = X - coef @ self.W.T
+        return P, self._face_dim_at(P), ok
 
     def _active(self, p, atol=None):
+        """Normals active at p, one mask per point when p holds rows."""
         wn = np.linalg.norm(self.W, axis=0)
         base = atol if atol is not None else FACE_TOL
-        tol = base * np.maximum(wn, 1.0) * max(1.0, float(np.linalg.norm(p)))
-        return np.abs(self.W.T @ p) <= tol
+        tol = base * np.maximum(wn, 1.0) * np.maximum(
+            1.0, np.linalg.norm(p, axis=-1, keepdims=True))
+        return np.abs(p @ self.W) <= tol
 
-    def _face_dim_at(self, p, atol=None):
-        J = self._active(p, atol)
-        if not J.any():
-            return self.n
-        s = np.linalg.svd(self.W[:, J].T, compute_uv=False)
-        return self.n - int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    def _face_dim_at(self, p):
+        return self.n - _masked_ranks(self.W, self._active(p))
 
     def face_basis(self, p, atol=None):
         if self._planar is not None:
@@ -624,8 +646,7 @@ class LinearImage(Cone):
         self.n = A.shape[0]
         s = np.linalg.svd(A, compute_uv=False)
         self._lip = float(s[0] ** 2) if s.size else 1.0
-        self._isometric = A.shape[0] >= A.shape[1] and bool(
-            np.allclose(A.T @ A, np.eye(A.shape[1]), atol=1e-10))
+        self._isometric = _orthonormal_columns(A)
 
     def project_point(self, x):
         if self._isometric:
@@ -800,13 +821,19 @@ def polar(cone: Cone) -> Cone:
 
 
 def generators_of(cone: Cone) -> np.ndarray | None:
-    """Generator matrix V with cone = {V c : c >= 0}, when available."""
+    """Generator matrix V with cone = {V c : c >= 0}, when available.
+
+    The generators of a :class:`PolarCone` are the outer normals of its
+    inner cone (see :func:`_inequality_matrix`).
+    """
     if isinstance(cone, NonnegOrthant):
         return np.eye(cone.n)
     if isinstance(cone, GeneratorCone):
         return cone.V
     if isinstance(cone, Subspace):
         return np.hstack([cone.basis, -cone.basis])
+    if isinstance(cone, PolarCone):
+        return _inequality_matrix(cone.inner)
     if isinstance(cone, ProductCone):
         parts = [generators_of(p) for p in cone.parts]
         if any(g is None for g in parts):
@@ -825,18 +852,28 @@ def linear_image(A: np.ndarray, inner: Cone) -> Cone:
     """The image cone A(inner), simplified structurally when exact.
 
     Exact rules, in order: subspaces map to the span of the mapped basis;
-    cones with generators V map to ``GeneratorCone(A V)``; inequality
-    cones {x : W^T x <= 0} under a square invertible A (smallest singular
-    value above 1e-12 times the largest) map to ``InequalityCone(A^{-T} W)``,
-    which for a rotation Q is ``InequalityCone(Q W)``.  Every other pair,
-    including inequality cones under non-square or singular maps, returns a
-    :class:`LinearImage`.
+    cones with generators V map to ``GeneratorCone(A V)``; an l1
+    subdifferential cone, or its polar, under an A with orthonormal
+    columns stays a :class:`LinearImage`, whose isometric projection is the
+    inner closed form; an inequality cone {x : W^T x <= 0} (see
+    :func:`_inequality_matrix`) under a square invertible A (smallest
+    singular value above 1e-12 times the largest) maps to
+    ``InequalityCone(A^{-T} W)``, which for a rotation Q is
+    ``InequalityCone(Q W)``; under a tall A of full column rank, A = QR
+    with min |diag R| above 1e-12 times the largest, it maps to
+    ``LinearImage(Q, InequalityCone(R^{-T} W))``, projected isometrically.
+    Every other pair, such as an inequality cone under a wide or singular
+    map, returns a :class:`LinearImage` projected by accelerated projected
+    gradient.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != inner.n:
         raise ValueError("A must map the inner cone's space")
     if isinstance(inner, Subspace):
         return Subspace.span(A @ inner.basis)
+    closed_form = inner.inner if isinstance(inner, PolarCone) else inner
+    if isinstance(closed_form, L1SubdiffCone) and _orthonormal_columns(A):
+        return LinearImage(A, inner)
     V = generators_of(inner)
     if V is not None:
         return GeneratorCone(A @ V)
@@ -845,6 +882,11 @@ def linear_image(A: np.ndarray, inner: Cone) -> Cone:
         s = np.linalg.svd(A, compute_uv=False)
         if s[-1] > 1e-12 * s[0]:
             return InequalityCone(np.linalg.solve(A.T, W))
+    if W is not None and A.shape[0] > A.shape[1]:
+        Q, R = np.linalg.qr(A)
+        d = np.abs(np.diag(R))
+        if d.min() > 1e-12 * d.max():
+            return LinearImage(Q, InequalityCone(np.linalg.solve(R.T, W)))
     return LinearImage(A, inner)
 
 
@@ -869,7 +911,14 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
     the generators of its polar wedge, since a closed cone is the polar of
     its polar.  A generated cone with a square invertible V (smallest
     singular value above 1e-12 times the largest, as in
-    :func:`linear_image`) is {x : V^{-1} x >= 0}, so W = -V^{-T}.
+    :func:`linear_image`) is {x : V^{-1} x >= 0}, so W = -V^{-T}.  The
+    normals of a :class:`PolarCone` are the generators of its inner cone.
+    An l1 subdifferential cone with support I, signs sigma and weights w
+    has u = sigma w on I (zero elsewhere) and t = <u, x>/|u|^2; its
+    normals are e_j - w_j u/|u|^2 and -e_j - w_j u/|u|^2 for each j off
+    I (|x_j| <= t w_j), plus and minus a basis of the complement of u
+    within the coordinates of I (x_I parallel to u_I), and -u/|u|^2 when
+    I is everything (t >= 0): 2(n - |I|) + 2(|I| - 1) columns, plus one.
     """
     if isinstance(cone, InequalityCone):
         return cone.W
@@ -881,7 +930,27 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
         s = np.linalg.svd(cone.V, compute_uv=False)
         if s[-1] > 1e-12 * s[0]:
             return -np.linalg.inv(cone.V).T
+    if isinstance(cone, PolarCone):
+        return generators_of(cone.inner)
+    if isinstance(cone, L1SubdiffCone):
+        return _l1_normals(cone)
     return None
+
+
+def _l1_normals(cone: L1SubdiffCone) -> np.ndarray:
+    """Outer normals of an l1 subdifferential cone; see
+    :func:`_inequality_matrix`."""
+    n, I, off = cone.n, cone.support, cone._off
+    t = cone._su / cone._Wsum                  # <t, x> = u^T x / |u|^2
+    E = np.zeros((n, off.size))
+    E[off, np.arange(off.size)] = 1.0
+    caps = cone.weights[off] * t[:, None]
+    flat = np.zeros((n, I.size - 1))
+    flat[I] = _orth_complement(cone._su[I, None], I.size)
+    cols = [E - caps, -E - caps, flat, -flat]
+    if off.size == 0:
+        cols.append(-t[:, None])
+    return np.hstack(cols)
 
 
 def intersect(C: Cone, D: Cone) -> Cone:
@@ -891,14 +960,14 @@ def intersect(C: Cone, D: Cone) -> Cone:
     inequality-representable cones reduce to exact lower-dimensional
     representations; two inequality cones {x : W_C^T x <= 0} and
     {x : W_D^T x <= 0} give ``InequalityCone([W_C W_D])``, where a
-    generated cone with square invertible V has W = -V^{-T} and a planar
-    generated cone takes W from its polar wedge.  So every planar pair of
-    subspaces, orthants, generated and inequality cones is exact, and the
-    planar result projects in closed form.  Every other pair, such as one
-    with a generated cone of more generators than dimensions in R^3 and
-    up, an l1 subdifferential cone or a :class:`LinearImage` on either
-    side, returns an :class:`IntersectionCone` projected by Dykstra's
-    algorithm.
+    generated cone with square invertible V has W = -V^{-T}, a planar
+    generated cone takes W from its polar wedge and an l1 subdifferential
+    cone has the normals of :func:`_inequality_matrix`.  So every planar
+    pair of subspaces, orthants, generated and inequality cones is exact,
+    and the planar result projects in closed form.  Every other pair, such
+    as one with a generated cone of more generators than dimensions in R^3
+    and up or a :class:`LinearImage` on either side, returns an
+    :class:`IntersectionCone` projected by Dykstra's algorithm.
     """
     if C.n != D.n:
         raise ValueError("ambient dimensions must match")

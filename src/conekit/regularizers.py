@@ -126,9 +126,10 @@ def analysis_subdiff_cone(inst: AnalysisInstance) -> Cone:
     By the chain rule the subdifferential is ``D^T`` applied to the l1
     subdifferential at ``y0 = D x0``, so the generated cone is the image
     under ``D^T`` of the l1 subdifferential cone.  When ``D`` is the
-    identity the inner cone is returned directly; otherwise projection
-    onto the image goes through constrained least squares over the inner
-    cone.
+    identity the inner cone is returned directly; otherwise
+    :func:`~conekit.cones.linear_image` represents the image, as an
+    inequality cone for square invertible ``D`` and as constrained least
+    squares over the inner cone when ``D^T`` is wide or singular.
     """
     inner = L1SubdiffCone(inst.p, inst.support, inst.signs)
     if inst.p == inst.n and np.array_equal(inst.D, np.eye(inst.n)):
@@ -201,7 +202,10 @@ def reduced_analysis_cone(inst: AnalysisInstance) -> Cone:
 
     Identical as a set to :func:`analysis_subdiff_cone` but represented
     as ``C`` applied to the reduced cone in dimension ``p - s + 1``,
-    which is cheaper to project onto when the support is large.
+    which is cheaper to project onto when the support is large.  When
+    ``C`` has full column rank (always for square invertible ``D``) the
+    image is exact: an inequality cone for square ``C``, else the
+    isometric image ``Q`` of one, with ``C = QR``.
     """
     _, C = build_BC_matrices(inst)
     return linear_image(C, reduced_subdiff_cone(inst))

@@ -2,9 +2,10 @@
 a dense primal-dual interior-point LP solver, basis-pursuit recovery, and
 phase-transition experiments.
 
-The NNLS routine is the projection kernel for finitely generated cones; the
+The NNLS routines, one for a single right-hand side and one batched over
+rows, are the projection kernels for generated and inequality cones; the
 LP solver backs basis-pursuit recovery and polyhedral feasibility tests.
-Both are deterministic given their inputs.
+All are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -140,6 +141,118 @@ def _nnls_gram(G: np.ndarray, w0: np.ndarray):
     grad = w0 - G @ c
     ok = not ((~passive) & (grad > 10 * tol)).any()
     return c, it, ok
+
+
+# Largest stacked array, in bytes, that the batched kernels build at once.
+# Larger chunks raise peak memory for no speed; much smaller ones are slower.
+CHUNK_BYTES = 256 * 1024
+
+
+def _chunk_rows(per_row: int) -> int:
+    """Rows per chunk when each row needs ``per_row`` float64 entries."""
+    return max(1, CHUNK_BYTES // (8 * max(per_row, 1)))
+
+
+def _nnls_batch(G: np.ndarray, W0: np.ndarray):
+    """:func:`_nnls_gram` on every row of W0 (N x k) against one Gram matrix.
+
+    Each row keeps the scalar kernel's state and rules: its passive set,
+    tolerance, iteration cap, inner-loop cap, pivots, ``lstsq`` fallback
+    and final convergence check, so it takes the same active-set path.  A
+    step advances every row still in its inner loop at once: the passive-set
+    systems are solved by one stacked ``np.linalg.solve`` per chunk of rows
+    (see :func:`_passive_solves`).  Returns (C, iterations, converged), one
+    row, count and flag per row of W0.
+    """
+    N, k = W0.shape
+    C = np.zeros((N, k))
+    iters = np.zeros(N, dtype=np.int64)
+    if k == 0:
+        return C, iters, np.ones(N, dtype=bool)
+    tol = 1e-10 * np.maximum(1.0, np.abs(W0).max(axis=1))
+    max_iter = 3 * k + 30
+    passive = np.zeros((N, k), dtype=bool)
+    inner = np.full(N, -1)         # inner-loop steps taken; -1: outer loop
+    active = np.ones(N, dtype=bool)
+    while True:
+        # outer loop: pick the entering index, or stop
+        rows = np.flatnonzero(active & (inner < 0))
+        if rows.size:
+            stop = iters[rows] >= max_iter
+            active[rows[stop]] = False
+            rows = rows[~stop]
+            grad = W0[rows] - C[rows] @ G.T
+            cand = ~passive[rows] & (grad > tol[rows, None])
+            done = ~cand.any(axis=1)
+            active[rows[done]] = False
+            rows, grad, cand = rows[~done], grad[~done], cand[~done]
+            j = np.argmax(np.where(cand, grad, -np.inf), axis=1)
+            passive[rows, j] = True
+            inner[rows] = 0
+        rows = np.flatnonzero(active & (inner >= 0))
+        if not rows.size:
+            break
+        # inner loop: restore feasibility of the passive-set LS solution
+        iters[rows] += 1
+        inner[rows] += 1
+        P = passive[rows]
+        Z = _passive_solves(G, W0[rows], P)
+        feasible = ((Z > 0) | ~P).all(axis=1)
+        C[rows[feasible]] = np.where(P[feasible], Z[feasible], 0.0)
+        inner[rows[feasible]] = -1
+        rows, P, Z = rows[~feasible], P[~feasible], Z[~feasible]
+        cur = C[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(P & (Z <= 0), cur / (cur - Z), np.inf)
+        alpha = np.clip(ratios.min(axis=1), 0.0, 1.0)
+        cur = np.where(P, np.maximum(cur + alpha[:, None] * (Z - cur), 0.0),
+                       0.0)
+        drop = P & (cur <= 0)
+        drop[np.arange(rows.size), ratios.argmin(axis=1)] = True
+        P &= ~drop
+        passive[rows] = P
+        C[rows] = np.where(P, cur, 0.0)
+        back = ~P.any(axis=1) | (inner[rows] == k + 1)
+        inner[rows[back]] = -1
+    grad = W0 - C @ G.T
+    ok = ~((~passive) & (grad > 10 * tol[:, None])).any(axis=1)
+    return C, iters, ok
+
+
+def _passive_solves(G: np.ndarray, B: np.ndarray, P: np.ndarray):
+    """For each row b of B and passive mask p of P, the solution of
+    G[p, p] z = b[p], scattered into zeros.
+
+    The stacked systems hold each passive block of G (indices ascending),
+    padded with the identity up to the largest passive set, and are solved
+    in chunks of rows of at most ``CHUNK_BYTES``.  A singular system falls
+    back to ``lstsq`` on its passive block, as in :func:`_nnls_gram`.
+    """
+    N, k = P.shape
+    sizes = P.sum(axis=1)
+    m = int(sizes.max())
+    order = np.argsort(~P, axis=1, kind="stable")[:, :m]   # passive first
+    live = np.take_along_axis(P, order, axis=1)
+    rhs = np.where(live, np.take_along_axis(B, order, axis=1), 0.0)
+    eye = np.eye(m, dtype=bool)
+    Z = np.zeros((N, k))
+    step = _chunk_rows(m * m)
+    for a in range(0, N, step):
+        idx, on, b = order[a:a + step], live[a:a + step], rhs[a:a + step]
+        M = np.where(on[:, :, None] & on[:, None, :],
+                     G[idx[:, :, None], idx[:, None, :]], eye)
+        try:
+            z = np.linalg.solve(M, b[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            z = np.zeros_like(b)
+            for i, p in enumerate(sizes[a:a + step]):
+                try:
+                    z[i] = np.linalg.solve(M[i], b[i])
+                except np.linalg.LinAlgError:
+                    z[i, :p] = np.linalg.lstsq(M[i, :p, :p], b[i, :p],
+                                               rcond=None)[0]
+        np.put_along_axis(Z[a:a + step], idx, np.where(on, z, 0.0), axis=1)
+    return Z
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ import pytest
 
 from conftest import planar_wedge, random_generator_cone
 
+from conekit import solvers
 from conekit.cones import (GeneratorCone, InequalityCone, IntersectionCone,
                            L1SubdiffCone, LinearImage, NonnegOrthant,
-                           ProductCone, Subspace, _inequality_matrix,
-                           cone_from_dict, full_space, intersect,
-                           linear_image, polar, preimage_cone, project,
-                           rotate, zero_cone)
+                           PolarCone, ProductCone, Subspace,
+                           _inequality_matrix, cone_from_dict, full_space,
+                           generators_of, intersect, linear_image, polar,
+                           preimage_cone, project, rotate, zero_cone)
 from conekit.numerics import SeededStream, haar_orthogonal
+from conekit.solvers import _nnls_batch, _nnls_gram
 
 
 ALL_SAMPLE_CONES = None
@@ -284,6 +286,114 @@ def test_hrep_intersection_matches_dykstra():
     assert converged >= 0.95 * total
 
 
+# ---------------------------------------------------------------------------
+# batched Lawson-Hanson kernel against the scalar one
+# ---------------------------------------------------------------------------
+
+def kernel_generators():
+    """Generator matrices in R^3 to R^10 with fewer and more generators
+    than dimensions, plus one with duplicate, zero and antipodal columns."""
+    rng = np.random.default_rng(30)
+    mats = [rng.standard_normal((n, k)) for n in range(3, 11)
+            for k in (max(1, n - 2), n + 3, 2 * n)]
+    V = rng.standard_normal((5, 4))
+    mats.append(np.hstack([V, V[:, :2], np.zeros((5, 2)), -V[:, 1:3]]))
+    return mats
+
+
+def test_batched_nnls_matches_scalar_kernel():
+    rng = np.random.default_rng(31)
+    for V in kernel_generators():
+        G = V.T @ V
+        # the polar projects by Moreau through the same NNLS on V
+        for C in (GeneratorCone(V), polar(GeneratorCone(V))):
+            X = rng.standard_normal((40, C.n))
+            _, iters, ok = _nnls_batch(G, X @ V)
+            P, fd, conv = C.project_batch(X)
+            for i, x in enumerate(X):
+                _, it, converged = _nnls_gram(G, V.T @ x)
+                want = C.project_point(x)
+                assert (iters[i], ok[i]) == (it, converged)
+                assert conv[i] == want.converged
+                assert (np.linalg.norm(P[i] - want.point)
+                        <= 1e-10 * (1.0 + np.linalg.norm(x)))
+                assert fd[i] == want.face_dim
+
+
+def test_batched_nnls_singular_system_falls_back_to_lstsq(monkeypatch):
+    # passive set {0, 1, 2} of the Gram matrix of e1, e2, e1 + e2 is
+    # singular, so both kernels reach lstsq from the third step on
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    V = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    G = V.T @ V
+    W0 = np.array([[1.0, 0.5, 1.2], [0.3, 1.0, 0.2], [2.0, 2.0, 4.0]])
+    coef, iters, ok = _nnls_batch(G, W0)
+    assert calls
+    for i, w0 in enumerate(W0):
+        c, it, converged = _nnls_gram(G, w0)
+        assert (iters[i], ok[i]) == (it, converged)
+        assert np.abs(coef[i] - c).max() <= 1e-10 * (1.0 + np.abs(c).max())
+
+
+def test_batched_kernels_are_chunk_invariant(monkeypatch):
+    rng = np.random.default_rng(33)
+    cones = [GeneratorCone(rng.standard_normal((6, 11))),
+             InequalityCone(rng.standard_normal((7, 12)))]
+    X = rng.standard_normal((50, 6))
+    Y = rng.standard_normal((50, 7))
+    one = [C.project_batch(Z) for C, Z in zip(cones, (X, Y))]
+    # a few rows per chunk, for the NNLS solves and the face-dimension svd
+    monkeypatch.setattr(solvers, "CHUNK_BYTES", 8 * 7 * 12 * 3)
+    many = [C.project_batch(Z) for C, Z in zip(cones, (X, Y))]
+    for a, b in zip(one, many):
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v)
+
+
+# ---------------------------------------------------------------------------
+# H-representations of l1 subdifferential cones and polars
+# ---------------------------------------------------------------------------
+
+L1_CONES = [
+    L1SubdiffCone(4, [0], [1.0]),
+    L1SubdiffCone(6, [1, 4], [1.0, -1.0]),
+    L1SubdiffCone(5, [0, 1, 2, 3, 4], [1.0, -1.0, 1.0, 1.0, -1.0]),
+    L1SubdiffCone(7, [2, 3, 6], [1.0, 1.0, -1.0],
+                  np.array([0.5, 1.0, 2.0, 0.7, 1.3, 1.0, 3.0])),
+]
+
+
+@pytest.mark.parametrize("K", L1_CONES)
+def test_l1_subdiff_inequality_matrix_matches_closed_form(K):
+    W = _inequality_matrix(K)
+    s = K.support.size
+    assert W.shape == (K.n, 2 * (K.n - s) + 2 * (s - 1) + (s == K.n))
+    X = np.random.default_rng(34).standard_normal((300, K.n))
+    for C, H in ((K, InequalityCone(W)), (polar(K), GeneratorCone(W))):
+        P, fd, _ = C.project_batch(X)
+        Ph, fdh, ok = H.project_batch(X)
+        assert ok.all()
+        assert np.abs(P - Ph).max() <= 1e-10
+        assert np.array_equal(fd, fdh)
+
+
+def test_polar_cone_swaps_representations():
+    K = L1_CONES[1]
+    P = polar(K)
+    assert isinstance(P, PolarCone)
+    assert np.array_equal(generators_of(P), _inequality_matrix(K))
+    assert _inequality_matrix(P) is None       # K has no generators
+    V = np.random.default_rng(35).standard_normal((3, 3))
+    assert np.array_equal(_inequality_matrix(PolarCone(GeneratorCone(V))), V)
+
+
 def test_opposite_halfplanes_meet_in_a_line():
     rng = np.random.default_rng(22)
     for a in rng.uniform(0.0, 2 * math.pi, 8):
@@ -397,8 +507,31 @@ def test_singular_image_stays_linear_image():
     A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
     C = linear_image(A, InequalityCone(np.eye(3)))
     assert type(C) is LinearImage
-    assert type(linear_image(np.ones((2, 3)), InequalityCone(np.eye(3)))) \
-        is LinearImage
+    for inner in (InequalityCone(np.eye(3)), L1SubdiffCone(3, [1], [1.0])):
+        C = linear_image(np.ones((2, 3)), inner)
+        assert type(C) is LinearImage and not C._isometric
+
+
+def test_full_column_rank_image_is_isometric_over_inequality_cone():
+    rng = np.random.default_rng(25)
+    A = rng.standard_normal((6, 4))
+    W = rng.standard_normal((4, 7))
+    C = linear_image(A, InequalityCone(W))
+    assert isinstance(C, LinearImage) and C._isometric
+    assert isinstance(C.inner, InequalityCone)
+    oracle = LinearImage(A, InequalityCone(W))
+    for x in rng.standard_normal((20, 6)):
+        want = oracle.project_point(x)
+        assert want.converged
+        assert (np.linalg.norm(project(C, x).point - want.point)
+                <= 1e-6 * (1.0 + np.linalg.norm(x)))
+
+
+def test_rotated_l1_cones_keep_closed_form():
+    Q = haar_orthogonal(6, SeededStream(26, 0))
+    for K in (L1_CONES[1], polar(L1_CONES[1])):
+        R = rotate(K, Q)
+        assert type(R) is LinearImage and R._isometric and R.inner is K
 
 
 def test_linear_image_isometric_fast_path():

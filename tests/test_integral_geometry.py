@@ -7,9 +7,10 @@ import pytest
 
 from conftest import combined_stderr, stream
 
-from conekit.cones import (GeneratorCone, InequalityCone, NonnegOrthant,
-                           ProductCone, Subspace, _inequality_matrix,
-                           full_space, generators_of, polar)
+from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
+                           NonnegOrthant, ProductCone, Subspace,
+                           _inequality_matrix, full_space, generators_of,
+                           polar)
 from conekit.integral_geometry import (IDENTITY_SUITES, _line_hits_cone,
                                        _section_nontrivial,
                                        crofton_probability,
@@ -146,6 +147,21 @@ def test_crofton_product_with_line_is_not_always_hit():
     C = ProductCone([NonnegOrthant(3), full_space(1)])
     rep = crofton_probability(C, 2, 2000, stream(4))
     assert abs(rep.hit_rate - 0.75) <= 3 * rep.stderr
+    assert rep.verdict
+
+
+L1_4 = L1SubdiffCone(4, [0], [1.0])
+L1_6 = L1SubdiffCone(6, [1, 4], [1.0, -1.0])
+
+
+@pytest.mark.parametrize("C,m", [
+    pytest.param(C, m, id=f"{name}-n{K.n}-m{m}")
+    for K, ms in ((L1_4, (1, 2)), (L1_6, (1, 2, 3, 4)))
+    for name, C in (("l1", K), ("descent", polar(K))) for m in ms])
+def test_crofton_l1_subdiff_cones_and_their_polars(C, m):
+    # the l1 subdifferential cone has normals and its polar, the l1
+    # descent cone, has them as generators, so every d >= 2 is decided
+    rep = crofton_probability(C, m, 1000, stream(7))
     assert rep.verdict
 
 

@@ -7,14 +7,17 @@ import pytest
 
 from conftest import combined_stderr, stream
 
-from conekit.cones import L1SubdiffCone, preimage_cone, project
+from conekit.cones import (InequalityCone, L1SubdiffCone, LinearImage,
+                           PolarCone, preimage_cone, project)
 from conekit.regularizers import (AnalysisInstance, analysis_subdiff_cone,
                                   build_BC_matrices,
                                   descent_statdim_analysis,
                                   finite_difference_matrix,
                                   reduced_analysis_cone, reduced_subdiff_cone,
                                   tv_singular_values)
-from conekit.statdim import descent_statdim_l1, estimate_statdim
+from conekit.numerics import SeededStream
+from conekit.statdim import (descent_statdim_l1, estimate_intrinsic_volumes,
+                             estimate_statdim)
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +270,77 @@ def test_reduced_subdiff_cone_dimensions():
     inst = AnalysisInstance(D, x0)
     R = reduced_subdiff_cone(inst)
     assert R.n == inst.p - inst.s + 1
+
+
+# ---------------------------------------------------------------------------
+# exact route for TV analysis cones
+# ---------------------------------------------------------------------------
+
+def tv_grid_instances(n, seed):
+    """The tv-statdim command's instances: s = 1..6 on the square
+    bidiagonal D, support and signs drawn from SeededStream(seed, 0)."""
+    D = finite_difference_matrix(n, "square_bidiagonal")
+    out = []
+    for s in range(1, 7):
+        rng = SeededStream(seed, 0).child(s).gen(0)
+        support = np.sort(rng.choice(n, size=s, replace=False))
+        signs = rng.choice([-1.0, 1.0], size=s)
+        out.append(AnalysisInstance.from_support(D, support, signs))
+    return out
+
+
+def cone_tree(C):
+    """C and every cone nested inside it."""
+    yield C
+    for attr in ("inner", "left", "right"):
+        if hasattr(C, attr):
+            yield from cone_tree(getattr(C, attr))
+    for part in getattr(C, "parts", ()):
+        yield from cone_tree(part)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tv_cones_never_reach_fista(seed):
+    # accelerated projected gradient serves only wide or singular images;
+    # every TV cone of the tv-statdim grid has an exact route
+    for inst in tv_grid_instances(30, seed):
+        for C in (reduced_analysis_cone(inst), analysis_subdiff_cone(inst)):
+            assert not any(isinstance(K, LinearImage) and not K._isometric
+                           for K in cone_tree(C))
+
+
+def test_reduced_tv_cone_matches_fista_oracle():
+    rng = np.random.default_rng(410)
+    for inst in tv_grid_instances(12, 4)[:4]:
+        C = reduced_analysis_cone(inst)
+        if inst.s == 1:
+            assert isinstance(C, InequalityCone)
+        else:
+            assert isinstance(C, LinearImage) and C._isometric
+            assert isinstance(C.inner, InequalityCone)
+        _, Cmat = build_BC_matrices(inst)
+        oracle = LinearImage(Cmat, reduced_subdiff_cone(inst))
+        for x in rng.standard_normal((8, inst.n)):
+            want = oracle.project_point(x)
+            assert want.converged
+            assert (np.linalg.norm(project(C, x).point - want.point)
+                    <= 1e-6 * (1.0 + np.linalg.norm(x)))
+
+
+def test_tv_reduced_cone_intrinsic_volumes_match_statdim():
+    inst = tv_grid_instances(30, 1)[2]
+    C = reduced_analysis_cone(inst)
+    prof = estimate_intrinsic_volumes(C, 2000, stream(411))
+    est = estimate_statdim(C, 2000, stream(412))
+    k = np.arange(prof.v.size)
+    mean = prof.statdim()
+    se = math.sqrt((k * k @ prof.v - mean ** 2) / prof.samples)
+    assert abs(mean - est.mean) <= 3 * math.hypot(se, est.stderr)
+
+
+def test_square_analysis_cone_and_its_preimage_are_exact():
+    inst = tv_grid_instances(12, 5)[1]
+    assert isinstance(analysis_subdiff_cone(inst), InequalityCone)
+    pre = preimage_cone(inst.D, L1SubdiffCone(inst.p, inst.support,
+                                              inst.signs))
+    assert not isinstance(pre, PolarCone)
