@@ -9,8 +9,9 @@ where they are exact:
   a generic polar takes its generators from the inner cone's normals and
   its normals from the inner cone's generators;
 * linear images of generated cones become generated cones;
-* l1 subdifferential cones carry outer normals, so they count as inequality
-  cones wherever normals are needed;
+* l1 subdifferential cones, subspaces and products of cones with normals
+  carry outer normals, so they count as inequality cones wherever normals
+  are needed;
 * images of inequality cones under square invertible maps (rotations
   included) become inequality cones, A{x : W^T x <= 0} = {y : (A^{-T}W)^T y
   <= 0}, and under tall maps of full column rank A = QR they become the
@@ -24,7 +25,9 @@ where they are exact:
 
 Generated and inequality cones project by a Lawson-Hanson NNLS active set:
 ``project_batch`` advances all rows together in one batched kernel, and
-``project_point`` runs the scalar one.  Two iterative fallbacks cover what
+``project_point`` runs the scalar one.  The batched projections and face
+rules are module functions that also take one matrix per row, for cones
+that change from row to row.  Two iterative fallbacks cover what
 remains: Dykstra's alternating projections for intersections with a side
 that has no inequality matrix (e.g. a generated cone in R^3 with more
 generators than dimensions), and accelerated projected gradient for images
@@ -127,15 +130,72 @@ def _null_basis(M: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
 
 def _masked_ranks(M: np.ndarray, mask: np.ndarray):
     """Rank of the columns M[:, mask] for a 1-d mask, or for each row of a
-    2-d mask (one chunked, batched svd); singular values count above
-    1e-10 * max(1, largest)."""
+    2-d mask (one chunked, batched svd), where M is one n x k matrix or one
+    per row (N x n x k); singular values count above 1e-10 * max(1,
+    largest)."""
     masks = np.atleast_2d(mask)
     ranks = np.empty(masks.shape[0], dtype=np.int64)
-    step = _chunk_rows(M.size)
+    step = _chunk_rows(M.shape[-2] * M.shape[-1])
     for a in range(0, masks.shape[0], step):
-        s = np.linalg.svd(M * masks[a:a + step, None, :], compute_uv=False)
+        Ma = M if M.ndim == 2 else M[a:a + step]
+        s = np.linalg.svd(Ma * masks[a:a + step, None, :], compute_uv=False)
         ranks[a:a + step] = (s > 1e-10 * np.maximum(1.0, s[:, :1])).sum(axis=1)
     return ranks if mask.ndim == 2 else ranks[0]
+
+
+def _rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Row i of X times M, or times M[i] when M holds one matrix per row."""
+    return X @ M if M.ndim == 2 else np.matmul(X[:, None, :], M)[:, 0, :]
+
+
+def _transpose(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
+def _coef_face_dims(V: np.ndarray, coef: np.ndarray):
+    """Face dimension of V c: the rank of the generators with positive
+    coefficients.  coef is one vector or one per row, V is shared or one
+    matrix per row."""
+    ctol = FACE_TOL * np.maximum(
+        1.0, np.max(coef, axis=-1, keepdims=True, initial=0.0))
+    return _masked_ranks(V, coef > ctol)
+
+
+def _active_normals(W: np.ndarray, p: np.ndarray, atol=None):
+    """Normals of {x : W^T x <= 0} active at p, one mask per point when p
+    holds rows; W is shared or one matrix per row."""
+    wn = np.linalg.norm(W, axis=-2)
+    base = atol if atol is not None else FACE_TOL
+    tol = base * np.maximum(wn, 1.0) * np.maximum(
+        1.0, np.linalg.norm(p, axis=-1, keepdims=True))
+    return np.abs(_rows_times(p, W)) <= tol
+
+
+def _normal_face_dims(W: np.ndarray, p: np.ndarray):
+    """Face dimension at p of {x : W^T x <= 0}: n minus the rank of the
+    active normals."""
+    return W.shape[-2] - _masked_ranks(W, _active_normals(W, p))
+
+
+def _project_generated(V: np.ndarray, X: np.ndarray, G=None):
+    """Project each row of X onto cone(V) by the batched NNLS kernel, with V
+    (n x k) shared or one per row (N x n x k); G is the Gram matrix V^T V,
+    computed when not given.  Returns (P, face_dims, converged)."""
+    if G is None:
+        G = _transpose(V) @ V
+    coef, _, ok = _nnls_batch(G, _rows_times(X, V))
+    return _rows_times(coef, _transpose(V)), _coef_face_dims(V, coef), ok
+
+
+def _project_normals(W: np.ndarray, X: np.ndarray, G=None):
+    """Project each row of X onto {x : W^T x <= 0} by Moreau, subtracting
+    the NNLS projection onto the polar cone(W); W is shared or one matrix
+    per row, as in :func:`_project_generated`."""
+    if G is None:
+        G = _transpose(W) @ W
+    coef, _, ok = _nnls_batch(G, _rows_times(X, W))
+    P = X - _rows_times(coef, _transpose(W))
+    return P, _normal_face_dims(W, P), ok
 
 
 def _orthonormal_columns(A: np.ndarray) -> bool:
@@ -425,22 +485,14 @@ class GeneratorCone(Cone):
             return ProjectionResult(P[0], int(fd[0]), 0, True)
         coef, iters, ok = _nnls_gram(self._gram, self.V.T @ x)
         p = self.V @ coef
-        return ProjectionResult(p, int(self._face_dim_from_coef(coef)), iters,
+        return ProjectionResult(p, int(_coef_face_dims(self.V, coef)), iters,
                                 ok)
 
     def project_batch(self, X):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
             return P, fd, np.ones(X.shape[0], dtype=bool)
-        coef, _, ok = _nnls_batch(self._gram, X @ self.V)
-        return coef @ self.V.T, self._face_dim_from_coef(coef), ok
-
-    def _face_dim_from_coef(self, coef):
-        """Rank of the generators with positive coefficients; coef is one
-        coefficient vector or one per row."""
-        ctol = FACE_TOL * np.maximum(
-            1.0, np.max(coef, axis=-1, keepdims=True, initial=0.0))
-        return _masked_ranks(self.V, coef > ctol)
+        return _project_generated(self.V, X, self._gram)
 
     def face_basis(self, p, atol=None):
         if self._planar is not None:
@@ -481,33 +533,21 @@ class InequalityCone(Cone):
         # Moreau: subtract the projection onto the polar cone cone(W)
         coef, iters, ok = _nnls_gram(self._gram, self.W.T @ x)
         p = x - self.W @ coef
-        return ProjectionResult(p, int(self._face_dim_at(p)), iters, ok)
+        return ProjectionResult(p, int(_normal_face_dims(self.W, p)), iters,
+                                ok)
 
     def project_batch(self, X):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
             return P, fd, np.ones(X.shape[0], dtype=bool)
-        coef, _, ok = _nnls_batch(self._gram, X @ self.W)
-        P = X - coef @ self.W.T
-        return P, self._face_dim_at(P), ok
-
-    def _active(self, p, atol=None):
-        """Normals active at p, one mask per point when p holds rows."""
-        wn = np.linalg.norm(self.W, axis=0)
-        base = atol if atol is not None else FACE_TOL
-        tol = base * np.maximum(wn, 1.0) * np.maximum(
-            1.0, np.linalg.norm(p, axis=-1, keepdims=True))
-        return np.abs(p @ self.W) <= tol
-
-    def _face_dim_at(self, p):
-        return self.n - _masked_ranks(self.W, self._active(p))
+        return _project_normals(self.W, X, self._gram)
 
     def face_basis(self, p, atol=None):
         if self._planar is not None:
             a = atol if atol is not None else \
                 FACE_TOL * max(1.0, float(np.linalg.norm(p)))
             return _planar_face_basis(self._planar, p, a)
-        J = self._active(p, atol)
+        J = _active_normals(self.W, p, atol)
         if not J.any():
             return np.eye(self.n)
         return _null_basis(self.W[:, J].T, self.n)
@@ -738,19 +778,9 @@ class ProductCone(Cone):
         return P, fd, conv
 
     def face_basis(self, p, atol=None):
-        blocks = []
-        for part, sl in zip(self.parts, self._slices):
-            B = part.face_basis(p[sl], atol)
-            if B is None:
-                return None
-            blocks.append(B)
-        total = sum(B.shape[1] for B in blocks)
-        out = np.zeros((self.n, total))
-        col = 0
-        for (part, sl), B in zip(zip(self.parts, self._slices), blocks):
-            out[sl, col:col + B.shape[1]] = B
-            col += B.shape[1]
-        return out
+        return _block_diagonal(self, [part.face_basis(p[sl], atol) for
+                                      part, sl in zip(self.parts,
+                                                      self._slices)])
 
     def to_dict(self):
         return {"variant": "product",
@@ -835,17 +865,21 @@ def generators_of(cone: Cone) -> np.ndarray | None:
     if isinstance(cone, PolarCone):
         return _inequality_matrix(cone.inner)
     if isinstance(cone, ProductCone):
-        parts = [generators_of(p) for p in cone.parts]
-        if any(g is None for g in parts):
-            return None
-        total = sum(g.shape[1] for g in parts)
-        V = np.zeros((cone.n, total))
-        col = 0
-        for (sl, g) in zip(cone._slices, parts):
-            V[sl, col:col + g.shape[1]] = g
-            col += g.shape[1]
-        return V
+        return _block_diagonal(cone, [generators_of(p) for p in cone.parts])
     return None
+
+
+def _block_diagonal(cone: ProductCone, blocks) -> np.ndarray | None:
+    """The column blocks of a product's parts placed on its coordinate
+    slices, or None when a part has no block."""
+    if any(B is None for B in blocks):
+        return None
+    out = np.zeros((cone.n, sum(B.shape[1] for B in blocks)))
+    col = 0
+    for sl, B in zip(cone._slices, blocks):
+        out[sl, col:col + B.shape[1]] = B
+        col += B.shape[1]
+    return out
 
 
 def linear_image(A: np.ndarray, inner: Cone) -> Cone:
@@ -919,6 +953,12 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
     I (|x_j| <= t w_j), plus and minus a basis of the complement of u
     within the coordinates of I (x_I parallel to u_I), and -u/|u|^2 when
     I is everything (t >= 0): 2(n - |I|) + 2(|I| - 1) columns, plus one.
+    A :class:`Subspace` has plus and minus an orthonormal basis of its
+    complement (the zero subspace +-I, the full space no columns), and a
+    :class:`ProductCone` the block-diagonal normals of its parts, or None
+    when a part has none.  :func:`intersect` and :func:`linear_image`
+    treat subspaces before asking for normals, so these two rules serve
+    products, rotation checks and hit detection.
     """
     if isinstance(cone, InequalityCone):
         return cone.W
@@ -934,6 +974,12 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
         return generators_of(cone.inner)
     if isinstance(cone, L1SubdiffCone):
         return _l1_normals(cone)
+    if isinstance(cone, Subspace):
+        N = _orth_complement(cone.basis, cone.n)
+        return np.hstack([N, -N])
+    if isinstance(cone, ProductCone):
+        return _block_diagonal(cone, [_inequality_matrix(p)
+                                      for p in cone.parts])
     return None
 
 

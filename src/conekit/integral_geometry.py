@@ -10,6 +10,20 @@ Identities covered: the kinematic intersection formula and its subspace
 (Crofton) specialization, hit probabilities against half-tails, the
 projection formula for random compressions, its full-rank generalization,
 and the projected statistical dimension with its concentration bracket.
+
+The rotation checks run stacked.  Sample i draws its Gaussian matrix and
+then its Gaussian point from ``stream.gen(i)``, a block of rotations comes
+from one stacked QR, and each draw's cone is a per-draw matrix: normals
+[W_C, Q_i W_D] for the kinematic formula, generators M_i V or normals
+M_i^{-T} W for a compression M_i = T Q_i.  One batched Lawson-Hanson call,
+with one Gram matrix per draw, projects the block.  Inputs that no such
+matrix represents keep the per-draw loop, which builds each cone with
+``intersect``/``rotate``/``linear_image``: a kinematic side without normals
+(a generated cone with more generators than dimensions in R^3 and up, a
+:class:`~conekit.cones.LinearImage`, an
+:class:`~conekit.cones.IntersectionCone`) and a cone with normals only
+under a wide or singular compression.  ``projected_statdim`` keeps its
+loop, since at m < n a cone with only normals needs a FISTA solve per draw.
 """
 
 from __future__ import annotations
@@ -19,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, Subspace, _inequality_matrix, generators_of,
-                    intersect, linear_image, project, rotate)
-from .numerics import SeededStream, haar_from_rng, row_projection
+from .cones import (Cone, Subspace, _inequality_matrix, _project_generated,
+                    _project_normals, generators_of, intersect, linear_image,
+                    project, rotate)
+from .numerics import SeededStream, haar_from_rng, haar_stack, row_projection
 from .statdim import (Estimate, estimate_intrinsic_volumes, face_histogram,
                       mc_estimate, tails)
-from .solvers import nnls
+from .solvers import _chunk_rows, nnls
 
 __all__ = [
     "IdentityCheckReport",
@@ -94,12 +109,12 @@ def _zscores(lhs, lse, rhs, rse):
     return z
 
 
-def _face_histogram_over_rotations(samples, stream, n_hist, make_cone,
-                                   ambient):
-    """Histogram of face dims of Proj_{K(Q)}(g) over rotations Q.
+def _faces_per_draw(samples, stream, make_cone, ambient):
+    """Face dims of Proj_{K(Q)}(g) and their flags, one rotation at a time.
 
     make_cone(Q) builds the random cone; one Gaussian is drawn per rotation
-    from the same substream.
+    from the same substream.  A draw is flagged when its projection did not
+    converge or could not be classified.
     """
     fd = np.zeros(samples, dtype=np.int64)
     ok = np.zeros(samples, dtype=bool)
@@ -109,13 +124,78 @@ def _face_histogram_over_rotations(samples, stream, n_hist, make_cone,
         r = project(K, gen.standard_normal(K.n))
         if r.converged and r.face_dim is not None:
             fd[i], ok[i] = r.face_dim, True
-    return face_histogram(fd, ok, n_hist)
+    return fd, ok
+
+
+def _rotation_draws(samples, stream, n, m, width):
+    """Blocks (start, Q, g) of the draws of :func:`_faces_per_draw`: sample
+    i takes its n x n Gaussian matrix and then its Gaussian point in R^m
+    from ``stream.gen(i)``, and the block's rotations come from one stacked
+    QR.  A block holds as many samples as fit ``width`` floats each (at
+    least n^2) into ``CHUNK_BYTES``."""
+    step = _chunk_rows(max(n * n, width))
+    for a in range(0, samples, step):
+        G = np.empty((min(step, samples - a), n, n))
+        g = np.empty((G.shape[0], m))
+        for i in range(G.shape[0]):
+            gen = stream.gen(a + i)
+            G[i] = gen.standard_normal((n, n))
+            g[i] = gen.standard_normal(m)
+        yield a, haar_stack(G), g
+
+
+def _stacked_faces(samples, stream, n, m, width, project_block, make_cone):
+    """Face dims and flags of every draw, with project_block(Q, g)
+    projecting a block of draws at once.
+
+    A draw whose stacked projection did not converge takes the answer and
+    flag of make_cone(Q), the cone of :func:`_faces_per_draw`.  A planar
+    image cone spanned by nearly collinear generators (a compression by a
+    badly conditioned T) can need NNLS coefficients of 1e6 and more, which
+    the active set does not resolve; its wedge arithmetic is exact.
+    """
+    fd = np.zeros(samples, dtype=np.int64)
+    ok = np.zeros(samples, dtype=bool)
+    for a, Q, g in _rotation_draws(samples, stream, n, m, width):
+        _, fd[a:a + len(g)], ok[a:a + len(g)] = project_block(Q, g)
+        for i in np.flatnonzero(~ok[a:a + len(g)]):
+            r = project(make_cone(Q[i]), g[i])
+            if r.converged and r.face_dim is not None:
+                fd[a + i], ok[a + i] = r.face_dim, True
+    return fd, ok
+
+
+def _kinematic_faces(C: Cone, D: Cone, samples: int, stream: SeededStream):
+    """Per-draw face dims and flags of Proj_{C cap QD}(g); stacked over the
+    normals [W_C, Q W_D] when both sides have an inequality matrix."""
+    n = C.n
+    WC, WD = _inequality_matrix(C), _inequality_matrix(D)
+
+    def make_cone(Q):
+        return intersect(C, rotate(D, Q))
+
+    if WC is None or WD is None:
+        return _faces_per_draw(samples, stream, make_cone, n)
+    k = WC.shape[1] + WD.shape[1]
+
+    def project_block(Q, g):
+        WCs = np.broadcast_to(WC, (len(g),) + WC.shape)
+        return _project_normals(np.concatenate([WCs, Q @ WD], axis=2), g)
+
+    return _stacked_faces(samples, stream, n, n, max(n, k) * k,
+                          project_block, make_cone)
 
 
 def verify_kinematic(C: Cone, D: Cone, samples: int,
                      stream: SeededStream) -> IdentityCheckReport:
     """Check E[v_k(C cap QD)] = v_{k+n}(C x D) for k >= 1 (with the v_0 bin
-    fixed by normalization) against the convolved product profile."""
+    fixed by normalization) against the convolved product profile.
+
+    When both C and D have an inequality matrix (see
+    :func:`~conekit.cones._inequality_matrix`), all draws are stacked: g is
+    projected onto {x : W^T x <= 0}, W = [W_C, Q W_D], by Moreau.
+    Otherwise each draw projects onto ``intersect(C, rotate(D, Q))``, by
+    Dykstra's algorithm when the intersection has no exact form."""
     if C.n != D.n:
         raise ValueError("C and D must share an ambient dimension")
     n = C.n
@@ -135,9 +215,8 @@ def verify_kinematic(C: Cone, D: Cone, samples: int,
     rhs[0] = conv[:n + 1].sum()
     rse[0] = math.sqrt(conv_var[:n + 1].sum())
 
-    lhs, lse, n_eff, failures = _face_histogram_over_rotations(
-        samples, stream.child(0), n, lambda Q: intersect(C, rotate(D, Q)),
-        n)
+    lhs, lse, n_eff, failures = face_histogram(
+        *_kinematic_faces(C, D, samples, stream.child(0)), n)
     z = _zscores(lhs, lse, rhs, rse)
     return IdentityCheckReport(
         "kinematic", list(range(n + 1)), lhs, lse, rhs, rse, z, n_eff,
@@ -148,13 +227,14 @@ _LINE_TOL = 1e-9    # distance at which a projected line point counts as in C
 _SECTION_TOL = 1e-9  # NNLS residual cutoff, relative to 1 + sum(lambda)
 
 
-def _line_hits_cone(C: Cone, u: np.ndarray) -> bool:
-    """Whether span{u} meets C beyond the origin."""
-    for s in (u, -u):
-        p = C.project_point(s).point
-        if np.linalg.norm(p - s) <= _LINE_TOL:
-            return True
-    return False
+def _line_hits_cone(C: Cone, U: np.ndarray):
+    """Whether span{u} meets C beyond the origin, for one vector u or for
+    each row u of U (one ``project_batch`` call on [U; -U])."""
+    S = np.atleast_2d(U)
+    S = np.vstack([S, -S])
+    hit = np.linalg.norm(C.project_batch(S)[0] - S, axis=1) <= _LINE_TOL
+    hits = hit[:len(S) // 2] | hit[len(S) // 2:]
+    return hits if U.ndim == 2 else bool(hits[0])
 
 
 def _section_nontrivial(A: np.ndarray, B: np.ndarray) -> bool:
@@ -194,15 +274,28 @@ def _subspace_hits_cone(C: Cone, Q: np.ndarray, d: int) -> bool:
     return not _section_nontrivial(V, Q[:, d:])
 
 
+def _crofton_hits(C: Cone, d: int, samples: int, stream: SeededStream):
+    """Whether C meets span(Q[:, :d]) beyond 0, for each rotation draw."""
+    hits = np.zeros(samples, dtype=bool)
+    for a, Q, _ in _rotation_draws(samples, stream, C.n, 0, 0):
+        if d == 1:
+            hits[a:a + len(Q)] = _line_hits_cone(C, Q[:, :, 0])
+        else:
+            hits[a:a + len(Q)] = [_subspace_hits_cone(C, Qi, d) for Qi in Q]
+    return hits
+
+
 def crofton_probability(C: Cone, m: int, samples: int,
                         stream: SeededStream) -> CroftonReport:
     """Estimate P{C cap QL != {0}} for a random subspace L of codimension m
     and compare against the half-tail h_{m+1}(C).
 
-    Each draw decides its hit exactly.  A line (d = n - m = 1) hits C when
-    u or -u projects onto C at distance <= 1e-9; this serves every cone.
-    For d >= 2 the hit is one section test (Gordan's alternative, one NNLS
-    solve): a cone with an inequality matrix W hits when its section
+    Each draw decides its hit exactly; the rotations of a block of draws
+    come from one stacked QR.  A line (d = n - m = 1) hits C when u or -u
+    projects onto C at distance <= 1e-9, with one ``project_batch`` call
+    for the whole block; this serves every cone.  For d >= 2 each draw
+    makes one section test (Gordan's alternative, one NNLS solve): a cone
+    with an inequality matrix W hits when its section
     {c : (B^T W)^T c <= 0}, B = Q[:, :d], is nontrivial; a cone with only
     generators V hits when the section of its polar {y : V^T y <= 0} by
     L^perp = span(Q[:, d:]) is trivial.  A cone with neither
@@ -215,14 +308,7 @@ def crofton_probability(C: Cone, m: int, samples: int,
         raise ValueError("C must not be a linear subspace")
     d = n - m
 
-    hits = 0
-    for i in range(samples):
-        Q = haar_from_rng(n, stream.gen(i))
-        if d == 1:
-            hits += _line_hits_cone(C, Q[:, 0])
-        else:
-            hits += _subspace_hits_cone(C, Q, d)
-    rate = hits / samples
+    rate = int(_crofton_hits(C, d, samples, stream).sum()) / samples
     se = math.sqrt(rate * (1 - rate) / samples)
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     _, h = tails(prof)
@@ -234,10 +320,46 @@ def crofton_probability(C: Cone, m: int, samples: int,
                          stream.master_seed, abs(z) <= 3.0)
 
 
-def _compression_report(name, C, m, samples, stream, make_map):
+def _compression_faces(T: np.ndarray, C: Cone, samples: int,
+                       stream: SeededStream):
+    """Per-draw face dims and flags of Proj_{T Q C}(g), stacked where
+    ``linear_image(T Q, C)`` is exact; see :func:`_compression_report`."""
+    m, n = T.shape
+    V = generators_of(C)
+    W = _inequality_matrix(C) if V is None else None
+    s = np.linalg.svd(T, compute_uv=False)
+
+    def make_cone(Q):
+        return linear_image(T @ Q, C)
+
+    if V is not None:
+        k = V.shape[1]
+
+        def project_block(Q, g):
+            return _project_generated((T @ Q) @ V, g)
+    elif W is not None and m == n and s[-1] > 1e-12 * s[0]:
+        k = W.shape[1]
+
+        def project_block(Q, g):
+            return _project_normals(
+                np.linalg.solve(np.swapaxes(T @ Q, 1, 2), W), g)
+    else:
+        return _faces_per_draw(samples, stream, make_cone, n)
+    return _stacked_faces(samples, stream, n, m, max(m, k) * k,
+                          project_block, make_cone)
+
+
+def _compression_report(name, C, T, samples, stream):
     """Shared core of the projection-formula and full-rank checks:
-    E[v_k(T Q C)] = v_k(C) for k < m and E[v_m(T Q C)] = t_m(C)."""
-    n = C.n
+    E[v_k(T Q C)] = v_k(C) for k < m and E[v_m(T Q C)] = t_m(C).
+
+    Where ``linear_image(T Q, C)`` is exact the draws run stacked: a cone
+    with generators V is projected onto cone(M_i V), M_i = T Q_i, and one
+    with only normals W under a square invertible T onto
+    {x : (M_i^{-T} W)^T x <= 0}.  A cone with only normals under a wide or
+    singular T keeps the per-draw loop; FISTA projects those images and
+    cannot classify their faces."""
+    m, n = T.shape
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     t, _ = tails(prof)
     rhs = np.empty(m + 1)
@@ -246,9 +368,8 @@ def _compression_report(name, C, m, samples, stream, make_map):
     rse[:m] = prof.stderr[:m]
     rhs[m] = t[m]
     rse[m] = math.sqrt(float(np.sum(prof.stderr[m:] ** 2)))
-    lhs, lse, n_eff, failures = _face_histogram_over_rotations(
-        samples, stream.child(0), m, lambda Q: linear_image(make_map(Q), C),
-        n)
+    lhs, lse, n_eff, failures = face_histogram(
+        *_compression_faces(T, C, samples, stream.child(0)), m)
     z = _zscores(lhs, lse, rhs, rse)
     return IdentityCheckReport(
         name, list(range(m + 1)), lhs, lse, rhs, rse, z, n_eff, failures,
@@ -262,9 +383,8 @@ def verify_projection_formula(C: Cone, m: int, samples: int,
     n = C.n
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    P = row_projection(m, n)
-    return _compression_report("projection", C, m, samples, stream,
-                               lambda Q: P @ Q)
+    return _compression_report("projection", C, row_projection(m, n),
+                               samples, stream)
 
 
 def verify_tqc(T, C: Cone, samples: int,
@@ -280,8 +400,7 @@ def verify_tqc(T, C: Cone, samples: int,
     s = np.linalg.svd(T, compute_uv=False)
     if s[-1] <= 1e-14 * s[0]:
         raise ValueError("T must be of full rank")
-    return _compression_report("tqc", C, m, samples, stream,
-                               lambda Q: T @ Q)
+    return _compression_report("tqc", C, T, samples, stream)
 
 
 def projected_statdim(C: Cone, m: int, samples: int,

@@ -18,6 +18,7 @@ __all__ = [
     "SeededStream",
     "svd",
     "haar_orthogonal",
+    "haar_stack",
     "gaussian_vector",
     "row_projection",
     "block_ranges",
@@ -123,11 +124,17 @@ def haar_orthogonal(n: int, stream: SeededStream, index: int = 0) -> np.ndarray:
 
 def haar_from_rng(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar orthogonal matrix drawn from an already-positioned generator."""
-    G = rng.standard_normal((n, n))
+    return haar_stack(rng.standard_normal((n, n)))
+
+
+def haar_stack(G: np.ndarray) -> np.ndarray:
+    """Haar orthogonal matrices from standard Gaussian ones, G of shape
+    (n, n) or stacked (N, n, n): one stacked QR with the sign fix.  Each
+    matrix equals the one-matrix result bit for bit."""
     Q, R = np.linalg.qr(G)
-    d = np.sign(np.diag(R))
+    d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return Q * d
+    return Q * d[..., None, :]
 
 
 def gaussian_vector(n: int, stream: SeededStream, index: int = 0) -> np.ndarray:

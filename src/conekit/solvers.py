@@ -154,7 +154,8 @@ def _chunk_rows(per_row: int) -> int:
 
 
 def _nnls_batch(G: np.ndarray, W0: np.ndarray):
-    """:func:`_nnls_gram` on every row of W0 (N x k) against one Gram matrix.
+    """:func:`_nnls_gram` on every row of W0 (N x k), against one shared
+    Gram matrix G (k x k) or one Gram matrix per row, G[i] (N x k x k).
 
     Each row keeps the scalar kernel's state and rules: its passive set,
     tolerance, iteration cap, inner-loop cap, pivots, ``lstsq`` fallback
@@ -181,7 +182,7 @@ def _nnls_batch(G: np.ndarray, W0: np.ndarray):
             stop = iters[rows] >= max_iter
             active[rows[stop]] = False
             rows = rows[~stop]
-            grad = W0[rows] - C[rows] @ G.T
+            grad = W0[rows] - _gram_rows(G, C, rows)
             cand = ~passive[rows] & (grad > tol[rows, None])
             done = ~cand.any(axis=1)
             active[rows[done]] = False
@@ -196,7 +197,7 @@ def _nnls_batch(G: np.ndarray, W0: np.ndarray):
         iters[rows] += 1
         inner[rows] += 1
         P = passive[rows]
-        Z = _passive_solves(G, W0[rows], P)
+        Z = _passive_solves(G if G.ndim == 2 else G[rows], W0[rows], P)
         feasible = ((Z > 0) | ~P).all(axis=1)
         C[rows[feasible]] = np.where(P[feasible], Z[feasible], 0.0)
         inner[rows[feasible]] = -1
@@ -214,19 +215,28 @@ def _nnls_batch(G: np.ndarray, W0: np.ndarray):
         C[rows] = np.where(P, cur, 0.0)
         back = ~P.any(axis=1) | (inner[rows] == k + 1)
         inner[rows[back]] = -1
-    grad = W0 - C @ G.T
+    grad = W0 - _gram_rows(G, C, slice(None))
     ok = ~((~passive) & (grad > 10 * tol[:, None])).any(axis=1)
     return C, iters, ok
 
 
+def _gram_rows(G: np.ndarray, C: np.ndarray, rows):
+    """G c for the selected rows c of C, with G shared or one per row."""
+    if G.ndim == 2:
+        return C[rows] @ G.T
+    return np.matmul(G[rows], C[rows, :, None])[:, :, 0]
+
+
 def _passive_solves(G: np.ndarray, B: np.ndarray, P: np.ndarray):
     """For each row b of B and passive mask p of P, the solution of
-    G[p, p] z = b[p], scattered into zeros.
+    G[p, p] z = b[p], scattered into zeros; G is one shared Gram matrix
+    (k x k) or one per row (N x k x k).
 
-    The stacked systems hold each passive block of G (indices ascending),
-    padded with the identity up to the largest passive set, and are solved
-    in chunks of rows of at most ``CHUNK_BYTES``.  A singular system falls
-    back to ``lstsq`` on its passive block, as in :func:`_nnls_gram`.
+    The stacked systems hold each passive block of the row's G (indices
+    ascending), padded with the identity up to the largest passive set, and
+    are solved in chunks of rows of at most ``CHUNK_BYTES``.  A singular
+    system falls back to ``lstsq`` on its passive block, as in
+    :func:`_nnls_gram`.
     """
     N, k = P.shape
     sizes = P.sum(axis=1)
@@ -239,8 +249,10 @@ def _passive_solves(G: np.ndarray, B: np.ndarray, P: np.ndarray):
     step = _chunk_rows(m * m)
     for a in range(0, N, step):
         idx, on, b = order[a:a + step], live[a:a + step], rhs[a:a + step]
-        M = np.where(on[:, :, None] & on[:, None, :],
-                     G[idx[:, :, None], idx[:, None, :]], eye)
+        sel = (idx[:, :, None], idx[:, None, :])
+        if G.ndim == 3:
+            sel = (np.arange(a, a + idx.shape[0])[:, None, None],) + sel
+        M = np.where(on[:, :, None] & on[:, None, :], G[sel], eye)
         try:
             z = np.linalg.solve(M, b[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:

@@ -320,6 +320,36 @@ def test_batched_nnls_matches_scalar_kernel():
                 assert fd[i] == want.face_dim
 
 
+def test_per_row_gram_nnls_matches_scalar_kernel(monkeypatch):
+    # one Gram matrix per row, from rotated generators of mixed shapes and
+    # one singular block (e1, e2, e1 + e2) that reaches lstsq
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    rng = np.random.default_rng(32)
+    singular = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    for V in kernel_generators()[::4] + [singular]:
+        n = V.shape[0]
+        Vs = np.stack([haar_orthogonal(n, SeededStream(32, i)) @ V
+                       for i in range(30)])
+        W0 = np.einsum("nik,ni->nk", Vs, rng.standard_normal((30, n)))
+        if V is singular:
+            Vs[0], W0[0] = V, [1.0, 0.5, 1.2]
+            calls.clear()
+        G = np.swapaxes(Vs, 1, 2) @ Vs
+        coef, iters, ok = _nnls_batch(G, W0)
+        assert calls or V is not singular
+        for i in range(30):
+            c, it, converged = _nnls_gram(G[i], W0[i])
+            assert (iters[i], ok[i]) == (it, converged)
+            assert np.abs(coef[i] - c).max() <= 1e-12 * (1.0 + np.abs(c).max())
+
+
 def test_batched_nnls_singular_system_falls_back_to_lstsq(monkeypatch):
     # passive set {0, 1, 2} of the Gram matrix of e1, e2, e1 + e2 is
     # singular, so both kernels reach lstsq from the third step on
@@ -392,6 +422,48 @@ def test_polar_cone_swaps_representations():
     assert _inequality_matrix(P) is None       # K has no generators
     V = np.random.default_rng(35).standard_normal((3, 3))
     assert np.array_equal(_inequality_matrix(PolarCone(GeneratorCone(V))), V)
+
+
+NORMAL_RULE_CONES = [
+    zero_cone(3),
+    full_space(3),
+    Subspace(np.linalg.qr(np.random.default_rng(36).standard_normal(
+        (4, 2)))[0]),
+    ProductCone([NonnegOrthant(2), full_space(1)]),
+    ProductCone([polar(NonnegOrthant(2)), Subspace(np.eye(2)[:, :1]),
+                 L1SubdiffCone(3, [0], [1.0])]),
+    ProductCone([zero_cone(1), InequalityCone(
+        np.random.default_rng(37).standard_normal((3, 4)))]),
+]
+
+
+@pytest.mark.parametrize("C", NORMAL_RULE_CONES,
+                         ids=lambda C: type(C).__name__)
+def test_subspace_and_product_normals_match_own_projection(C):
+    W = _inequality_matrix(C)
+    if isinstance(C, Subspace):
+        assert W.shape == (C.n, 2 * (C.n - C.dim))
+    X = np.random.default_rng(38).standard_normal((200, C.n))
+    P, fd, _ = C.project_batch(X)
+    Ph, fdh, ok = InequalityCone(W).project_batch(X)
+    assert ok.all()
+    assert np.abs(P - Ph).max() <= 1e-10
+    assert np.array_equal(fd, fdh)
+
+
+def test_product_with_a_part_without_normals_has_none():
+    C = ProductCone([NonnegOrthant(2), GeneratorCone(
+        np.random.default_rng(39).standard_normal((3, 5)))])
+    assert _inequality_matrix(C) is None
+
+
+def test_intersect_product_cones_matches_dykstra():
+    rng = np.random.default_rng(40)
+    Q = haar_orthogonal(4, SeededStream(41))
+    L = ProductCone([NonnegOrthant(2), full_space(2)])
+    R = rotate(ProductCone([polar(NonnegOrthant(3)), full_space(1)]), Q)
+    points = rng.standard_normal((40, 4))
+    assert assert_matches_dykstra(L, R, points) >= 38
 
 
 def test_opposite_halfplanes_meet_in_a_line():

@@ -7,18 +7,23 @@ import pytest
 
 from conftest import combined_stderr, stream
 
+import conekit.cones as cone_module
+from conekit import solvers
 from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
                            NonnegOrthant, ProductCone, Subspace,
                            _inequality_matrix, full_space, generators_of,
-                           polar)
-from conekit.integral_geometry import (IDENTITY_SUITES, _line_hits_cone,
+                           intersect, linear_image, polar, project, rotate)
+from conekit.integral_geometry import (IDENTITY_SUITES, _compression_faces,
+                                       _crofton_hits, _faces_per_draw,
+                                       _kinematic_faces, _line_hits_cone,
                                        _section_nontrivial,
                                        crofton_probability,
                                        eta_for_projection_margin,
                                        projected_statdim, run_identity_suite,
                                        verify_kinematic,
                                        verify_projection_formula, verify_tqc)
-from conekit.numerics import haar_from_rng, row_projection
+from conekit.numerics import (SeededStream, haar_from_rng, haar_stack,
+                              row_projection)
 from conekit.statdim import (estimate_intrinsic_volumes, estimate_statdim,
                              tails)
 
@@ -197,6 +202,8 @@ def test_section_test_matches_line_projection():
              GeneratorCone(V_3X5),
              InequalityCone(-np.abs(rng.standard_normal((3, 5)))),
              ProductCone([NonnegOrthant(2), full_space(1)])]
+    # the product carries both routes: generators and block normals
+    assert len(_routes(cones[-1], np.eye(3), 1)) == 2
     for j, C in enumerate(cones):
         st = stream(326, j)
         hits = 0
@@ -351,3 +358,161 @@ def test_identity_suites_pass_at_moderate_samples():
     for i, name in enumerate(sorted(IDENTITY_SUITES)):
         rep = run_identity_suite(name, 8000, stream(324, i))
         assert rep.verdict, f"{name}: max |z| = {np.max(np.abs(rep.z))}"
+
+
+# ---------------------------------------------------------------------------
+# stacked rotation draws against the per-draw oracle
+# ---------------------------------------------------------------------------
+
+def test_stacked_haar_is_bit_identical_to_one_matrix_draws():
+    st = stream(330)
+    for n in range(2, 7):
+        G = np.stack([st.gen(i).standard_normal((n, n)) for i in range(200)])
+        Q = haar_stack(G)
+        for i in range(200):
+            assert np.array_equal(Q[i], haar_from_rng(n, st.gen(i)))
+
+
+def _suite_draws(name):
+    """(stacked, oracle) per-draw results of one identity suite, on the
+    draws of run_identity_suite at the stream the benchmark uses."""
+    st = SeededStream(1303, 0).child(sorted(IDENTITY_SUITES).index(name))
+    st = st.child(0)
+    if name == "crofton":
+        C = NonnegOrthant(3)
+        oracle = np.array([
+            any(np.linalg.norm(project(C, s).point - s) <= 1e-9
+                for s in (Q[:, 0], -Q[:, 0]))
+            for Q in (haar_from_rng(3, st.gen(i)) for i in range(1000))])
+        return _crofton_hits(C, 1, 1000, st), oracle
+    if name.startswith("kinematic"):
+        C, D = ((NonnegOrthant(2), NonnegOrthant(2))
+                if name == "kinematic-planar"
+                else (NonnegOrthant(3), subspace_dim(3, 2)))
+        return (_kinematic_faces(C, D, 1000, st),
+                _faces_per_draw(1000, st,
+                                lambda Q: intersect(C, rotate(D, Q)), C.n))
+    if name == "projection":
+        T, C = row_projection(2, 4), NonnegOrthant(4)
+    else:
+        T, C = np.diag([1.0, 2.0]) @ row_projection(2, 3), NonnegOrthant(3)
+    return (_compression_faces(T, C, 1000, st),
+            _faces_per_draw(1000, st, lambda Q: linear_image(T @ Q, C), C.n))
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_SUITES))
+def test_stacked_suite_draws_match_per_draw_cones(name):
+    got, want = _suite_draws(name)
+    if name == "crofton":
+        assert np.array_equal(got, want) and 0 < got.sum() < 1000
+        return
+    assert want[1].all()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_stacked_polar_quadrant_draws_match_per_draw_cones():
+    Pq = polar(NonnegOrthant(2))
+    st = SeededStream(1303, 0).child(0)
+    fd, ok = _kinematic_faces(Pq, Pq, 1000, st)
+    want = _faces_per_draw(1000, st, lambda Q: intersect(Pq, rotate(Pq, Q)),
+                           2)
+    assert np.array_equal(fd, want[0]) and np.array_equal(ok, want[1])
+    assert ok.all() and set(fd) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("C,D", [
+    (L1SubdiffCone(3, [0], [1.0]), NonnegOrthant(3)),
+    (ProductCone([NonnegOrthant(2), full_space(1)]), subspace_dim(3, 1)),
+    (subspace_dim(4, 2), subspace_dim(4, 1)),
+    (polar(GeneratorCone(V_3X5)), InequalityCone(np.eye(3)[:, :2])),
+], ids=["l1-orthant", "product-line", "transversal", "generated-polar"])
+def test_stacked_kinematic_draws_match_per_draw_cones(C, D):
+    st = stream(331)
+    got = _kinematic_faces(C, D, 300, st)
+    want = _faces_per_draw(300, st, lambda Q: intersect(C, rotate(D, Q)),
+                           C.n)
+    assert want[1].all()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("T,C", [
+    (np.diag([1.0, 2.0, 0.5]), polar(NonnegOrthant(3))),
+    (np.eye(3), L1SubdiffCone(3, [0], [1.0])),
+    (row_projection(2, 3), GeneratorCone(V_3X5)),
+    (row_projection(3, 4), ProductCone([NonnegOrthant(2), full_space(2)])),
+    (row_projection(2, 4), subspace_dim(4, 1)),
+], ids=["square-normals", "l1-rotation", "generated", "product", "line"])
+def test_stacked_compression_draws_match_per_draw_cones(T, C):
+    st = stream(332)
+    got = _compression_faces(T, C, 300, st)
+    want = _faces_per_draw(300, st, lambda Q: linear_image(T @ Q, C), C.n)
+    assert want[1].all()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_ill_conditioned_compression_loses_no_draw():
+    # T = diag(1, 1e-6) P squeezes the generators of each image of R^3_+
+    # to within about 1e-6 rad of a line.  About 1% of the per-draw NNLS solves stop
+    # unconverged there, on image cones that are the full plane; those
+    # draws take the wedge arithmetic of the per-draw cone, so no draw is
+    # lost.  The converged NNLS answers differ from the wedge arithmetic on
+    # 9 of the 20,000 draws, each time farther from g than the wedge answer.
+    T = np.diag([1.0, 1e-6]) @ row_projection(2, 3)
+    C = NonnegOrthant(3)
+    st = stream(318).child(0)
+    fd, ok = _compression_faces(T, C, 20000, st)
+    want = _faces_per_draw(20000, st, lambda Q: linear_image(T @ Q, C), 3)
+    assert ok.all() and want[1].all()
+    assert np.count_nonzero(fd != want[0]) <= 9
+
+
+def test_kinematic_l1_cone_runs_stacked():
+    # the rotated l1 cone keeps its closed form in intersect, which sent
+    # every draw through Dykstra; its normals make the draws exact
+    rep = verify_kinematic(NonnegOrthant(3), L1SubdiffCone(3, [0], [1.0]),
+                           200, SeededStream(3, 0))
+    assert rep.failures == 0 and rep.samples == 200
+    assert rep.verdict
+
+
+def _forbid(monkeypatch, *names):
+    def boom(*args, **kwargs):
+        raise AssertionError("per-draw fallback reached")
+
+    for name in names:
+        monkeypatch.setattr(cone_module, name, boom)
+    for cls in [cone_module.Cone] + cone_module.Cone.__subclasses__():
+        if "project_point" in vars(cls):
+            monkeypatch.setattr(cls, "project_point", boom)
+
+
+def test_identity_suites_never_take_the_per_draw_loop(monkeypatch):
+    # the five suites and the l1 kinematic check run stacked: no Dykstra,
+    # no accelerated projected gradient, no per-point projection
+    _forbid(monkeypatch, "_dykstra", "_fista_image")
+    for i, name in enumerate(sorted(IDENTITY_SUITES)):
+        for st in (SeededStream(1303, 0).child(i), stream(333, i)):
+            assert run_identity_suite(name, 1000, st).verdict
+    verify_kinematic(NonnegOrthant(3), L1SubdiffCone(3, [0], [1.0]), 200,
+                     SeededStream(3, 0))
+
+
+def test_stacked_draws_are_chunk_invariant(monkeypatch):
+    T = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+
+    def run():
+        st = stream(334)
+        return [_kinematic_faces(NonnegOrthant(3), subspace_dim(3, 2), 500,
+                                 st),
+                _kinematic_faces(NonnegOrthant(2), NonnegOrthant(2), 500, st),
+                _compression_faces(T, NonnegOrthant(3), 500, st),
+                (_crofton_hits(NonnegOrthant(3), 1, 500, st),),
+                (_crofton_hits(NonnegOrthant(4), 2, 100, st),)]
+
+    one = run()
+    # a few draws per block, per NNLS chunk and per face-rank chunk
+    monkeypatch.setattr(solvers, "CHUNK_BYTES", 8 * 25 * 3)
+    many = run()
+    for a, b in zip(one, many):
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v)
