@@ -22,8 +22,8 @@ import numpy as np
 
 from .cones import (Cone, GeneratorCone, InequalityCone, NonnegOrthant,
                     Subspace, generators_of)
-from .numerics import SeededStream, haar_from_rng
-from .solvers import LPStandardForm, lp_solve_standard
+from .numerics import SeededStream, haar_from_rng, haar_stack
+from .solvers import LPStandardForm, _chunk_rows, lp_solve_standard
 from .statdim import Estimate, mc_estimate
 
 __all__ = [
@@ -447,8 +447,12 @@ def min_perturbation_to_primal(A, C: Cone, D: Cone, method: str = "auto",
 def kappa_bar(A, m: int, samples: int, stream: SeededStream) -> Estimate:
     """Monte Carlo estimate of E_Q[kappa((Q A)[:m])^2] over Haar Q.
 
-    A must be square and full rank, m <= n.  Draws with numerically
-    rank-deficient compressions (a probability-zero event) are resampled.
+    A must be square and full rank, m <= n.  Sample i's rotation comes from
+    the first n x n Gaussian matrix of ``stream.gen(i)``; a block of
+    samples draws its matrices with one ``stream.normals`` call and takes
+    one stacked QR and one stacked svd.  Draws with numerically
+    rank-deficient compressions (a probability-zero event) are resampled
+    from the following matrices of ``stream.gen(i)``.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -463,18 +467,23 @@ def kappa_bar(A, m: int, samples: int, stream: SeededStream) -> Estimate:
         raise ValueError("need at least 2 samples")
     vals = np.empty(samples)
     resampled = 0
-    for i in range(samples):
-        rng = stream.gen(i)
-        while True:
-            Q = haar_from_rng(n, rng)
-            s = np.linalg.svd((Q @ A)[:m], compute_uv=False)
-            if s[-1] > 1e-13 * s[0]:
-                break
-            resampled += 1
-            if resampled > max(10, samples // 100):
-                raise RuntimeError("rank-deficient compressions keep "
-                                   f"appearing ({resampled} resamples)")
-        vals[i] = (s[0] / s[-1]) ** 2
+    step = _chunk_rows(n * n)
+    for a in range(0, samples, step):
+        G, = stream.normals(a, min(step, samples - a), (n, n))
+        S = np.linalg.svd((haar_stack(G) @ A)[:, :m], compute_uv=False)
+        for i in np.flatnonzero(~(S[:, -1] > 1e-13 * S[:, 0])):
+            rng = stream.gen(a + i)
+            rng.standard_normal((n, n))     # the matrix the stack drew
+            s = S[i]
+            while not s[-1] > 1e-13 * s[0]:
+                resampled += 1
+                if resampled > max(10, samples // 100):
+                    raise RuntimeError("rank-deficient compressions keep "
+                                       f"appearing ({resampled} resamples)")
+                Q = haar_from_rng(n, rng)
+                s = np.linalg.svd((Q @ A)[:m], compute_uv=False)
+            S[i] = s
+        vals[a:a + len(S)] = (S[:, 0] / S[:, -1]) ** 2
     return mc_estimate(vals, np.ones(samples, dtype=bool), stream.master_seed)
 
 
@@ -518,7 +527,11 @@ def empirical_gordon_check(sigma, m: int, trials: int,
                            stream: SeededStream) -> GordonReport:
     """Check E[s_min(Sigma G)] >= ||Sigma||_F - sqrt(m) and
     E[s_max(Sigma G)] <= ||Sigma||_F + sqrt(m) for diagonal Sigma with
-    ||Sigma|| <= 1 and G standard Gaussian n x m."""
+    ||Sigma|| <= 1 and G standard Gaussian n x m.
+
+    Trial i's G is the first draw of ``stream.gen(i)``; a block of trials
+    draws its matrices with one ``stream.normals`` call and takes one
+    stacked svd."""
     sig = np.asarray(sigma, dtype=float)
     if sig.ndim == 2:
         if not np.allclose(sig, np.diag(np.diag(sig))):
@@ -535,11 +548,12 @@ def empirical_gordon_check(sigma, m: int, trials: int,
         raise ValueError("need at least 2 trials")
     smin = np.empty(trials)
     smax = np.empty(trials)
-    for i in range(trials):
-        G = stream.gen(i).standard_normal((n, m))
-        s = np.linalg.svd(sig[:, None] * G, compute_uv=False)
-        smax[i] = s[0]
-        smin[i] = s[min(n, m) - 1]
+    step = _chunk_rows(n * m)
+    for a in range(0, trials, step):
+        G, = stream.normals(a, min(step, trials - a), (n, m))
+        S = np.linalg.svd(sig[:, None] * G, compute_uv=False)
+        smax[a:a + len(S)] = S[:, 0]
+        smin[a:a + len(S)] = S[:, min(n, m) - 1]
     fro = float(np.linalg.norm(sig))
     root = math.sqrt(m)
     ok = np.ones(trials, dtype=bool)

@@ -12,15 +12,16 @@ projection formula for random compressions, its full-rank generalization,
 and the projected statistical dimension with its concentration bracket.
 
 The rotation checks run stacked.  Sample i draws its Gaussian matrix and
-then its Gaussian point from ``stream.gen(i)``, a block of rotations comes
-from one stacked QR, and each draw's cone is a per-draw matrix: normals
-[W_C, Q_i W_D] for the kinematic formula, generators M_i V or normals
-M_i^{-T} W for a compression M_i = T Q_i.  One batched Lawson-Hanson call,
-with one Gram matrix per draw, projects the block.  Inputs that no such
-matrix represents keep the per-draw loop, which builds each cone with
-``intersect``/``rotate``/``linear_image``: a kinematic side without normals
-(a generated cone with more generators than dimensions in R^3 and up, a
-:class:`~conekit.cones.LinearImage`, an
+then its Gaussian point from key i of the stream.  A block of draws comes
+from one ``stream.normals`` call, its rotations from one stacked QR, and
+each draw's cone is a per-draw matrix: normals [W_C, Q_i W_D] for the
+kinematic formula, generators M_i V or normals M_i^{-T} W for a
+compression M_i = T Q_i.  One batched Lawson-Hanson call, with one Gram
+matrix per draw, projects the block.  Inputs that no such matrix
+represents keep the per-draw loop, which builds each cone with
+``intersect``/``rotate``/``linear_image`` from ``stream.gen(i)``: a
+kinematic side without normals (a generated cone with more generators
+than dimensions in R^3 and up, a :class:`~conekit.cones.LinearImage`, an
 :class:`~conekit.cones.IntersectionCone`) and a cone with normals only
 under a wide or singular compression.  ``projected_statdim`` keeps its
 loop, since at m < n a cone with only normals needs a FISTA solve per draw.
@@ -129,18 +130,14 @@ def _faces_per_draw(samples, stream, make_cone, ambient):
 
 def _rotation_draws(samples, stream, n, m, width):
     """Blocks (start, Q, g) of the draws of :func:`_faces_per_draw`: sample
-    i takes its n x n Gaussian matrix and then its Gaussian point in R^m
-    from ``stream.gen(i)``, and the block's rotations come from one stacked
-    QR.  A block holds as many samples as fit ``width`` floats each (at
-    least n^2) into ``CHUNK_BYTES``."""
+    i takes its n x n Gaussian matrix and then its Gaussian point in R^m,
+    the draws of ``stream.gen(i)``, from one ``stream.normals`` call per
+    block, and the block's rotations come from one stacked QR.  A block
+    holds as many samples as fit ``width`` floats each (at least n^2) into
+    ``CHUNK_BYTES``."""
     step = _chunk_rows(max(n * n, width))
     for a in range(0, samples, step):
-        G = np.empty((min(step, samples - a), n, n))
-        g = np.empty((G.shape[0], m))
-        for i in range(G.shape[0]):
-            gen = stream.gen(a + i)
-            G[i] = gen.standard_normal((n, n))
-            g[i] = gen.standard_normal(m)
+        G, g = stream.normals(a, min(step, samples - a), (n, n), (m,))
         yield a, haar_stack(G), g
 
 

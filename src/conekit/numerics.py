@@ -6,6 +6,13 @@ stream is generated from the 128-bit key ``(master_seed, counter + i)`` and
 therefore depends only on the stream identity and the sample index, never on
 the order in which samples are drawn.  Independent child streams are derived
 by hashing the parent identity, so distinct estimator calls never share keys.
+
+The key map has two consumers.  ``gen(i)`` returns a fresh generator for
+sample i, for loops that draw a variable amount per sample.  ``normals``
+draws fixed-shape Gaussians for a run of samples at once, from one Philox
+moved to each sample's key in turn; row i equals what ``gen(start + i)``
+gives, bit for bit, since a keyed counter-based generator at a new key is
+the stream a fresh one would give.
 """
 
 from __future__ import annotations
@@ -61,9 +68,31 @@ class SeededStream:
 
     def gen(self, index: int = 0) -> np.random.Generator:
         """Generator for sample ``index``; draws within a sample are sequential."""
-        key = np.array([self.master_seed, (self.counter + index) & _MASK64],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self._key(index)))
+
+    def normals(self, start: int, count: int, *shapes) -> list[np.ndarray]:
+        """Standard normals of samples ``start .. start + count - 1``: one
+        array of shape ``(count, *shape)`` per shape, whose row i holds
+        what ``gen(start + i).standard_normal(shape)`` gives, drawn in the
+        order of ``shapes``.  One Philox serves the whole call; it is moved
+        to each sample's key with a fresh counter and an empty buffer."""
+        out = [np.empty((count, *shape)) for shape in shapes]
+        bits = np.random.Philox(key=self._key(start))
+        rng = np.random.Generator(bits)
+        state = bits.state              # counter 0, empty buffer
+        key = state["state"]["key"]
+        base = self.counter + int(start)
+        for i in range(count):
+            key[1] = (base + i) & _MASK64
+            bits.state = state
+            for arr in out:
+                rng.standard_normal(out=arr[i])
+        return out
+
+    def _key(self, index: int) -> np.ndarray:
+        return np.array([self.master_seed,
+                         (self.counter + int(index)) & _MASK64],
+                        dtype=np.uint64)
 
     def child(self, index: int) -> "SeededStream":
         """Independent substream ``index``, for handing to a nested consumer."""
@@ -72,7 +101,8 @@ class SeededStream:
 
     def normal_block(self, block: int, rows: int, cols: int) -> np.ndarray:
         """Standard-normal ``(rows, cols)`` array for block ``block``."""
-        return self.gen(block).standard_normal((rows, cols))
+        G, = self.normals(block, 1, (rows, cols))
+        return G[0]
 
 
 def block_ranges(total: int, block: int = BLOCK):

@@ -7,7 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conekit import cli, cones, solvers
+from conekit.condition import empirical_gordon_check, gordon_kappa_bound
+from conekit.integral_geometry import IDENTITY_SUITES, run_identity_suite
 from conekit.cli import main
+from conekit.numerics import SeededStream
+from conekit.regularizers import finite_difference_matrix
+from conekit.statdim import mc_estimate
 
 ORTHANT4 = '{"variant": "nonneg_orthant", "n": 4}'
 
@@ -141,6 +147,102 @@ def test_kappa_dg_flags_and_single_trial(tmp_path):
     for r in rows[1:]:
         assert math.isfinite(float(r[2])) and r[3] == "nan"
     assert math.isfinite(float(rows[1][4])) and rows[2][4] == "nan"
+
+
+def _kappa_dg_loop(seed, ns, rhos, trials):
+    """Per-trial oracle of kappa-dg: CSV rows and each cell's kappas."""
+    stream = SeededStream(seed, 0)
+    rows, kappas = [], []
+    for idx_n, n in enumerate(ns):
+        D = finite_difference_matrix(n, "square_bidiagonal")
+        for idx_r, rho in enumerate(rhos):
+            m = math.floor(rho * n)
+            sub = stream.child(idx_n * len(rhos) + idx_r)
+            k = np.empty(trials)
+            for t in range(trials):
+                s = np.linalg.svd(D @ sub.gen(t).standard_normal((n, m)),
+                                  compute_uv=False)
+                k[t] = s[0] / s[-1]
+            est = mc_estimate(k, np.ones(trials, dtype=bool), seed)
+            rows.append(",".join(cli._fmt(v) for v in (
+                n, rho, est.mean, est.stderr, gordon_kappa_bound(D, m),
+                "ok")))
+            kappas.append(k)
+    return rows, kappas
+
+
+def test_kappa_dg_matches_per_trial_loop(tmp_path, monkeypatch):
+    want_rows, want_kappas = _kappa_dg_loop(31, [12, 24, 36], [0.1, 0.3], 25)
+    seen = []
+
+    def recording(vals, ok, seed):
+        seen.append(vals.copy())
+        return mc_estimate(vals, ok, seed)
+    monkeypatch.setattr(cli, "mc_estimate", recording)
+    for chunk_bytes in (solvers.CHUNK_BYTES, 8 * 3 * 12 * 2):
+        monkeypatch.setattr(solvers, "CHUNK_BYTES", chunk_bytes)
+        seen.clear()
+        _, text = run_to_file(
+            ["kappa-dg", "--n-min", "12", "--n-max", "36", "--n-step", "12",
+             "--rho-list", "0.1,0.3", "--trials", "25", "--seed", "31"],
+            tmp_path / "dg.csv")
+        assert text.strip().splitlines()[2:] == want_rows
+        assert len(seen) == len(want_kappas)
+        for a, b in zip(seen, want_kappas):
+            assert np.array_equal(a, b)
+
+
+def test_moreau_check_fails_on_unconverged_rows(monkeypatch):
+    st = SeededStream(42, 0).child(2)
+    checks = {name: (ok, detail) for name, ok, detail, _
+              in cli._suite_cones(400, st)}
+    assert all(ok and "unconverged" not in detail
+               for ok, detail in checks.values())
+    batch = cones.InequalityCone.project_batch
+
+    def one_unconverged(self, X):
+        P, fd, conv = batch(self, X)
+        conv[0] = False
+        return P, fd, conv
+    monkeypatch.setattr(cones.InequalityCone, "project_batch",
+                        one_unconverged)
+    flagged = {name: (ok, detail) for name, ok, detail, _
+               in cli._suite_cones(400, st)}
+    # the polar of each of the first three cones is an inequality cone;
+    # the residual alone cannot see the dropped flag
+    for name in ("moreau[NonnegOrthant]", "moreau[GeneratorCone]",
+                 "moreau[InequalityCone]"):
+        assert flagged[name] == (False, checks[name][1] + ", 1 unconverged")
+    assert flagged["moreau[L1SubdiffCone]"] == checks["moreau[L1SubdiffCone]"]
+
+
+def _forbid(monkeypatch, target, *names):
+    def boom(*args, **kwargs):
+        raise AssertionError("per-sample loop reached")
+
+    for name in names:
+        monkeypatch.setattr(target, name, boom)
+
+
+def test_stacked_monte_carlo_never_draws_per_sample(monkeypatch):
+    # the stacked checks draw through SeededStream.normals, and the Moreau
+    # check projects each cone's points with one project_batch call
+    _forbid(monkeypatch, SeededStream, "gen")
+    for i, name in enumerate(sorted(IDENTITY_SUITES)):
+        for st in (SeededStream(1303, 0).child(i), SeededStream(1, 0)):
+            assert run_identity_suite(name, 400, st).verdict
+    sig = np.linspace(1.0, 0.3, 12)
+    for i in range(3):
+        rep = empirical_gordon_check(sig, 4, 200, SeededStream(7, i))
+        assert rep.smin_ok and rep.smax_ok
+    _forbid(monkeypatch, cones, "project")
+    _forbid(monkeypatch, cli, "project")
+    for cls in [cones.Cone] + cones.Cone.__subclasses__():
+        if "project_point" in vars(cls):
+            _forbid(monkeypatch, cls, "project_point")
+    for seed in (1, 7, 42):
+        assert all(ok for _, ok, _, _ in
+                   cli._suite_cones(1000, SeededStream(seed, 0).child(2)))
 
 
 def test_phase_csv(tmp_path):

@@ -14,8 +14,10 @@ from conekit.condition import (classify_feasibility, condition_report,
                                restricted_sv)
 from conekit.cones import (GeneratorCone, NonnegOrthant, Subspace, full_space,
                            polar, project)
-from conekit.numerics import haar_orthogonal
+from conekit import condition, solvers
+from conekit.numerics import haar_from_rng, haar_orthogonal
 from conekit.regularizers import finite_difference_matrix
+from conekit.statdim import mc_estimate
 
 
 def grid_restricted(A, C, D, which, resolution=1e-3):
@@ -326,6 +328,104 @@ def test_kappa_bar_row_subsampling_beats_full_condition():
     est = kappa_bar(A, 25, 400, stream(212))
     assert math.isfinite(est.mean)
     assert est.mean + 3 * est.stderr < 0.5 * full_kappa2
+
+
+def _kappa_bar_loop(A, m, samples, st, skip=()):
+    # one Haar rotation per sample from its own generator; a sample in
+    # skip passes over its first matrix, as a failed rank test does
+    n = A.shape[0]
+    vals = np.empty(samples)
+    for i in range(samples):
+        rng = st.gen(i)
+        if i in skip:
+            rng.standard_normal((n, n))
+        while True:
+            s = np.linalg.svd((haar_from_rng(n, rng) @ A)[:m],
+                              compute_uv=False)
+            if s[-1] > 1e-13 * s[0]:
+                break
+        vals[i] = (s[0] / s[-1]) ** 2
+    return mc_estimate(vals, np.ones(samples, dtype=bool), st.master_seed)
+
+
+def _same_estimate(a, b):
+    return (a.mean, a.stderr, a.samples) == (b.mean, b.stderr, b.samples)
+
+
+def test_kappa_bar_matches_per_sample_loop(monkeypatch):
+    rng = np.random.default_rng(220)
+    cases = [(np.linalg.inv(finite_difference_matrix(12)), 5, 60),
+             (rng.standard_normal((7, 7)), 7, 40),
+             (np.diag([3.0, 1.0]), 1, 30)]
+    want = [_kappa_bar_loop(A, m, k, stream(221, i))
+            for i, (A, m, k) in enumerate(cases)]
+    for chunk_bytes in (solvers.CHUNK_BYTES, 8 * 3 * 49):
+        monkeypatch.setattr(solvers, "CHUNK_BYTES", chunk_bytes)
+        for i, (A, m, k) in enumerate(cases):
+            assert _same_estimate(kappa_bar(A, m, k, stream(221, i)), want[i])
+
+
+def _rank_deficient_at(monkeypatch, st, n, samples):
+    """Make the stacked rotations of samples ``samples`` of st give
+    rank-deficient compressions (rows 0 and 1 of Q equal): a
+    probability-zero event that no input reaches."""
+    first = {st.gen(i).standard_normal((n, n))[0, 0] for i in samples}
+    haar_stack = condition.haar_stack
+
+    def degenerate(G):
+        Q = haar_stack(G)
+        for j in np.flatnonzero(np.isin(G[:, 0, 0], list(first))):
+            Q[j, 1] = Q[j, 0]
+        return Q
+    monkeypatch.setattr(condition, "haar_stack", degenerate)
+
+
+def test_kappa_bar_resamples_rank_deficient_draws(monkeypatch):
+    A = np.linalg.inv(finite_difference_matrix(6))
+    st = stream(222)
+    bad = {0, 3, 4, 17, 29}
+    want = _kappa_bar_loop(A, 3, 30, st, skip=bad)
+    _rank_deficient_at(monkeypatch, st, 6, bad)
+    for chunk_bytes in (solvers.CHUNK_BYTES, 8 * 4 * 36):
+        monkeypatch.setattr(solvers, "CHUNK_BYTES", chunk_bytes)
+        assert _same_estimate(kappa_bar(A, 3, 30, st), want)
+
+
+def test_kappa_bar_caps_resamples(monkeypatch):
+    st = stream(223)
+    _rank_deficient_at(monkeypatch, st, 4, range(11))
+    with pytest.raises(RuntimeError, match=r"\(11 resamples\)"):
+        kappa_bar(np.eye(4), 2, 30, st)
+
+
+def _gordon_loop(sig, m, trials, st):
+    smin, smax = np.empty(trials), np.empty(trials)
+    for i in range(trials):
+        s = np.linalg.svd(sig[:, None] * st.gen(i).standard_normal(
+            (len(sig), m)), compute_uv=False)
+        smax[i], smin[i] = s[0], s[min(len(sig), m) - 1]
+    return smin, smax
+
+
+def test_empirical_gordon_matches_per_trial_loop(monkeypatch):
+    rng = np.random.default_rng(224)
+    cases = []
+    for i, (n, m) in enumerate([(12, 4), (30, 6), (5, 9), (100, 25)]):
+        sig = rng.uniform(0.1, 1.0, size=n)
+        sig[0] = 1.0
+        cases.append((sig, m, 40 + 7 * i, stream(225, i)))
+    want = []
+    for sig, m, trials, st in cases:
+        smin, smax = _gordon_loop(sig, m, trials, st)
+        ok = np.ones(trials, dtype=bool)
+        want.append((mc_estimate(smin, ok, st.master_seed),
+                     mc_estimate(smax, ok, st.master_seed)))
+    for chunk_bytes in (solvers.CHUNK_BYTES, 8 * 3 * 12 * 4):
+        monkeypatch.setattr(solvers, "CHUNK_BYTES", chunk_bytes)
+        for (sig, m, trials, st), (lo, hi) in zip(cases, want):
+            rep = empirical_gordon_check(sig, m, trials, st)
+            assert (rep.smin_mean, rep.smin_stderr) == (lo.mean, lo.stderr)
+            assert (rep.smax_mean, rep.smax_stderr) == (hi.mean, hi.stderr)
 
 
 def test_gordon_bound_identity_case():

@@ -20,6 +20,50 @@ def test_stream_children_distinct():
     assert not np.allclose(a, b)
 
 
+def _normals_by_gen(st, start, count, *shapes):
+    out = [np.empty((count, *shape)) for shape in shapes]
+    for i in range(count):
+        gen = st.gen(start + i)
+        for arr in out:
+            arr[i] = gen.standard_normal(arr.shape[1:])
+    return out
+
+
+@pytest.mark.parametrize("st,start,count,shapes", [
+    (SeededStream(123, 0), 0, 7, [(5,)]),
+    (SeededStream(123, 0), 9, 5, [(3, 3), (4,)]),
+    (SeededStream(2 ** 63 + 5, 17).child(3), 40, 4, [(2, 6), (0,), (1,)]),
+    # the key's counter wraps past 2^64 inside the run
+    (SeededStream(77, 2 ** 64 - 3), 1, 6, [(2, 2), (3,)]),
+    (SeededStream(77, 0), 5, 0, [(4, 4), (2,)]),
+])
+def test_normals_match_gen(st, start, count, shapes):
+    got = st.normals(start, count, *shapes)
+    want = _normals_by_gen(st, start, count, *shapes)
+    assert len(got) == len(shapes)
+    for a, b, shape in zip(got, want, shapes):
+        assert a.shape == (count, *shape)
+        assert np.array_equal(a, b)
+
+
+def test_normals_match_gen_over_random_keys():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        seed, counter = (int(v) for v in rng.integers(0, 2 ** 63, size=2))
+        st = SeededStream(2 * seed + 1, 2 * counter)
+        start, count = int(rng.integers(0, 2 ** 40)), int(rng.integers(1, 4))
+        for a, b in zip(st.normals(start, count, (3, 2), (4,)),
+                        _normals_by_gen(st, start, count, (3, 2), (4,))):
+            assert np.array_equal(a, b)
+
+
+def test_normal_block_matches_gen():
+    st = SeededStream(31, 2 ** 64 - 1)
+    for b in range(3):
+        assert np.array_equal(st.normal_block(b, 50, 3),
+                              st.gen(b).standard_normal((50, 3)))
+
+
 def test_block_ranges_cover_exactly():
     for total in (1, 17, 1024, 2049):
         ranges = list(block_ranges(total, block=1024))
