@@ -317,8 +317,8 @@ def _suite_cones(samples: int, stream: SeededStream):
     ]
     for ci, C in enumerate(cones):
         g, = stream.child(ci + 1).normals(0, min(samples, 200), (C.n,))
-        p, _, p_ok = C.project_batch(g)
-        q, _, q_ok = polar(C).project_batch(g)
+        p, _, p_ok = C.project_batch(g, faces=False)
+        q, _, q_ok = polar(C).project_batch(g, faces=False)
         scale = 1.0 + np.linalg.norm(g, axis=1)
         worst = float(max(np.max(np.linalg.norm(p + q - g, axis=1) / scale),
                           np.max(np.abs(np.sum(p * q, axis=1)) / scale ** 2)))

@@ -155,7 +155,7 @@ def _exact_restricted(A, C, D, sense):
 def _objective_batch(A, D, U):
     """||Proj_D(A u)|| for each row u of U."""
     Y = U @ A.T
-    P, _, _ = D.project_batch(Y)
+    P, _, _ = D.project_batch(Y, faces=False)
     return np.linalg.norm(P, axis=1)
 
 
@@ -177,7 +177,7 @@ def _membership_mask(C: Cone, U: np.ndarray, tol: float = 1e-9):
                 pass
             else:
                 return (coef >= -tol).all(axis=0)
-    P, _, _ = C.project_batch(U)
+    P, _, _ = C.project_batch(U, faces=False)
     return np.linalg.norm(U - P, axis=1) <= tol
 
 

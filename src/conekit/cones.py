@@ -27,11 +27,14 @@ Generated and inequality cones project by a Lawson-Hanson NNLS active set:
 ``project_batch`` advances all rows together in one batched kernel, and
 ``project_point`` runs the scalar one.  The batched projections and face
 rules are module functions that also take one matrix per row, for cones
-that change from row to row.  Two iterative fallbacks cover what
-remains: Dykstra's alternating projections for intersections with a side
-that has no inequality matrix (e.g. a generated cone in R^3 with more
-generators than dimensions), and accelerated projected gradient for images
-under wide or singular maps.
+that change from row to row.  ``project_batch(X, faces=False)`` returns the
+same points and flags with ``face_dims`` None and skips face
+classification (one batched rank svd per call for generated and inequality
+cones), for callers that read only the points.  Two iterative fallbacks
+cover what remains: Dykstra's alternating projections for intersections
+with a side that has no inequality matrix (e.g. a generated cone in R^3
+with more generators than dimensions), and accelerated projected gradient
+for images under wide or singular maps.
 """
 
 from __future__ import annotations
@@ -177,17 +180,19 @@ def _normal_face_dims(W: np.ndarray, p: np.ndarray):
     return W.shape[-2] - _masked_ranks(W, _active_normals(W, p))
 
 
-def _project_generated(V: np.ndarray, X: np.ndarray, G=None):
+def _project_generated(V: np.ndarray, X: np.ndarray, G=None, faces=True):
     """Project each row of X onto cone(V) by the batched NNLS kernel, with V
     (n x k) shared or one per row (N x n x k); G is the Gram matrix V^T V,
-    computed when not given.  Returns (P, face_dims, converged)."""
+    computed when not given.  Returns (P, face_dims, converged), face_dims
+    None when ``faces`` is false."""
     if G is None:
         G = _transpose(V) @ V
     coef, _, ok = _nnls_batch(G, _rows_times(X, V))
-    return _rows_times(coef, _transpose(V)), _coef_face_dims(V, coef), ok
+    fd = _coef_face_dims(V, coef) if faces else None
+    return _rows_times(coef, _transpose(V)), fd, ok
 
 
-def _project_normals(W: np.ndarray, X: np.ndarray, G=None):
+def _project_normals(W: np.ndarray, X: np.ndarray, G=None, faces=True):
     """Project each row of X onto {x : W^T x <= 0} by Moreau, subtracting
     the NNLS projection onto the polar cone(W); W is shared or one matrix
     per row, as in :func:`_project_generated`."""
@@ -195,7 +200,7 @@ def _project_normals(W: np.ndarray, X: np.ndarray, G=None):
         G = _transpose(W) @ W
     coef, _, ok = _nnls_batch(G, _rows_times(X, W))
     P = X - _rows_times(coef, _transpose(W))
-    return P, _normal_face_dims(W, P), ok
+    return P, _normal_face_dims(W, P) if faces else None, ok
 
 
 def _orthonormal_columns(A: np.ndarray) -> bool:
@@ -368,11 +373,13 @@ class Cone:
     def project_point(self, x: np.ndarray) -> ProjectionResult:
         raise NotImplementedError
 
-    def project_batch(self, X: np.ndarray):
+    def project_batch(self, X: np.ndarray, faces: bool = True):
         """Project the rows of X.  Returns (P, face_dims, converged).
 
         face_dims uses -1 for projections the representation cannot
-        classify.  The default implementation loops over project_point.
+        classify; face_dims is None when ``faces=False``, which leaves P
+        and converged unchanged and skips the face classification.  The
+        default implementation loops over project_point.
         """
         P = np.empty_like(X)
         fd = np.empty(X.shape[0], dtype=np.int64)
@@ -382,7 +389,7 @@ class Cone:
             P[i] = r.point
             fd[i] = -1 if r.face_dim is None else r.face_dim
             conv[i] = r.converged
-        return P, fd, conv
+        return P, fd if faces else None, conv
 
     def face_basis(self, p: np.ndarray, atol: float | None = None):
         """Orthonormal basis of the span of the smallest face containing p.
@@ -425,9 +432,9 @@ class Subspace(Cone):
         p = self.basis @ (self.basis.T @ x)
         return ProjectionResult(p, self.dim, 0, True)
 
-    def project_batch(self, X):
+    def project_batch(self, X, faces=True):
         P = (X @ self.basis) @ self.basis.T
-        fd = np.full(X.shape[0], self.dim, dtype=np.int64)
+        fd = np.full(X.shape[0], self.dim, dtype=np.int64) if faces else None
         return P, fd, np.ones(X.shape[0], dtype=bool)
 
     def face_basis(self, p, atol=None):
@@ -450,10 +457,12 @@ class NonnegOrthant(Cone):
         atol = FACE_TOL * max(1.0, float(np.max(np.abs(x))))
         return ProjectionResult(p, int(np.sum(p > atol)), 0, True)
 
-    def project_batch(self, X):
+    def project_batch(self, X, faces=True):
         P = np.maximum(X, 0.0)
-        atol = FACE_TOL * np.maximum(1.0, np.abs(X).max(axis=1))
-        fd = (P > atol[:, None]).sum(axis=1).astype(np.int64)
+        fd = None
+        if faces:
+            atol = FACE_TOL * np.maximum(1.0, np.abs(X).max(axis=1))
+            fd = (P > atol[:, None]).sum(axis=1).astype(np.int64)
         return P, fd, np.ones(X.shape[0], dtype=bool)
 
     def face_basis(self, p, atol=None):
@@ -488,11 +497,11 @@ class GeneratorCone(Cone):
         return ProjectionResult(p, int(_coef_face_dims(self.V, coef)), iters,
                                 ok)
 
-    def project_batch(self, X):
+    def project_batch(self, X, faces=True):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
-            return P, fd, np.ones(X.shape[0], dtype=bool)
-        return _project_generated(self.V, X, self._gram)
+            return P, fd if faces else None, np.ones(X.shape[0], dtype=bool)
+        return _project_generated(self.V, X, self._gram, faces)
 
     def face_basis(self, p, atol=None):
         if self._planar is not None:
@@ -536,11 +545,11 @@ class InequalityCone(Cone):
         return ProjectionResult(p, int(_normal_face_dims(self.W, p)), iters,
                                 ok)
 
-    def project_batch(self, X):
+    def project_batch(self, X, faces=True):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
-            return P, fd, np.ones(X.shape[0], dtype=bool)
-        return _project_normals(self.W, X, self._gram)
+            return P, fd if faces else None, np.ones(X.shape[0], dtype=bool)
+        return _project_normals(self.W, X, self._gram, faces)
 
     def face_basis(self, p, atol=None):
         if self._planar is not None:
@@ -597,7 +606,7 @@ class L1SubdiffCone(Cone):
         P, fd, _ = self.project_batch(x[None, :])
         return ProjectionResult(P[0], int(fd[0]), 0, True)
 
-    def project_batch(self, X):
+    def project_batch(self, X, faces=True):
         N = X.shape[0]
         off = self._off
         wI = self.weights[self.support]
@@ -625,16 +634,14 @@ class L1SubdiffCone(Cone):
         t = np.maximum(t, 0.0)
         P = np.zeros_like(X)
         P[:, self.support] = t[:, None] * (self.signs * wI)
+        cap = t[:, None] * self.weights[off]
+        P[:, off] = np.clip(X[:, off], -cap, cap)
+        if not faces:
+            return P, None, np.ones(N, dtype=bool)
         scale = np.maximum(1.0, np.abs(X).max(axis=1))
-        fd = np.zeros(N, dtype=np.int64)
         pos = t > FACE_TOL * scale
-        if off.size:
-            cap = t[:, None] * self.weights[off]
-            P[:, off] = np.clip(X[:, off], -cap, cap)
-            free = np.abs(X[:, off]) < cap - (FACE_TOL * scale)[:, None]
-            fd = np.where(pos, 1 + free.sum(axis=1), 0).astype(np.int64)
-        else:
-            fd = pos.astype(np.int64)
+        free = np.abs(X[:, off]) < cap - (FACE_TOL * scale)[:, None]
+        fd = np.where(pos, 1 + free.sum(axis=1), 0).astype(np.int64)
         return P, fd, np.ones(N, dtype=bool)
 
     def face_basis(self, p, atol=None):
@@ -697,12 +704,13 @@ class LinearImage(Cone):
                                          self._lip)
         return ProjectionResult(P[0], None, iters, bool(conv[0]))
 
-    def project_batch(self, X):
+    def project_batch(self, X, faces=True):
         if self._isometric:
-            P, fd, conv = self.inner.project_batch(X @ self.A)
+            P, fd, conv = self.inner.project_batch(X @ self.A, faces)
             return P @ self.A.T, fd, conv
         P, _, conv, _ = _fista_image(self.A, self.inner, X, self._lip)
-        return P, np.full(X.shape[0], -1, dtype=np.int64), conv
+        fd = np.full(X.shape[0], -1, dtype=np.int64) if faces else None
+        return P, fd, conv
 
     def face_basis(self, p, atol=None):
         if not self._isometric:
@@ -727,10 +735,11 @@ class PolarCone(Cone):
         fd = None if r.face_dim is None else self.n - r.face_dim
         return ProjectionResult(x - r.point, fd, r.iterations, r.converged)
 
-    def project_batch(self, X):
-        P, fd, conv = self.inner.project_batch(X)
-        fd_out = np.where(fd >= 0, self.n - fd, -1)
-        return X - P, fd_out, conv
+    def project_batch(self, X, faces=True):
+        P, fd, conv = self.inner.project_batch(X, faces)
+        if faces:
+            fd = np.where(fd >= 0, self.n - fd, -1)
+        return X - P, fd, conv
 
     def to_dict(self):
         return {"variant": "polar", "inner": self.inner.to_dict()}
@@ -763,19 +772,20 @@ class ProductCone(Cone):
             conv &= r.converged
         return ProjectionResult(p, fd, iters, conv)
 
-    def project_batch(self, X):
+    def project_batch(self, X, faces=True):
         P = np.empty_like(X)
         fd = np.zeros(X.shape[0], dtype=np.int64)
         conv = np.ones(X.shape[0], dtype=bool)
         bad = np.zeros(X.shape[0], dtype=bool)
         for part, sl in zip(self.parts, self._slices):
-            Pp, fp, cp = part.project_batch(X[:, sl])
+            Pp, fp, cp = part.project_batch(X[:, sl], faces)
             P[:, sl] = Pp
-            bad |= fp < 0
-            fd += np.where(fp < 0, 0, fp)
             conv &= cp
+            if faces:
+                bad |= fp < 0
+                fd += np.where(fp < 0, 0, fp)
         fd[bad] = -1
-        return P, fd, conv
+        return P, fd if faces else None, conv
 
     def face_basis(self, p, atol=None):
         return _block_diagonal(self, [part.face_basis(p[sl], atol) for
@@ -1105,7 +1115,7 @@ def _fista_image(A: np.ndarray, inner: Cone, X: np.ndarray, lip: float):
     it = 0
     for it in range(1, FISTA_MAX_ITER + 1):
         G = (Y @ A.T - X) @ A
-        Vn = inner.project_batch(Y - G / lip)[0]
+        Vn = inner.project_batch(Y - G / lip, faces=False)[0]
         step = Vn - V
         # adaptive restart: drop momentum on rows moving against the step
         bad = np.einsum("ij,ij->i", Y - Vn, step) > 0

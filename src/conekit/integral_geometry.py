@@ -229,7 +229,8 @@ def _line_hits_cone(C: Cone, U: np.ndarray):
     each row u of U (one ``project_batch`` call on [U; -U])."""
     S = np.atleast_2d(U)
     S = np.vstack([S, -S])
-    hit = np.linalg.norm(C.project_batch(S)[0] - S, axis=1) <= _LINE_TOL
+    hit = np.linalg.norm(C.project_batch(S, faces=False)[0] - S,
+                         axis=1) <= _LINE_TOL
     hits = hit[:len(S) // 2] | hit[len(S) // 2:]
     return hits if U.ndim == 2 else bool(hits[0])
 

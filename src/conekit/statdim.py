@@ -122,11 +122,13 @@ def face_histogram(fd, ok, n: int):
     return v, np.sqrt(v * (1 - v) / n_eff), n_eff, failures
 
 
-def _projected_blocks(C: Cone, samples: int, stream: SeededStream):
-    """``C.project_batch`` of each block of Gaussian samples; block b is
-    ``stream.normal_block(b, ...)``."""
+def _projected_blocks(C: Cone, samples: int, stream: SeededStream,
+                      faces: bool):
+    """``C.project_batch(..., faces)`` of each block of Gaussian samples;
+    block b is ``stream.normal_block(b, ...)``.  The face dimensions are
+    None when ``faces`` is false."""
     for b, _, count in block_ranges(samples):
-        yield C.project_batch(stream.normal_block(b, count, C.n))
+        yield C.project_batch(stream.normal_block(b, count, C.n), faces)
 
 
 def estimate_moment(C: Cone, r: float, samples: int,
@@ -155,7 +157,7 @@ def estimate_moment(C: Cone, r: float, samples: int,
     if samples < 100:
         raise ValueError("need at least 100 samples")
     vals, ok = [], []
-    for P, _, conv in _projected_blocks(C, samples, stream):
+    for P, _, conv in _projected_blocks(C, samples, stream, faces=False):
         vals.append(np.linalg.norm(P, axis=1) ** r)
         ok.append(conv)
     return mc_estimate(np.concatenate(vals), np.concatenate(ok),
@@ -185,7 +187,7 @@ def estimate_intrinsic_volumes(C: Cone, samples: int,
     if samples < 100:
         raise ValueError("need at least 100 samples")
     fds, ok = [], []
-    for _, fd, conv in _projected_blocks(C, samples, stream):
+    for _, fd, conv in _projected_blocks(C, samples, stream, faces=True):
         if np.any(fd < 0):
             raise ValueError(
                 "cone representation does not classify faces; "

@@ -200,8 +200,8 @@ def test_moreau_check_fails_on_unconverged_rows(monkeypatch):
                for ok, detail in checks.values())
     batch = cones.InequalityCone.project_batch
 
-    def one_unconverged(self, X):
-        P, fd, conv = batch(self, X)
+    def one_unconverged(self, X, faces=True):
+        P, fd, conv = batch(self, X, faces)
         conv[0] = False
         return P, fd, conv
     monkeypatch.setattr(cones.InequalityCone, "project_batch",

@@ -387,6 +387,51 @@ def test_batched_kernels_are_chunk_invariant(monkeypatch):
             assert np.array_equal(u, v)
 
 
+def faces_flag_cones():
+    """One cone per project_batch implementation, with planar and n > 2
+    cases of the generated and inequality forms."""
+    rng = np.random.default_rng(34)
+    Q = np.linalg.qr(rng.standard_normal((6, 4)))[0]
+    return [
+        pytest.param(NonnegOrthant(4), id="orthant"),
+        pytest.param(Subspace(Q[:5, :0]), id="zero-subspace"),
+        pytest.param(Subspace(Q[:, :2]), id="subspace"),
+        pytest.param(L1SubdiffCone(5, [1, 3], [1.0, -1.0]), id="l1"),
+        pytest.param(L1SubdiffCone(3, [0, 1, 2], [1.0, -1.0, 1.0]),
+                     id="l1-full-support"),
+        pytest.param(planar_wedge(1.1, 0.3), id="planar-generated"),
+        pytest.param(InequalityCone(rng.standard_normal((2, 3))),
+                     id="planar-inequality"),
+        pytest.param(GeneratorCone(rng.standard_normal((5, 8))),
+                     id="generated"),
+        pytest.param(InequalityCone(rng.standard_normal((5, 7))),
+                     id="inequality"),
+        pytest.param(PolarCone(GeneratorCone(rng.standard_normal((4, 6)))),
+                     id="polar"),
+        pytest.param(ProductCone([NonnegOrthant(2),
+                                  GeneratorCone(rng.standard_normal((3, 4))),
+                                  LinearImage(rng.standard_normal((2, 3)),
+                                              NonnegOrthant(3))]),
+                     id="product"),
+        pytest.param(LinearImage(Q, InequalityCone(
+            rng.standard_normal((4, 6)))), id="isometric-image"),
+        pytest.param(LinearImage(rng.standard_normal((3, 5)), InequalityCone(
+            rng.standard_normal((5, 7)))), id="fista-image"),
+        pytest.param(IntersectionCone(NonnegOrthant(3), GeneratorCone(
+            rng.standard_normal((3, 4)))), id="intersection-loop"),
+    ]
+
+
+@pytest.mark.parametrize("C", faces_flag_cones())
+def test_project_batch_without_faces_matches_default(C):
+    X = np.random.default_rng(35).standard_normal((40, C.n))
+    X[0] = 0.0
+    P, fd, conv = C.project_batch(X)
+    Pn, fdn, convn = C.project_batch(X, faces=False)
+    assert fd.shape == (40,) and fdn is None
+    assert np.array_equal(P, Pn) and np.array_equal(conv, convn)
+
+
 # ---------------------------------------------------------------------------
 # H-representations of l1 subdifferential cones and polars
 # ---------------------------------------------------------------------------

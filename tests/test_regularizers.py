@@ -7,8 +7,12 @@ import pytest
 
 from conftest import combined_stderr, stream
 
-from conekit.cones import (InequalityCone, L1SubdiffCone, LinearImage,
-                           PolarCone, preimage_cone, project)
+from conekit import condition, cones, integral_geometry
+from conekit.cli import main
+from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
+                           LinearImage, PolarCone, polar, preimage_cone,
+                           project)
+from conekit.integral_geometry import crofton_probability
 from conekit.regularizers import (AnalysisInstance, analysis_subdiff_cone,
                                   build_BC_matrices,
                                   descent_statdim_analysis,
@@ -307,6 +311,54 @@ def test_tv_cones_never_reach_fista(seed):
         for C in (reduced_analysis_cone(inst), analysis_subdiff_cone(inst)):
             assert not any(isinstance(K, LinearImage) and not K._isometric
                            for K in cone_tree(C))
+
+
+def test_norm_only_callers_never_rank_faces(monkeypatch, tmp_path):
+    # statdim, Moreau, grid-oracle, line-hit and FISTA projections read
+    # only the points, so the batched rank svd of the faces must not run;
+    # the intrinsic-volume profile inside crofton_probability reads faces
+    ranks = cones._masked_ranks
+    reading = []
+
+    def guarded(*args):
+        assert reading, "faces ranked for a caller that reads only points"
+        return ranks(*args)
+
+    def profile(*args):
+        reading.append(True)
+        try:
+            return estimate_intrinsic_volumes(*args)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(cones, "_masked_ranks", guarded)
+    monkeypatch.setattr(integral_geometry, "estimate_intrinsic_volumes",
+                        profile)
+    for inst in tv_grid_instances(30, 1):
+        est = estimate_statdim(reduced_analysis_cone(inst), 200, stream(413))
+        assert est.samples == 200
+    rng = np.random.default_rng(414)
+    C = GeneratorCone(rng.standard_normal((5, 7)))
+    for K in (C, polar(C)):
+        assert estimate_statdim(K, 200, stream(415)).samples == 200
+    for suite in ("cones", "condition"):
+        assert main(["verify", "--suite", suite, "--seed", "42", "--samples",
+                     "400", "--out", str(tmp_path / f"{suite}.txt")]) == 0
+    # the condition suite's cones are planar; the grid oracle on cones in
+    # R^3 reaches the membership and objective projections by NNLS
+    monkeypatch.setattr(condition, "GRID_RESOLUTION", 0.05)
+    rv = condition.restricted_sv(
+        rng.standard_normal((3, 3)), GeneratorCone(rng.standard_normal((3, 4))),
+        InequalityCone(rng.standard_normal((3, 4))), method="grid_oracle")
+    assert rv.method == "grid_oracle"
+    # a line in R^4 (m = 3), so the hit test projects by NNLS
+    rep = crofton_probability(GeneratorCone(rng.standard_normal((4, 3))), 3,
+                              400, stream(416))
+    assert rep.samples == 400
+    image = LinearImage(rng.standard_normal((3, 5)),
+                        InequalityCone(rng.standard_normal((5, 7))))
+    _, fd, conv = image.project_batch(rng.standard_normal((20, 3)))
+    assert conv.all() and (fd == -1).all()
 
 
 def test_reduced_tv_cone_matches_fista_oracle():

@@ -343,10 +343,11 @@ class FailingOrthant(NonnegOrthant):
         super().__init__(n)
         self.k = k
 
-    def project_batch(self, X):
-        P, fd, conv = super().project_batch(X)
+    def project_batch(self, X, faces=True):
+        P, fd, conv = super().project_batch(X, faces)
         P[:self.k] = 1e6
-        fd[:self.k] = self.n
+        if faces:
+            fd[:self.k] = self.n
         conv[:self.k] = False
         return P, fd, conv
 
