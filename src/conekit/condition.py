@@ -227,11 +227,17 @@ def _multistart_extremum(A, C, D, sense, stream):
     lip = 2.0 * float(s[0] ** 2) if s.size else 1.0
     eta0 = 1.0 / max(lip, 1e-300)
 
+    def proj(K, y):
+        # only the point is read, so no face is classified
+        return K.project_batch(y[None], faces=False)[0][0]
+
     def f(x):
-        return float(np.linalg.norm(D.project_point(A @ x).point) ** 2)
+        # the objective and the projection its gradient reuses
+        p = proj(D, A @ x)
+        return float(np.linalg.norm(p) ** 2), p
 
     def retract(y):
-        p = C.project_point(y).point
+        p = proj(C, y)
         norm = np.linalg.norm(p)
         return (p / norm, norm) if norm > 1e-14 else (None, 0.0)
 
@@ -246,20 +252,20 @@ def _multistart_extremum(A, C, D, sense, stream):
         x, _ = retract(np.asarray(x0, dtype=float))
         if x is None:
             continue
-        fx = f(x)
+        fx, px = f(x)
         eta = eta0
         for _ in range(500):
-            g = 2.0 * (A.T @ D.project_point(A @ x).point)
+            g = 2.0 * (A.T @ px)
             improved = False
             moved = math.inf
             for _ in range(40):
                 xn, norm = retract(x + sense * eta * g)
                 if xn is None:
                     break
-                fn = f(xn)
+                fn, pn = f(xn)
                 if sense * (fn - fx) >= -1e-18:
                     moved = float(np.linalg.norm(xn - x))
-                    x, fx = xn, fn
+                    x, fx, px = xn, fn, pn
                     eta = min(eta * 1.25, 1e3 * eta0)
                     improved = True
                     break

@@ -17,6 +17,7 @@ the stream a fresh one would give.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,11 @@ class SeededStream:
         array of shape ``(count, *shape)`` per shape, whose row i holds
         what ``gen(start + i).standard_normal(shape)`` gives, drawn in the
         order of ``shapes``.  One Philox serves the whole call; it is moved
-        to each sample's key with a fresh counter and an empty buffer."""
-        out = [np.empty((count, *shape)) for shape in shapes]
+        to each sample's key with a fresh counter and an empty buffer, and
+        draws all of the sample's normals at once (draws within a sample
+        are sequential, so splitting them by shape gives the same values)."""
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = np.empty((count, sum(sizes)))
         bits = np.random.Philox(key=self._key(start))
         rng = np.random.Generator(bits)
         state = bits.state              # counter 0, empty buffer
@@ -85,8 +89,12 @@ class SeededStream:
         for i in range(count):
             key[1] = (base + i) & _MASK64
             bits.state = state
-            for arr in out:
-                rng.standard_normal(out=arr[i])
+            rng.standard_normal(out=flat[i])
+        out, a = [], 0
+        for shape, n in zip(shapes, sizes):
+            out.append(np.ascontiguousarray(flat[:, a:a + n])
+                       .reshape(count, *shape))
+            a += n
         return out
 
     def _key(self, index: int) -> np.ndarray:

@@ -164,107 +164,139 @@ def _nnls_batch(G: np.ndarray, W0: np.ndarray):
     systems are solved by one stacked ``np.linalg.solve`` per chunk of rows
     (see :func:`_passive_solves`).  Returns (C, iterations, converged), one
     row, count and flag per row of W0.
+
+    Every running row takes one inner step per loop, so one counter holds
+    every row's iteration count.  Each step makes few passes over the
+    arrays: ``thr`` holds the entering threshold of every index (``tol``,
+    or ``inf`` on the passive set), the systems are solved in the compact
+    passive order of :func:`_passive_solves`, and a feasible solution is
+    scattered straight into C, which is 0 off the passive set.  Only the
+    few rows with a nonpositive passive coefficient step toward
+    feasibility in k-space.
     """
     N, k = W0.shape
-    C = np.zeros((N, k))
     iters = np.zeros(N, dtype=np.int64)
     if k == 0:
-        return C, iters, np.ones(N, dtype=bool)
+        return np.zeros((N, 0)), iters, np.ones(N, dtype=bool)
     tol = 1e-10 * np.maximum(1.0, np.abs(W0).max(axis=1))
     max_iter = 3 * k + 30
     passive = np.zeros((N, k), dtype=bool)
-    inner = np.full(N, -1)         # inner-loop steps taken; -1: outer loop
-    active = np.ones(N, dtype=bool)
-    while True:
+    thr = np.repeat(tol[:, None], k, axis=1)
+    entered = np.zeros(N, dtype=np.int64)  # step at which the inner loop began
+    live = np.arange(N)                    # rows still running
+    outer = np.ones(N, dtype=bool)         # per live row: in the outer loop
+    # C, G and W0 bordered by a zero column (and row) for the dead slot k
+    Cb = np.zeros((N, k + 1))
+    Gb = np.zeros(G.shape[:-2] + (k + 1, k + 1))
+    Gb[..., :k, :k] = G
+    Wb = np.zeros((N, k + 1))
+    Wb[:, :k] = W0
+    t = 0
+    while live.size:
         # outer loop: pick the entering index, or stop
-        rows = np.flatnonzero(active & (inner < 0))
-        if rows.size:
-            stop = iters[rows] >= max_iter
-            active[rows[stop]] = False
-            rows = rows[~stop]
-            grad = W0[rows] - _gram_rows(G, C, rows)
-            cand = ~passive[rows] & (grad > tol[rows, None])
-            done = ~cand.any(axis=1)
-            active[rows[done]] = False
-            rows, grad, cand = rows[~done], grad[~done], cand[~done]
-            j = np.argmax(np.where(cand, grad, -np.inf), axis=1)
+        rows = live[outer]
+        if t >= max_iter:              # every live row has taken t steps
+            iters[rows] = t
+            live = live[~outer]
+        else:
+            grad = W0[rows] - _gram_rows(G, Cb[rows, :k], rows)
+            np.copyto(grad, -np.inf, where=~(grad > thr[rows]))
+            j = np.argmax(grad, axis=1)
+            done = grad[np.arange(rows.size), j] == -np.inf
+            if done.any():
+                iters[rows[done]] = t
+                keep = np.ones(live.size, dtype=bool)
+                keep[np.flatnonzero(outer)[done]] = False
+                live, rows, j = live[keep], rows[~done], j[~done]
             passive[rows, j] = True
-            inner[rows] = 0
-        rows = np.flatnonzero(active & (inner >= 0))
-        if not rows.size:
+            thr[rows, j] = np.inf
+            entered[rows] = t
+        if not live.size:
             break
         # inner loop: restore feasibility of the passive-set LS solution
-        iters[rows] += 1
-        inner[rows] += 1
-        P = passive[rows]
-        Z = _passive_solves(G if G.ndim == 2 else G[rows], W0[rows], P)
-        feasible = ((Z > 0) | ~P).all(axis=1)
-        C[rows[feasible]] = np.where(P[feasible], Z[feasible], 0.0)
-        inner[rows[feasible]] = -1
-        rows, P, Z = rows[~feasible], P[~feasible], Z[~feasible]
-        cur = C[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(P & (Z <= 0), cur / (cur - Z), np.inf)
-        alpha = np.clip(ratios.min(axis=1), 0.0, 1.0)
-        cur = np.where(P, np.maximum(cur + alpha[:, None] * (Z - cur), 0.0),
-                       0.0)
-        drop = P & (cur <= 0)
-        drop[np.arange(rows.size), ratios.argmin(axis=1)] = True
-        P &= ~drop
-        passive[rows] = P
-        C[rows] = np.where(P, cur, 0.0)
-        back = ~P.any(axis=1) | (inner[rows] == k + 1)
-        inner[rows[back]] = -1
+        t += 1
+        rows = live
+        idx, z = _passive_solves(Gb, Wb, rows, passive[rows])
+        feasible = outer = ((z > 0) | (idx == k)).all(axis=1)
+        if not feasible.all():
+            pos = np.flatnonzero(~feasible)
+            bad = rows[pos]
+            Z = np.zeros((bad.size, k + 1))
+            Z[np.arange(bad.size)[:, None], idx[pos]] = z[pos]
+            Z = Z[:, :k]
+            P = passive[bad]
+            cur = Cb[bad, :k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(P & (Z <= 0), cur / (cur - Z), np.inf)
+            alpha = np.clip(ratios.min(axis=1), 0.0, 1.0)
+            cur = np.where(P, np.maximum(cur + alpha[:, None] * (Z - cur),
+                                         0.0), 0.0)
+            drop = P & (cur <= 0)
+            drop[np.arange(bad.size), ratios.argmin(axis=1)] = True
+            P &= ~drop
+            passive[bad] = P
+            thr[bad] = np.where(P, np.inf, tol[bad, None])
+            Cb[bad, :k] = np.where(P, cur, 0.0)
+            outer = feasible.copy()
+            outer[pos] = ~P.any(axis=1) | (t - entered[bad] == k + 1)
+            rows, idx, z = rows[feasible], idx[feasible], z[feasible]
+        Cb[rows[:, None], idx] = z     # dead slots write the scratch column
+    C = Cb[:, :k].copy()
     grad = W0 - _gram_rows(G, C, slice(None))
     ok = ~((~passive) & (grad > 10 * tol[:, None])).any(axis=1)
     return C, iters, ok
 
 
 def _gram_rows(G: np.ndarray, C: np.ndarray, rows):
-    """G c for the selected rows c of C, with G shared or one per row."""
+    """G[i] c for each row c of C, where i runs over ``rows`` when G holds
+    one Gram matrix per row; a shared G multiplies every row."""
     if G.ndim == 2:
-        return C[rows] @ G.T
-    return np.matmul(G[rows], C[rows, :, None])[:, :, 0]
+        return C @ G.T
+    return np.matmul(G[rows], C[:, :, None])[:, :, 0]
 
 
-def _passive_solves(G: np.ndarray, B: np.ndarray, P: np.ndarray):
-    """For each row b of B and passive mask p of P, the solution of
-    G[p, p] z = b[p], scattered into zeros; G is one shared Gram matrix
-    (k x k) or one per row (N x k x k).
+def _passive_solves(Gb: np.ndarray, Wb: np.ndarray, rows: np.ndarray,
+                    P: np.ndarray):
+    """For each row i of ``rows`` and its passive mask P[i], the solution z
+    of G[p, p] z = w0[p], with G and w0 given bordered by a zero column and
+    row (``Gb``: (k + 1) x (k + 1), shared, or one per row of W0; ``Wb``:
+    N x (k + 1)).
 
-    The stacked systems hold each passive block of the row's G (indices
-    ascending), padded with the identity up to the largest passive set, and
-    are solved in chunks of rows of at most ``CHUNK_BYTES``.  A singular
-    system falls back to ``lstsq`` on its passive block, as in
+    Returns (idx, z), both len(rows) x m for the largest passive set m:
+    idx[i] lists the row's passive indices ascending, then the dead index
+    k, and z[i, q] is the coefficient of index idx[i, q].  Each stacked
+    system is the passive block padded with the identity: it is gathered
+    from the bordered G, with ones put on the diagonal of the dead slots.
+    They are solved in chunks of rows of at most ``CHUNK_BYTES``.  A
+    singular system falls back to ``lstsq`` on its passive block, as in
     :func:`_nnls_gram`.
     """
-    N, k = P.shape
-    sizes = P.sum(axis=1)
-    m = int(sizes.max())
-    order = np.argsort(~P, axis=1, kind="stable")[:, :m]   # passive first
-    live = np.take_along_axis(P, order, axis=1)
-    rhs = np.where(live, np.take_along_axis(B, order, axis=1), 0.0)
-    eye = np.eye(m, dtype=bool)
-    Z = np.zeros((N, k))
+    R, k = P.shape
+    idx = np.where(P, np.arange(k), k)
+    idx.sort(axis=1)
+    m = int(P.sum(axis=1).max())
+    idx = idx[:, :m]
+    rhs = Wb[rows[:, None], idx]
+    z = np.empty((R, m))
     step = _chunk_rows(m * m)
-    for a in range(0, N, step):
-        idx, on, b = order[a:a + step], live[a:a + step], rhs[a:a + step]
-        sel = (idx[:, :, None], idx[:, None, :])
-        if G.ndim == 3:
-            sel = (np.arange(a, a + idx.shape[0])[:, None, None],) + sel
-        M = np.where(on[:, :, None] & on[:, None, :], G[sel], eye)
+    for a in range(0, R, step):
+        ix, b = idx[a:a + step], rhs[a:a + step]
+        sel = (ix[:, :, None], ix[:, None, :])
+        if Gb.ndim == 3:
+            sel = (rows[a:a + step, None, None],) + sel
+        M = Gb[sel]
+        M.reshape(len(ix), m * m)[:, ::m + 1][ix == k] = 1.0
         try:
-            z = np.linalg.solve(M, b[:, :, None])[:, :, 0]
+            z[a:a + step] = np.linalg.solve(M, b[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            z = np.zeros_like(b)
-            for i, p in enumerate(sizes[a:a + step]):
+            z[a:a + step] = 0.0
+            for i, p in enumerate((ix < k).sum(axis=1)):
                 try:
-                    z[i] = np.linalg.solve(M[i], b[i])
+                    z[a + i] = np.linalg.solve(M[i], b[i])
                 except np.linalg.LinAlgError:
-                    z[i, :p] = np.linalg.lstsq(M[i, :p, :p], b[i, :p],
-                                               rcond=None)[0]
-        np.put_along_axis(Z[a:a + step], idx, np.where(on, z, 0.0), axis=1)
-    return Z
+                    z[a + i, :p] = np.linalg.lstsq(M[i, :p, :p], b[i, :p],
+                                                   rcond=None)[0]
+    return idx, z
 
 
 # ---------------------------------------------------------------------------

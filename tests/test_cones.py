@@ -14,7 +14,9 @@ from conekit.cones import (GeneratorCone, InequalityCone, IntersectionCone,
                            _inequality_matrix, cone_from_dict, full_space,
                            generators_of, intersect, linear_image, polar,
                            preimage_cone, project, rotate, zero_cone)
-from conekit.numerics import SeededStream, haar_orthogonal
+from conekit.numerics import SeededStream, haar_orthogonal, row_projection
+from conekit.regularizers import (AnalysisInstance, finite_difference_matrix,
+                                  reduced_analysis_cone)
 from conekit.solvers import _nnls_batch, _nnls_gram
 
 
@@ -292,12 +294,19 @@ def test_hrep_intersection_matches_dykstra():
 
 def kernel_generators():
     """Generator matrices in R^3 to R^10 with fewer and more generators
-    than dimensions, plus one with duplicate, zero and antipodal columns."""
+    than dimensions, one with duplicate, zero and antipodal columns, and
+    the outer normals of two reduced TV analysis cones at n = 30 (k = 2(d -
+    1) normals in R^d, the shape the tv-statdim computation projects on)."""
     rng = np.random.default_rng(30)
     mats = [rng.standard_normal((n, k)) for n in range(3, 11)
             for k in (max(1, n - 2), n + 3, 2 * n)]
     V = rng.standard_normal((5, 4))
     mats.append(np.hstack([V, V[:, :2], np.zeros((5, 2)), -V[:, 1:3]]))
+    D = finite_difference_matrix(30, "square_bidiagonal")
+    for support, signs in (([12], [1.0]), ([3, 9, 17, 24], [1.0, -1.0, -1.0, 1.0])):
+        C = reduced_analysis_cone(AnalysisInstance.from_support(D, support,
+                                                                signs))
+        mats.append(C.W if isinstance(C, InequalityCone) else C.inner.W)
     return mats
 
 
@@ -350,6 +359,24 @@ def test_per_row_gram_nnls_matches_scalar_kernel(monkeypatch):
             assert np.abs(coef[i] - c).max() <= 1e-12 * (1.0 + np.abs(c).max())
 
 
+def test_per_row_gram_nnls_matches_scalar_kernel_at_iteration_cap():
+    # T = diag(1, 1e-6) P squeezes the rotated generators of R^3_+ to within
+    # about 1e-6 rad of a line; a few percent of the rows cycle to the
+    # iteration cap, some of them still in the inner loop
+    T = np.diag([1.0, 1e-6]) @ row_projection(2, 3)
+    Vs = np.stack([T @ haar_orthogonal(3, SeededStream(35, i))
+                   for i in range(200)])
+    W0 = np.einsum("nik,ni->nk", Vs,
+                   np.random.default_rng(35).standard_normal((200, 2)))
+    G = np.swapaxes(Vs, 1, 2) @ Vs
+    coef, iters, ok = _nnls_batch(G, W0)
+    assert (iters > 3 * 3 + 30).any()
+    for i in range(200):
+        c, it, converged = _nnls_gram(G[i], W0[i])
+        assert (iters[i], ok[i]) == (it, converged)
+        assert np.abs(coef[i] - c).max() <= 1e-12 * (1.0 + np.abs(c).max())
+
+
 def test_batched_nnls_singular_system_falls_back_to_lstsq(monkeypatch):
     # passive set {0, 1, 2} of the Gram matrix of e1, e2, e1 + e2 is
     # singular, so both kernels reach lstsq from the third step on
@@ -378,10 +405,24 @@ def test_batched_kernels_are_chunk_invariant(monkeypatch):
              InequalityCone(rng.standard_normal((7, 12)))]
     X = rng.standard_normal((50, 6))
     Y = rng.standard_normal((50, 7))
-    one = [C.project_batch(Z) for C, Z in zip(cones, (X, Y))]
+    # one Gram matrix per row, from rotated generators; some rows drop an
+    # index, so they take more steps than they keep passive indices
+    V = rng.standard_normal((5, 12))
+    Vs = np.stack([haar_orthogonal(5, SeededStream(33, i)) @ V
+                   for i in range(50)])
+    G = np.swapaxes(Vs, 1, 2) @ Vs
+    W0 = np.einsum("nik,ni->nk", Vs, rng.standard_normal((50, 5)))
+
+    def run():
+        return [C.project_batch(Z) for C, Z in zip(cones, (X, Y))] + [
+            _nnls_batch(G, W0)]
+
+    one = run()
+    coef, iters, _ = one[-1]
+    assert (iters > (coef > 0).sum(axis=1)).any()
     # a few rows per chunk, for the NNLS solves and the face-dimension svd
     monkeypatch.setattr(solvers, "CHUNK_BYTES", 8 * 7 * 12 * 3)
-    many = [C.project_batch(Z) for C, Z in zip(cones, (X, Y))]
+    many = run()
     for a, b in zip(one, many):
         for u, v in zip(a, b):
             assert np.array_equal(u, v)

@@ -314,8 +314,8 @@ def test_tv_cones_never_reach_fista(seed):
 
 
 def test_norm_only_callers_never_rank_faces(monkeypatch, tmp_path):
-    # statdim, Moreau, grid-oracle, line-hit and FISTA projections read
-    # only the points, so the batched rank svd of the faces must not run;
+    # statdim, Moreau, grid-oracle, multistart, line-hit and FISTA
+    # projections read only the points, so the batched rank svd of the faces must not run;
     # the intrinsic-volume profile inside crofton_probability reads faces
     ranks = cones._masked_ranks
     reading = []
@@ -351,6 +351,12 @@ def test_norm_only_callers_never_rank_faces(monkeypatch, tmp_path):
         rng.standard_normal((3, 3)), GeneratorCone(rng.standard_normal((3, 4))),
         InequalityCone(rng.standard_normal((3, 4))), method="grid_oracle")
     assert rv.method == "grid_oracle"
+    # multistart reads only the projected points of its iterates
+    ms = np.random.default_rng(418)
+    rv = condition.restricted_sv(
+        ms.standard_normal((4, 5)), GeneratorCone(ms.standard_normal((5, 7))),
+        InequalityCone(ms.standard_normal((4, 6))), method="multistart")
+    assert rv.method == "multistart"
     # a line in R^4 (m = 3), so the hit test projects by NNLS
     rep = crofton_probability(GeneratorCone(rng.standard_normal((4, 3))), 3,
                               400, stream(416))
