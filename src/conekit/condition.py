@@ -46,6 +46,7 @@ __all__ = [
 MULTISTART_DEFAULT = 50
 MULTISTART_TOL = 1e-9
 GRID_RESOLUTION = 1e-3
+GRID_CHUNK = 1_000_000   # grid directions built and projected at once
 _DEFAULT_STREAM = SeededStream(1_000_003, 0)
 
 
@@ -182,30 +183,33 @@ def _membership_mask(C: Cone, U: np.ndarray, tol: float = 1e-9):
 
 
 def _sphere_grid(n: int, resolution: float):
-    """Quasi-uniform unit vectors at the requested angular resolution."""
+    """Quasi-uniform unit vectors at the requested angular resolution, in
+    blocks of at most ``GRID_CHUNK`` rows.  In R^3 they are a Fibonacci
+    lattice, and each block is made from its own range of lattice indices,
+    so the whole lattice is never held at once."""
     if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
+        yield np.array([[1.0], [-1.0]])
+    elif n == 2:
         ang = np.arange(0.0, 2 * math.pi, resolution)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if n == 3:
+        U = np.column_stack([np.cos(ang), np.sin(ang)])
+        for a in range(0, len(U), GRID_CHUNK):
+            yield U[a:a + GRID_CHUNK]
+    elif n == 3:
         N = int(math.ceil(4 * math.pi / resolution ** 2))
-        i = np.arange(N)
-        z = 1.0 - (2.0 * i + 1.0) / N
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    raise ValueError("grid oracle supports ambient dimension <= 3")
+        for a in range(0, N, GRID_CHUNK):
+            i = np.arange(a, min(a + GRID_CHUNK, N))
+            z = 1.0 - (2.0 * i + 1.0) / N
+            r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+            phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+            yield np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    else:
+        raise ValueError("grid oracle supports ambient dimension <= 3")
 
 
 def _grid_extremum(A, C, D, sense):
-    n = C.n
-    U = _sphere_grid(n, GRID_RESOLUTION)
     best_val = -math.inf if sense > 0 else math.inf
     best_u = None
-    chunk = 1_000_000
-    for start in range(0, U.shape[0], chunk):
-        Uc = U[start:start + chunk]
+    for Uc in _sphere_grid(C.n, GRID_RESOLUTION):
         mask = _membership_mask(C, Uc)
         if not mask.any():
             continue

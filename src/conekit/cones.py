@@ -23,18 +23,19 @@ where they are exact:
 * planar generated and inequality cones project by closed-form wedge
   arithmetic.
 
-Generated and inequality cones project by a Lawson-Hanson NNLS active set:
-``project_batch`` advances all rows together in one batched kernel, and
-``project_point`` runs the scalar one.  The batched projections and face
-rules are module functions that also take one matrix per row, for cones
-that change from row to row.  ``project_batch(X, faces=False)`` returns the
-same points and flags with ``face_dims`` None and skips face
-classification (one batched rank svd per call for generated and inequality
-cones), for callers that read only the points.  Two iterative fallbacks
-cover what remains: Dykstra's alternating projections for intersections
-with a side that has no inequality matrix (e.g. a generated cone in R^3
-with more generators than dimensions), and accelerated projected gradient
-for images under wide or singular maps.
+Each representation projects a batch of rows; ``project_point`` is row 0
+of a one-row batch.  Generated and inequality cones project by a batched
+Lawson-Hanson NNLS active set that advances all rows together.  The
+batched projections and face rules are module functions that also take one
+matrix per row, for cones that change from row to row.
+``project_batch(X, faces=False)`` returns the same points and flags with
+``face_dims`` None and skips face classification (one batched rank svd per
+call for generated and inequality cones), for callers that read only the
+points.  Two iterative fallbacks cover what remains: Dykstra's alternating
+projections for intersections with a side that has no inequality matrix
+(e.g. a generated cone in R^3 with more generators than dimensions), one
+point at a time, and accelerated projected gradient for images under wide
+or singular maps.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import _chunk_rows, _nnls_batch, _nnls_gram
+from .solvers import _chunk_rows, _nnls_batch
 from .numerics import svd
 
 __all__ = [
@@ -97,6 +98,22 @@ class ProjectionResult:
     face_dim: int | None
     iterations: int
     converged: bool
+
+
+class _Batch(tuple):
+    """``(points, face_dims, converged)`` of :meth:`Cone.project_batch`,
+    carrying the per-row inner solver iterations in ``iterations``."""
+
+    def __new__(cls, P, fd, conv, iterations):
+        out = super().__new__(cls, (P, fd, conv))
+        out.iterations = iterations
+        return out
+
+
+def _closed_form(P: np.ndarray, fd):
+    """The batch of an exact projection: all rows converged, 0 iterations."""
+    N = P.shape[0]
+    return _Batch(P, fd, np.ones(N, dtype=bool), np.zeros(N, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +204,9 @@ def _project_generated(V: np.ndarray, X: np.ndarray, G=None, faces=True):
     None when ``faces`` is false."""
     if G is None:
         G = _transpose(V) @ V
-    coef, _, ok = _nnls_batch(G, _rows_times(X, V))
+    coef, iters, ok = _nnls_batch(G, _rows_times(X, V))
     fd = _coef_face_dims(V, coef) if faces else None
-    return _rows_times(coef, _transpose(V)), fd, ok
+    return _Batch(_rows_times(coef, _transpose(V)), fd, ok, iters)
 
 
 def _project_normals(W: np.ndarray, X: np.ndarray, G=None, faces=True):
@@ -198,9 +215,9 @@ def _project_normals(W: np.ndarray, X: np.ndarray, G=None, faces=True):
     per row, as in :func:`_project_generated`."""
     if G is None:
         G = _transpose(W) @ W
-    coef, _, ok = _nnls_batch(G, _rows_times(X, W))
+    coef, iters, ok = _nnls_batch(G, _rows_times(X, W))
     P = X - _rows_times(coef, _transpose(W))
-    return P, _normal_face_dims(W, P) if faces else None, ok
+    return _Batch(P, _normal_face_dims(W, P) if faces else None, ok, iters)
 
 
 def _orthonormal_columns(A: np.ndarray) -> bool:
@@ -366,30 +383,39 @@ def _planar_generator_matrix(form) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Cone:
-    """Base class: a closed convex cone in R^n."""
+    """Base class: a closed convex cone in R^n.
+
+    A subclass defines one of :meth:`project_batch` and
+    :meth:`project_point`; each default runs the other.
+    """
 
     n: int
 
     def project_point(self, x: np.ndarray) -> ProjectionResult:
-        raise NotImplementedError
+        """Project one point: row 0 of ``project_batch(x[None, :])``, with
+        a face dimension of -1 read as None."""
+        P, fd, conv = batch = self.project_batch(x[None, :])
+        return ProjectionResult(P[0], None if fd[0] < 0 else int(fd[0]),
+                                int(batch.iterations[0]), bool(conv[0]))
 
     def project_batch(self, X: np.ndarray, faces: bool = True):
-        """Project the rows of X.  Returns (P, face_dims, converged).
+        """Project the rows of X.  Returns (P, face_dims, converged), a
+        tuple whose ``iterations`` holds each row's inner solver
+        iterations (0 for closed forms).
 
         face_dims uses -1 for projections the representation cannot
         classify; face_dims is None when ``faces=False``, which leaves P
         and converged unchanged and skips the face classification.  The
-        default implementation loops over project_point.
+        default loops over :meth:`project_point`, for representations that
+        project one point at a time.
         """
-        P = np.empty_like(X)
-        fd = np.empty(X.shape[0], dtype=np.int64)
-        conv = np.empty(X.shape[0], dtype=bool)
-        for i in range(X.shape[0]):
-            r = self.project_point(X[i])
-            P[i] = r.point
-            fd[i] = -1 if r.face_dim is None else r.face_dim
-            conv[i] = r.converged
-        return P, fd if faces else None, conv
+        rs = [self.project_point(x) for x in X]
+        P = np.array([r.point for r in rs], dtype=float).reshape(X.shape)
+        fd = np.array([-1 if r.face_dim is None else r.face_dim for r in rs],
+                      dtype=np.int64)
+        return _Batch(P, fd if faces else None,
+                      np.array([r.converged for r in rs], dtype=bool),
+                      np.array([r.iterations for r in rs], dtype=np.int64))
 
     def face_basis(self, p: np.ndarray, atol: float | None = None):
         """Orthonormal basis of the span of the smallest face containing p.
@@ -428,14 +454,10 @@ class Subspace(Cone):
         M = np.asarray(M, dtype=float)
         return cls(_orth(M))
 
-    def project_point(self, x):
-        p = self.basis @ (self.basis.T @ x)
-        return ProjectionResult(p, self.dim, 0, True)
-
     def project_batch(self, X, faces=True):
         P = (X @ self.basis) @ self.basis.T
         fd = np.full(X.shape[0], self.dim, dtype=np.int64) if faces else None
-        return P, fd, np.ones(X.shape[0], dtype=bool)
+        return _closed_form(P, fd)
 
     def face_basis(self, p, atol=None):
         return self.basis
@@ -452,18 +474,13 @@ class NonnegOrthant(Cone):
             raise ValueError("n must be positive")
         self.n = int(n)
 
-    def project_point(self, x):
-        p = np.maximum(x, 0.0)
-        atol = FACE_TOL * max(1.0, float(np.max(np.abs(x))))
-        return ProjectionResult(p, int(np.sum(p > atol)), 0, True)
-
     def project_batch(self, X, faces=True):
         P = np.maximum(X, 0.0)
         fd = None
         if faces:
             atol = FACE_TOL * np.maximum(1.0, np.abs(X).max(axis=1))
             fd = (P > atol[:, None]).sum(axis=1).astype(np.int64)
-        return P, fd, np.ones(X.shape[0], dtype=bool)
+        return _closed_form(P, fd)
 
     def face_basis(self, p, atol=None):
         if atol is None:
@@ -488,19 +505,10 @@ class GeneratorCone(Cone):
         self._gram = V.T @ V
         self._planar = _planar_from_generators(V) if self.n == 2 else None
 
-    def project_point(self, x):
-        if self._planar is not None:
-            P, fd = _planar_project(self._planar, x[None, :])
-            return ProjectionResult(P[0], int(fd[0]), 0, True)
-        coef, iters, ok = _nnls_gram(self._gram, self.V.T @ x)
-        p = self.V @ coef
-        return ProjectionResult(p, int(_coef_face_dims(self.V, coef)), iters,
-                                ok)
-
     def project_batch(self, X, faces=True):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
-            return P, fd if faces else None, np.ones(X.shape[0], dtype=bool)
+            return _closed_form(P, fd if faces else None)
         return _project_generated(self.V, X, self._gram, faces)
 
     def face_basis(self, p, atol=None):
@@ -510,7 +518,7 @@ class GeneratorCone(Cone):
             return _planar_face_basis(self._planar, p, atol)
         if self.k == 0:
             return np.zeros((self.n, 0))
-        coef, _, _ = _nnls_gram(self._gram, self.V.T @ p)
+        coef = _nnls_batch(self._gram, (self.V.T @ p)[None, :])[0][0]
         ctol = (atol if atol is not None else FACE_TOL) * \
             max(1.0, float(np.max(coef, initial=0.0)))
         S = coef > ctol
@@ -535,20 +543,10 @@ class InequalityCone(Cone):
         self._planar = (_planar_polar(_planar_from_generators(W))
                         if self.n == 2 else None)
 
-    def project_point(self, x):
-        if self._planar is not None:
-            P, fd = _planar_project(self._planar, x[None, :])
-            return ProjectionResult(P[0], int(fd[0]), 0, True)
-        # Moreau: subtract the projection onto the polar cone cone(W)
-        coef, iters, ok = _nnls_gram(self._gram, self.W.T @ x)
-        p = x - self.W @ coef
-        return ProjectionResult(p, int(_normal_face_dims(self.W, p)), iters,
-                                ok)
-
     def project_batch(self, X, faces=True):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
-            return P, fd if faces else None, np.ones(X.shape[0], dtype=bool)
+            return _closed_form(P, fd if faces else None)
         return _project_normals(self.W, X, self._gram, faces)
 
     def face_basis(self, p, atol=None):
@@ -602,10 +600,6 @@ class L1SubdiffCone(Cone):
         self._su[support] = signs * w[support]   # support direction of the ray
         self._Wsum = float(np.sum(w[support] ** 2))
 
-    def project_point(self, x):
-        P, fd, _ = self.project_batch(x[None, :])
-        return ProjectionResult(P[0], int(fd[0]), 0, True)
-
     def project_batch(self, X, faces=True):
         N = X.shape[0]
         off = self._off
@@ -637,12 +631,12 @@ class L1SubdiffCone(Cone):
         cap = t[:, None] * self.weights[off]
         P[:, off] = np.clip(X[:, off], -cap, cap)
         if not faces:
-            return P, None, np.ones(N, dtype=bool)
+            return _closed_form(P, None)
         scale = np.maximum(1.0, np.abs(X).max(axis=1))
         pos = t > FACE_TOL * scale
         free = np.abs(X[:, off]) < cap - (FACE_TOL * scale)[:, None]
         fd = np.where(pos, 1 + free.sum(axis=1), 0).astype(np.int64)
-        return P, fd, np.ones(N, dtype=bool)
+        return _closed_form(P, fd)
 
     def face_basis(self, p, atol=None):
         scale = max(1.0, float(np.max(np.abs(p), initial=0.0)))
@@ -695,22 +689,14 @@ class LinearImage(Cone):
         self._lip = float(s[0] ** 2) if s.size else 1.0
         self._isometric = _orthonormal_columns(A)
 
-    def project_point(self, x):
-        if self._isometric:
-            r = self.inner.project_point(self.A.T @ x)
-            return ProjectionResult(self.A @ r.point, r.face_dim,
-                                    r.iterations, r.converged)
-        P, _, conv, iters = _fista_image(self.A, self.inner, x[None, :],
-                                         self._lip)
-        return ProjectionResult(P[0], None, iters, bool(conv[0]))
-
     def project_batch(self, X, faces=True):
         if self._isometric:
-            P, fd, conv = self.inner.project_batch(X @ self.A, faces)
-            return P @ self.A.T, fd, conv
-        P, _, conv, _ = _fista_image(self.A, self.inner, X, self._lip)
-        fd = np.full(X.shape[0], -1, dtype=np.int64) if faces else None
-        return P, fd, conv
+            P, fd, conv = batch = self.inner.project_batch(X @ self.A, faces)
+            return _Batch(P @ self.A.T, fd, conv, batch.iterations)
+        N = X.shape[0]
+        P, _, conv, it = _fista_image(self.A, self.inner, X, self._lip)
+        fd = np.full(N, -1, dtype=np.int64) if faces else None
+        return _Batch(P, fd, conv, np.full(N, it, dtype=np.int64))
 
     def face_basis(self, p, atol=None):
         if not self._isometric:
@@ -730,16 +716,11 @@ class PolarCone(Cone):
         self.inner = inner
         self.n = inner.n
 
-    def project_point(self, x):
-        r = self.inner.project_point(x)
-        fd = None if r.face_dim is None else self.n - r.face_dim
-        return ProjectionResult(x - r.point, fd, r.iterations, r.converged)
-
     def project_batch(self, X, faces=True):
-        P, fd, conv = self.inner.project_batch(X, faces)
+        P, fd, conv = batch = self.inner.project_batch(X, faces)
         if faces:
             fd = np.where(fd >= 0, self.n - fd, -1)
-        return X - P, fd, conv
+        return _Batch(X - P, fd, conv, batch.iterations)
 
     def to_dict(self):
         return {"variant": "polar", "inner": self.inner.to_dict()}
@@ -759,33 +740,22 @@ class ProductCone(Cone):
             self._slices.append(slice(off, off + p.n))
             off += p.n
 
-    def project_point(self, x):
-        p = np.empty_like(x)
-        fd: int | None = 0
-        iters = 0
-        conv = True
-        for part, sl in zip(self.parts, self._slices):
-            r = part.project_point(x[sl])
-            p[sl] = r.point
-            fd = None if (fd is None or r.face_dim is None) else fd + r.face_dim
-            iters += r.iterations
-            conv &= r.converged
-        return ProjectionResult(p, fd, iters, conv)
-
     def project_batch(self, X, faces=True):
+        N = X.shape[0]
         P = np.empty_like(X)
-        fd = np.zeros(X.shape[0], dtype=np.int64)
-        conv = np.ones(X.shape[0], dtype=bool)
-        bad = np.zeros(X.shape[0], dtype=bool)
+        fd = np.zeros(N, dtype=np.int64)
+        conv = np.ones(N, dtype=bool)
+        iters = np.zeros(N, dtype=np.int64)
+        bad = np.zeros(N, dtype=bool)
         for part, sl in zip(self.parts, self._slices):
-            Pp, fp, cp = part.project_batch(X[:, sl], faces)
-            P[:, sl] = Pp
+            P[:, sl], fp, cp = batch = part.project_batch(X[:, sl], faces)
             conv &= cp
+            iters += batch.iterations
             if faces:
                 bad |= fp < 0
                 fd += np.where(fp < 0, 0, fp)
         fd[bad] = -1
-        return P, fd if faces else None, conv
+        return _Batch(P, fd if faces else None, conv, iters)
 
     def face_basis(self, p, atol=None):
         return _block_diagonal(self, [part.face_basis(p[sl], atol) for
@@ -798,7 +768,8 @@ class ProductCone(Cone):
 
 
 class IntersectionCone(Cone):
-    """Intersection of two cones, projected by Dykstra's alternating scheme."""
+    """Intersection of two cones, projected by Dykstra's alternating scheme
+    one point at a time; batches take the base loop."""
 
     def __init__(self, left: Cone, right: Cone):
         if left.n != right.n:

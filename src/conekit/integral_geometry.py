@@ -23,8 +23,9 @@ represents keep the per-draw loop, which builds each cone with
 kinematic side without normals (a generated cone with more generators
 than dimensions in R^3 and up, a :class:`~conekit.cones.LinearImage`, an
 :class:`~conekit.cones.IntersectionCone`) and a cone with normals only
-under a wide or singular compression.  ``projected_statdim`` keeps its
-loop, since at m < n a cone with only normals needs a FISTA solve per draw.
+under a wide or singular compression.  ``projected_statdim`` stacks its
+draws the same way; a cone with only normals at m < n projects each
+draw's image by FISTA.
 """
 
 from __future__ import annotations
@@ -318,33 +319,41 @@ def crofton_probability(C: Cone, m: int, samples: int,
                          stream.master_seed, abs(z) <= 3.0)
 
 
+def _compression_block(T: np.ndarray, C: Cone, faces=True):
+    """(project_block, width) for :func:`_stacked_faces` on the cones
+    T Q C, or None for a cone with only normals under a wide or singular
+    T, whose ``linear_image(T Q, C)`` is not exact."""
+    m, n = T.shape
+    V = generators_of(C)
+    if V is not None:
+        def project_block(Q, g):
+            return _project_generated((T @ Q) @ V, g, faces=faces)
+        return project_block, max(m, V.shape[1]) * V.shape[1]
+    W = _inequality_matrix(C)
+    s = np.linalg.svd(T, compute_uv=False)
+    if W is not None and m == n and s[-1] > 1e-12 * s[0]:
+        def project_block(Q, g):
+            return _project_normals(
+                np.linalg.solve(np.swapaxes(T @ Q, 1, 2), W), g, faces=faces)
+        return project_block, max(m, W.shape[1]) * W.shape[1]
+    return None
+
+
 def _compression_faces(T: np.ndarray, C: Cone, samples: int,
                        stream: SeededStream):
     """Per-draw face dims and flags of Proj_{T Q C}(g), stacked where
     ``linear_image(T Q, C)`` is exact; see :func:`_compression_report`."""
     m, n = T.shape
-    V = generators_of(C)
-    W = _inequality_matrix(C) if V is None else None
-    s = np.linalg.svd(T, compute_uv=False)
 
     def make_cone(Q):
         return linear_image(T @ Q, C)
 
-    if V is not None:
-        k = V.shape[1]
-
-        def project_block(Q, g):
-            return _project_generated((T @ Q) @ V, g)
-    elif W is not None and m == n and s[-1] > 1e-12 * s[0]:
-        k = W.shape[1]
-
-        def project_block(Q, g):
-            return _project_normals(
-                np.linalg.solve(np.swapaxes(T @ Q, 1, 2), W), g)
-    else:
+    block = _compression_block(T, C)
+    if block is None:
         return _faces_per_draw(samples, stream, make_cone, n)
-    return _stacked_faces(samples, stream, n, m, max(m, k) * k,
-                          project_block, make_cone)
+    project_block, width = block
+    return _stacked_faces(samples, stream, n, m, width, project_block,
+                          make_cone)
 
 
 def _compression_report(name, C, T, samples, stream):
@@ -404,18 +413,28 @@ def verify_tqc(T, C: Cone, samples: int,
 def projected_statdim(C: Cone, m: int, samples: int,
                       stream: SeededStream) -> Estimate:
     """Estimate E_Q[delta(P Q C)] for the projection onto the first m
-    coordinates, with one Gaussian per rotation."""
+    coordinates, with one Gaussian per rotation.
+
+    The draws are those of :func:`_faces_per_draw`, stacked as in
+    :func:`_compression_report`.  A draw whose stacked projection did not
+    converge, and every draw of a cone with only normals at m < n, is
+    projected onto its own cone ``linear_image(P Q, C)`` (by FISTA for the
+    latter); a draw is dropped when that projection did not converge.
+    """
     n = C.n
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     P = row_projection(m, n)
+    project_block, width = _compression_block(P, C, faces=False) or (None, 0)
     vals = np.zeros(samples)
     ok = np.zeros(samples, dtype=bool)
-    for i in range(samples):
-        gen = stream.gen(i)
-        K = linear_image(P @ haar_from_rng(n, gen), C)
-        r = project(K, gen.standard_normal(m))
-        vals[i], ok[i] = r.point @ r.point, r.converged
+    for a, Q, g in _rotation_draws(samples, stream, n, m, width):
+        if project_block is not None:
+            p, _, ok[a:a + len(g)] = project_block(Q, g)
+            vals[a:a + len(g)] = [v @ v for v in p]
+        for i in np.flatnonzero(~ok[a:a + len(g)]):
+            r = project(linear_image(P @ Q[i], C), g[i])
+            vals[a + i], ok[a + i] = r.point @ r.point, r.converged
     return mc_estimate(vals, ok, stream.master_seed)
 
 

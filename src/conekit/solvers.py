@@ -2,10 +2,11 @@
 a dense primal-dual interior-point LP solver, basis-pursuit recovery, and
 phase-transition experiments.
 
-The NNLS routines, one for a single right-hand side and one batched over
-rows, are the projection kernels for generated and inequality cones; the
-LP solver backs basis-pursuit recovery and polyhedral feasibility tests.
-All are deterministic given their inputs.
+One batched Lawson-Hanson NNLS kernel, which advances every right-hand
+side at once, is the projection kernel for generated and inequality cones;
+``nnls`` runs it on one row.  The LP solver backs basis-pursuit recovery
+and polyhedral feasibility tests.  All are deterministic given their
+inputs.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class NNLSResult:
 def nnls(A: np.ndarray, y: np.ndarray) -> NNLSResult:
     """Solve ``min ||A c - y||_2`` subject to ``c >= 0``.
 
-    Active-set method of Lawson and Hanson working on the normal equations.
+    Active-set method of Lawson and Hanson working on the normal equations
+    (:func:`_nnls_batch` on one row).
     At the solution the KKT conditions hold: the gradient ``A^T(Ac - y)`` is
     ~0 on the passive set and >= -tol elsewhere, with the dual feasibility
     tolerance ``tol = 1e-10 * max(1, |A^T y|_inf)``.  Active-set changes are
@@ -75,11 +77,12 @@ def nnls(A: np.ndarray, y: np.ndarray) -> NNLSResult:
         raise ValueError("nnls expects finite input")
     G = A.T @ A
     w0 = A.T @ y
-    coef, iters, converged = _nnls_gram(G, w0)
+    coef, iters, ok = (out[0] for out in _nnls_batch(G, w0[None, :]))
     r = A @ coef - y
     grad = G @ coef - w0
     kkt = _kkt_residual(coef, grad)
-    return NNLSResult(coef, float(np.linalg.norm(r)), iters, converged, kkt)
+    return NNLSResult(coef, float(np.linalg.norm(r)), int(iters), bool(ok),
+                      kkt)
 
 
 def _kkt_residual(c: np.ndarray, grad: np.ndarray) -> float:
@@ -93,56 +96,6 @@ def _kkt_residual(c: np.ndarray, grad: np.ndarray) -> float:
     return res
 
 
-def _nnls_gram(G: np.ndarray, w0: np.ndarray):
-    """Lawson-Hanson on precomputed Gram matrix G = A^T A and w0 = A^T y."""
-    k = G.shape[0]
-    if k == 0:
-        return np.zeros(0), 0, True
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(w0))))
-    max_iter = 3 * k + 30
-    passive = np.zeros(k, dtype=bool)
-    c = np.zeros(k)
-    it = 0
-    while it < max_iter:
-        grad = w0 - G @ c
-        cand = ~passive & (grad > tol)
-        if not cand.any():
-            return c, it, True
-        j = int(np.argmax(np.where(cand, grad, -np.inf)))
-        passive[j] = True
-        # inner loop: restore feasibility of the passive-set LS solution
-        for _ in range(k + 1):
-            it += 1
-            idx = np.flatnonzero(passive)
-            Gpp = G[np.ix_(idx, idx)]
-            try:
-                z = np.linalg.solve(Gpp, w0[idx])
-            except np.linalg.LinAlgError:
-                z = np.linalg.lstsq(Gpp, w0[idx], rcond=None)[0]
-            if np.all(z > 0):
-                c = np.zeros(k)
-                c[idx] = z
-                break
-            cur = c[idx]
-            neg = z <= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(neg, cur / (cur - z), np.inf)
-            alpha = float(np.min(ratios))
-            alpha = min(max(alpha, 0.0), 1.0)
-            cur = cur + alpha * (z - cur)
-            c = np.zeros(k)
-            c[idx] = np.maximum(cur, 0.0)
-            drop = passive & (c <= 0)
-            drop[idx[np.argmin(ratios)]] = True
-            passive &= ~drop
-            c[~passive] = 0.0
-            if not passive.any():
-                break
-    grad = w0 - G @ c
-    ok = not ((~passive) & (grad > 10 * tol)).any()
-    return c, it, ok
-
-
 # Largest stacked array, in bytes, that the batched kernels build at once.
 # Larger chunks raise peak memory for no speed; much smaller ones are slower.
 CHUNK_BYTES = 256 * 1024
@@ -154,12 +107,12 @@ def _chunk_rows(per_row: int) -> int:
 
 
 def _nnls_batch(G: np.ndarray, W0: np.ndarray):
-    """:func:`_nnls_gram` on every row of W0 (N x k), against one shared
-    Gram matrix G (k x k) or one Gram matrix per row, G[i] (N x k x k).
+    """Lawson-Hanson NNLS on every row w0 = A^T y of W0 (N x k), given
+    G = A^T A shared (k x k) or one per row (N x k x k).
 
-    Each row keeps the scalar kernel's state and rules: its passive set,
-    tolerance, iteration cap, inner-loop cap, pivots, ``lstsq`` fallback
-    and final convergence check, so it takes the same active-set path.  A
+    Each row keeps its own passive set, tolerance ``1e-10 max(1,
+    |w0|_inf)``, caps of ``3 k + 30`` steps in all and ``k + 1`` per
+    entering index, ``lstsq`` fallback and final convergence check.  A
     step advances every row still in its inner loop at once: the passive-set
     systems are solved by one stacked ``np.linalg.solve`` per chunk of rows
     (see :func:`_passive_solves`).  Returns (C, iterations, converged), one
@@ -268,8 +221,7 @@ def _passive_solves(Gb: np.ndarray, Wb: np.ndarray, rows: np.ndarray,
     system is the passive block padded with the identity: it is gathered
     from the bordered G, with ones put on the diagonal of the dead slots.
     They are solved in chunks of rows of at most ``CHUNK_BYTES``.  A
-    singular system falls back to ``lstsq`` on its passive block, as in
-    :func:`_nnls_gram`.
+    singular system falls back to ``lstsq`` on its passive block.
     """
     R, k = P.shape
     idx = np.where(P, np.arange(k), k)

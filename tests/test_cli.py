@@ -9,7 +9,8 @@ import pytest
 
 from conekit import cli, cones, solvers
 from conekit.condition import empirical_gordon_check, gordon_kappa_bound
-from conekit.integral_geometry import IDENTITY_SUITES, run_identity_suite
+from conekit.integral_geometry import (IDENTITY_SUITES, projected_statdim,
+                                       run_identity_suite)
 from conekit.cli import main
 from conekit.numerics import SeededStream
 from conekit.regularizers import finite_difference_matrix
@@ -74,6 +75,43 @@ def test_project_command(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["point"] == [1.0, 0.0, 3.0, 0.0]
     assert doc["face_dim"] == 2
+
+
+PINNED_V = [[1.03, 1.64, 1.15, -0.97, -1.39, 0.07, 0.86],
+            [0.51, 1.81, 0.75, 0.64, -0.73, -1.11, 1.48],
+            [0.05, 0.81, -1.38, -0.44, -1.29, -0.78, 0.9],
+            [-1.48, -0.53, 0.16, -0.67, -0.25, -0.22, 0.42],
+            [-0.43, 0.27, 0.06, 0.42, 0.22, 1.66, -0.66]]
+PINNED_X = [2.4, -0.81, -1.92, 2.42, -0.88]
+PINNED_GEN = [1.546399871853904, 0.9963592847582734, -1.8630047232654796,
+              0.21273345479194508, 0.0981135487705206]
+
+
+def test_project_json_pinned_on_nnls_cones(capsys):
+    # values from the scalar Lawson-Hanson kernel that project_point ran
+    # before it became row 0 of project_batch; the product adds its parts'
+    # iterations and passes the polar wrapper's through
+    gen = {"variant": "generator_cone", "V": PINNED_V}
+    polar_gen = {"variant": "polar", "inner": gen}
+    cases = [
+        (gen, PINNED_X, PINNED_GEN, 2, 2),
+        (polar_gen, PINNED_X,
+         [0.8536001281460959, -1.8063592847582735, -0.05699527673452032,
+          2.207266545208055, -0.9781135487705206], 3, 2),
+        ({"variant": "product", "parts": [gen, polar_gen]},
+         PINNED_X + [-v for v in PINNED_X],
+         PINNED_GEN + [-0.9247357754365388, -0.6891905509294092,
+                       2.6236707775036447, -0.8716331591955939,
+                       0.2726408949093666], 4, 7),
+    ]
+    for spec, x, point, face_dim, iterations in cases:
+        rc = main(["project", "--cone", json.dumps(spec), "--point",
+                   json.dumps(x), "--seed", "0", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["point"] == pytest.approx(point, rel=1e-12, abs=1e-12)
+        assert (doc["face_dim"], doc["iterations"], doc["converged"]) == \
+            (face_dim, iterations, True)
 
 
 def test_condition_command(capsys):
@@ -243,6 +281,15 @@ def test_stacked_monte_carlo_never_draws_per_sample(monkeypatch):
     for seed in (1, 7, 42):
         assert all(ok for _, ok, _, _ in
                    cli._suite_cones(1000, SeededStream(seed, 0).child(2)))
+    # projected_statdim stacks its draws wherever linear_image(P Q, C) is
+    # exact: generators, and normals under a square map
+    rng = np.random.default_rng(1304)
+    for C, m in ((cones.GeneratorCone(rng.standard_normal((6, 8))), 4),
+                 (cones.ProductCone([cones.NonnegOrthant(3),
+                                     cones.zero_cone(2)]), 3),
+                 (cones.L1SubdiffCone(5, [1, 3], [1.0, -1.0]), 5)):
+        assert projected_statdim(C, m, 300, SeededStream(1304, m)).samples \
+            == 300
 
 
 def test_phase_csv(tmp_path):

@@ -37,6 +37,30 @@ def grid_restricted(A, C, D, which, resolution=1e-3):
     return float(vals.max() if which == "norm" else vals.min())
 
 
+def test_sphere_grid_blocks_rebuild_the_whole_lattice(monkeypatch):
+    # the R^3 Fibonacci lattice as one array, as it was built before the
+    # blocks; each block is made from its own index range
+    N = int(math.ceil(4 * math.pi / 0.05 ** 2))
+    i = np.arange(N)
+    z = 1.0 - (2.0 * i + 1.0) / N
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    whole = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    monkeypatch.setattr(condition, "GRID_RESOLUTION", 0.05)
+    rng = np.random.default_rng(37)
+    A = rng.standard_normal((3, 3))
+    want = restricted_sv(A, NonnegOrthant(3), NonnegOrthant(3),
+                         method="grid_oracle")
+    monkeypatch.setattr(condition, "GRID_CHUNK", 97)
+    blocks = list(condition._sphere_grid(3, 0.05))
+    assert len(blocks) == math.ceil(N / 97)
+    assert np.array_equal(np.vstack(blocks), whole)
+    got = restricted_sv(A, NonnegOrthant(3), NonnegOrthant(3),
+                        method="grid_oracle")
+    assert got.value == want.value
+    assert np.array_equal(got.certificate, want.certificate)
+
+
 # ---------------------------------------------------------------------------
 # restricted norm
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import planar_wedge, random_generator_cone
+from nnls_oracle import _nnls_gram
 
 from conekit import solvers
 from conekit.cones import (GeneratorCone, InequalityCone, IntersectionCone,
@@ -17,7 +18,7 @@ from conekit.cones import (GeneratorCone, InequalityCone, IntersectionCone,
 from conekit.numerics import SeededStream, haar_orthogonal, row_projection
 from conekit.regularizers import (AnalysisInstance, finite_difference_matrix,
                                   reduced_analysis_cone)
-from conekit.solvers import _nnls_batch, _nnls_gram
+from conekit.solvers import _nnls_batch
 
 
 ALL_SAMPLE_CONES = None
@@ -471,6 +472,34 @@ def test_project_batch_without_faces_matches_default(C):
     Pn, fdn, convn = C.project_batch(X, faces=False)
     assert fd.shape == (40,) and fdn is None
     assert np.array_equal(P, Pn) and np.array_equal(conv, convn)
+
+
+def _oracle_iterations(C, x):
+    """Iterations of the scalar kernel on the NNLS system that projects x
+    onto C, or None when C does not project by NNLS."""
+    if isinstance(C, PolarCone):
+        return _oracle_iterations(C.inner, x)
+    if isinstance(C, LinearImage) and C._isometric:
+        return _oracle_iterations(C.inner, x @ C.A)
+    if isinstance(C, (GeneratorCone, InequalityCone)) and C._planar is None:
+        M = C.V if isinstance(C, GeneratorCone) else C.W
+        return _nnls_gram(M.T @ M, x @ M)[1]
+    return None
+
+
+@pytest.mark.parametrize("C", faces_flag_cones())
+def test_project_point_is_row_zero_of_project_batch(C):
+    rng = np.random.default_rng(36)
+    for x in rng.standard_normal((6, C.n)) * [[1e-3], [0.1], [1], [1], [10],
+                                              [1e3]]:
+        r = project(C, x)
+        P, fd, conv = batch = C.project_batch(x[None])
+        assert np.array_equal(r.point, P[0])
+        assert r.face_dim == (None if fd[0] < 0 else fd[0])
+        assert r.converged == conv[0]
+        assert r.iterations == batch.iterations[0]
+        want = _oracle_iterations(C, x)
+        assert want is None or r.iterations == want
 
 
 # ---------------------------------------------------------------------------

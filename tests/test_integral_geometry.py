@@ -12,7 +12,8 @@ from conekit import solvers
 from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
                            NonnegOrthant, ProductCone, Subspace,
                            _inequality_matrix, full_space, generators_of,
-                           intersect, linear_image, polar, project, rotate)
+                           intersect, linear_image, polar, project, rotate,
+                           zero_cone)
 from conekit.integral_geometry import (IDENTITY_SUITES, _compression_faces,
                                        _crofton_hits, _faces_per_draw,
                                        _kinematic_faces, _line_hits_cone,
@@ -25,7 +26,7 @@ from conekit.integral_geometry import (IDENTITY_SUITES, _compression_faces,
 from conekit.numerics import (SeededStream, haar_from_rng, haar_stack,
                               row_projection)
 from conekit.statdim import (estimate_intrinsic_volumes, estimate_statdim,
-                             tails)
+                             mc_estimate, tails)
 
 
 def subspace_dim(n, k):
@@ -339,6 +340,47 @@ def test_projected_statdim_full_m_recovers_statdim():
     assert abs(a.mean - b.mean) <= 3 * combined_stderr(a, b)
 
 
+def _projected_statdim_per_draw(C, m, samples, stream):
+    """The per-draw loop of projected_statdim: one cone P Q C per draw."""
+    P = row_projection(m, C.n)
+    vals = np.zeros(samples)
+    ok = np.zeros(samples, dtype=bool)
+    for i in range(samples):
+        gen = stream.gen(i)
+        K = linear_image(P @ haar_from_rng(C.n, gen), C)
+        r = project(K, gen.standard_normal(m))
+        vals[i], ok[i] = r.point @ r.point, r.converged
+    return mc_estimate(vals, ok, stream.master_seed)
+
+
+@pytest.mark.parametrize("C,m,exact", [
+    (ProductCone([NonnegOrthant(20), Subspace(np.zeros((20, 0)))]), 25,
+     True),
+    (GeneratorCone(np.random.default_rng(2).standard_normal((6, 8))), 6,
+     True),
+    (InequalityCone(np.random.default_rng(4).standard_normal((5, 7))), 5,
+     True),
+    (L1SubdiffCone(5, [1, 3], [1.0, -1.0]), 5, True),
+    (L1SubdiffCone(4, [1], [1.0]), 3, True),
+    # the loop projects subspace images orthogonally, and planar images by
+    # wedge arithmetic, where the stacked draws run NNLS
+    (subspace_dim(40, 5), 20, False),
+    (GeneratorCone(np.random.default_rng(3).standard_normal((5, 7))), 2,
+     False),
+], ids=["orthant-window", "generated", "square-normals", "l1-rotation",
+        "l1-fista-loop", "subspace", "planar"])
+def test_projected_statdim_matches_per_draw_loop(C, m, exact):
+    samples = 20 if m < C.n and generators_of(C) is None else 300
+    got = projected_statdim(C, m, samples, stream(334))
+    want = _projected_statdim_per_draw(C, m, samples, stream(334))
+    assert got.samples == want.samples == samples
+    if exact:
+        assert (got.mean, got.stderr) == (want.mean, want.stderr)
+    else:
+        assert got.mean == pytest.approx(want.mean, rel=1e-13)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
+
+
 def test_eta_margin_monotone_in_m():
     vals = [eta_for_projection_margin(10.0, m) for m in (15, 20, 30, 40)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -507,7 +549,14 @@ def test_stacked_draws_are_chunk_invariant(monkeypatch):
                 _kinematic_faces(NonnegOrthant(2), NonnegOrthant(2), 500, st),
                 _compression_faces(T, NonnegOrthant(3), 500, st),
                 (_crofton_hits(NonnegOrthant(3), 1, 500, st),),
-                (_crofton_hits(NonnegOrthant(4), 2, 100, st),)]
+                (_crofton_hits(NonnegOrthant(4), 2, 100, st),),
+                projected(GeneratorCone(V_3X5), 2, st),
+                projected(ProductCone([NonnegOrthant(3), zero_cone(2)]), 4,
+                          st)]
+
+    def projected(C, m, st):
+        est = projected_statdim(C, m, 300, st)
+        return (np.array([est.mean, est.stderr, est.samples]),)
 
     one = run()
     # a few draws per block, per NNLS chunk and per face-rank chunk
