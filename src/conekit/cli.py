@@ -3,13 +3,15 @@
 Every subcommand takes a mandatory --seed and emits either a CSV file
 (metadata comment line, header row, '.' decimals, ',' separators, LF
 endings) or a JSON report.  Identical (config, seed) pairs produce
-byte-identical output.  A JSON file passed via --config supplies defaults
-for any flag, with explicit command-line flags taking precedence.
+byte-identical output.  A JSON file passed via --config supplies values
+for any flag: they act as flags read before the command line's own, so
+explicit command-line flags take precedence.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -480,26 +482,19 @@ def _add_common(p, samples_default=None):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--config", default=None,
-                   help="JSON file with default parameter values")
+                   help="JSON file of flag values (explicit flags win)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing never changes it."""
     ap = argparse.ArgumentParser(
         prog="conekit",
         description="Cone statdim experiments and verification suites.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    # keep the subparser objects reachable so --config can inject defaults
-    # into the right one (subparsers parse into a fresh namespace, so
-    # set_defaults on the top-level parser never reaches them)
-    ap.subcommand_parsers = {}
 
-    def add_parser(name, **kw):
-        p = sub.add_parser(name, **kw)
-        ap.subcommand_parsers[name] = p
-        return p
-
-    p = add_parser("tv-statdim",
+    p = sub.add_parser("tv-statdim",
                        help="TV descent-cone statdim vs sparsity (CSV)")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--s-min", type=int, default=1)
@@ -508,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, samples_default=2000)
     p.set_defaults(fn=cmd_tv_statdim)
 
-    p = add_parser("opt-m", help="randomized condition bound vs m (CSV)")
+    p = sub.add_parser("opt-m", help="randomized condition bound vs m (CSV)")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--delta-c", type=float, required=False, default=10.0)
     p.add_argument("--eta", type=float, default=0.1)
@@ -520,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, samples_default=50)
     p.set_defaults(fn=cmd_opt_m)
 
-    p = add_parser("kappa-dg",
+    p = sub.add_parser("kappa-dg",
                        help="mean condition number of D G vs n (CSV)")
     p.add_argument("--rho-list", default="0.2,0.4,0.6,0.8")
     p.add_argument("--n-min", type=int, default=10)
@@ -530,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_kappa_dg)
 
-    p = add_parser("phase",
+    p = sub.add_parser("phase",
                        help="basis-pursuit phase transition (CSV)")
     p.add_argument("--n", type=int, default=60)
     p.add_argument("--s", type=int, default=6)
@@ -546,27 +541,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_phase)
 
-    p = add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",
                    choices=sorted(_VERIFY_SUITES) + ["all"])
     _add_common(p, samples_default=4000)
     p.set_defaults(fn=cmd_verify)
 
-    p = add_parser("statdim", help="statdim of a cone from JSON")
+    p = sub.add_parser("statdim", help="statdim of a cone from JSON")
     p.add_argument("--cone", required=True, help="cone JSON")
     p.add_argument("--profile", action="store_true",
                    help="also estimate the face-dimension profile")
     _add_common(p, samples_default=10000)
     p.set_defaults(fn=cmd_statdim)
 
-    p = add_parser("project", help="project a point onto a cone")
+    p = sub.add_parser("project", help="project a point onto a cone")
     p.add_argument("--cone", required=True, help="cone JSON")
     p.add_argument("--point", required=True,
                    help="comma-separated or JSON vector")
     _add_common(p)
     p.set_defaults(fn=cmd_project)
 
-    p = add_parser("condition",
+    p = sub.add_parser("condition",
                        help="condition report for a matrix and cone pair")
     p.add_argument("--matrix", required=True,
                    help="JSON/npy matrix or tv_square(n)")
@@ -581,11 +576,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_flags(sp, command: str, path: str) -> list:
+    """The flags that the JSON object in ``path`` stands for: ``--key=value``
+    for each key, ``--key`` for a true flag, nothing for false or null.
+    Lists and objects are passed as JSON strings."""
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise SystemExit("--config must hold a JSON object")
+    actions = {a.dest: a for a in sp._actions if a.dest not in
+               ("help", "config")}
+    flags = []
+    for key, val in cfg.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise SystemExit(f"config key {key!r} unknown for {command!r}")
+        opt = action.option_strings[-1]
+        if val is None or (val is False and action.nargs == 0):
+            continue
+        if val is True and action.nargs == 0:
+            flags.append(opt)
+            continue
+        if not isinstance(val, (str, int, float)):
+            val = json.dumps(val)
+        flags.append(f"{opt}={val}")
+    return flags
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     argv_list = list(sys.argv[1:] if argv is None else argv)
-    # config defaults must be installed before parsing so they can also
-    # satisfy required flags; scan argv by hand for the command and path
+    # config values become flags right after the command name, so the
+    # command line's own flags, parsed after them, win; scan argv by hand
+    # for the command and the path
     cfg_path = None
     for i, tok in enumerate(argv_list):
         if tok == "--config" and i + 1 < len(argv_list):
@@ -596,26 +618,12 @@ def main(argv=None) -> int:
             break
     command = (argv_list[0] if argv_list
                and not argv_list[0].startswith("-") else None)
-    if cfg_path is not None and command in ap.subcommand_parsers:
-        cfg = json.loads(Path(cfg_path).read_text())
-        if not isinstance(cfg, dict):
-            raise SystemExit("--config must hold a JSON object")
-        sp = ap.subcommand_parsers[command]
-        dests = {a.dest for a in sp._actions}
-        mapped = {}
-        for key, val in cfg.items():
-            dest = key.replace("-", "_")
-            if dest in ("fn", "command", "config") or dest not in dests:
-                raise SystemExit(
-                    f"config key {key!r} unknown for {command!r}")
-            if not isinstance(val, (str, int, float, bool, type(None))):
-                val = json.dumps(val)
-            mapped[dest] = val
-        sp.set_defaults(**mapped)
-        for action in sp._actions:
-            if action.dest in mapped:
-                action.required = False
-    args = ap.parse_args(argv)
+    subparsers = next(a.choices for a in ap._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    if cfg_path is not None and command in subparsers:
+        argv_list[1:1] = _config_flags(subparsers[command], command,
+                                       cfg_path)
+    args = ap.parse_args(argv_list)
     if getattr(args, "seed", None) is None:
         ap.error("--seed is mandatory (flag or config)")
     if getattr(args, "samples", None) is not None and args.samples <= 0:

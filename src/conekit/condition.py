@@ -11,6 +11,8 @@ Extrema over a sphere-cone section are nonconvex, so three methods are
 offered: closed forms when C (and D) are subspaces or C is a single ray,
 multistart projected gradient with spherical retraction (certificate, not
 certified), and an exhaustive angular grid for ambient dimension <= 3.
+The multistart starts advance in lockstep, so each step projects all
+running starts with one batched call per cone.
 """
 
 from __future__ import annotations
@@ -226,62 +228,77 @@ def _grid_extremum(A, C, D, sense):
 
 
 def _multistart_extremum(A, C, D, sense, stream):
-    n = C.n
+    """Projected gradient ascent (sense +1) or descent (sense -1) of
+    ||Proj_D(A x)||^2 over unit x in C, from ``MULTISTART_DEFAULT`` starts.
+
+    The starts are Vt[0], Vt[-1] of the svd of A, then the normals of
+    ``stream.gen(0)``; a start whose first retraction collapses is dropped.
+    A step from x along the gradient 2 A^T Proj_D(A x) with length eta is
+    retracted to the sphere through Proj_C; it collapses when the
+    projection is at most 1e-9 times the trial point.  A step is accepted
+    when it does not worsen the objective by more than 1e-18; then eta
+    grows by 1.25 (at most 1e3 times eta0 = 1/(2||A||^2)) and the gradient
+    is recomputed, else eta halves.  A start stops at a collapse, after 40
+    rejections in a row, after an accepted move of at most
+    ``MULTISTART_TOL`` or after 500 accepted steps.
+
+    The starts advance in lockstep as the rows of one state: each round
+    retracts every running row's trial point with one ``C.project_batch``
+    and evaluates the rows that did not collapse with one
+    ``D.project_batch``.  The result is the first strictly best start.
+    """
     s = np.linalg.svd(A, compute_uv=False)
     lip = 2.0 * float(s[0] ** 2) if s.size else 1.0
     eta0 = 1.0 / max(lip, 1e-300)
 
-    def proj(K, y):
-        # only the point is read, so no face is classified
-        return K.project_batch(y[None], faces=False)[0][0]
+    def retract(Y):
+        # unit rows of Proj_C(Y) and the mask of rows that did not collapse;
+        # only the points are read, so no face is classified
+        P = C.project_batch(Y, faces=False)[0]
+        norm = np.linalg.norm(P, axis=1)
+        ok = norm > 1e-9 * np.linalg.norm(Y, axis=1)
+        return P[ok] / norm[ok, None], ok
 
-    def f(x):
+    def f(X):
         # the objective and the projection its gradient reuses
-        p = proj(D, A @ x)
-        return float(np.linalg.norm(p) ** 2), p
-
-    def retract(y):
-        p = proj(C, y)
-        norm = np.linalg.norm(p)
-        return (p / norm, norm) if norm > 1e-14 else (None, 0.0)
+        P = D.project_batch(X @ A.T, faces=False)[0]
+        return np.linalg.norm(P, axis=1) ** 2, P
 
     _, _, Vt = np.linalg.svd(A)
-    seeds = [Vt[0], Vt[-1]]
-    gen = stream.gen(0)
-    while len(seeds) < MULTISTART_DEFAULT:
-        seeds.append(gen.standard_normal(n))
-    best_val = -math.inf if sense > 0 else math.inf
-    best_x = None
-    for x0 in seeds:
-        x, _ = retract(np.asarray(x0, dtype=float))
-        if x is None:
-            continue
-        fx, px = f(x)
-        eta = eta0
-        for _ in range(500):
-            g = 2.0 * (A.T @ px)
-            improved = False
-            moved = math.inf
-            for _ in range(40):
-                xn, norm = retract(x + sense * eta * g)
-                if xn is None:
-                    break
-                fn, pn = f(xn)
-                if sense * (fn - fx) >= -1e-18:
-                    moved = float(np.linalg.norm(xn - x))
-                    x, fx, px = xn, fn, pn
-                    eta = min(eta * 1.25, 1e3 * eta0)
-                    improved = True
-                    break
-                eta *= 0.5
-            if not improved or moved <= MULTISTART_TOL:
-                break
-        val = math.sqrt(max(fx, 0.0))
-        if (sense > 0 and val > best_val) or (sense < 0 and val < best_val):
-            best_val, best_x = val, x
-    if best_x is None:
+    starts = np.vstack([Vt[0], Vt[-1], stream.gen(0).standard_normal(
+        (MULTISTART_DEFAULT - 2, C.n))])
+    X, _ = retract(starts)
+    if not len(X):
         raise ValueError("all starts collapsed to the apex; is C trivial?")
-    return RestrictedValue(best_val, best_x, "multistart", True)
+    F, P = f(X)
+    G = 2.0 * (P @ A)
+    eta = np.full(len(X), eta0)
+    steps = np.zeros(len(X), dtype=np.int64)
+    rejects = np.zeros(len(X), dtype=np.int64)
+    run = np.ones(len(X), dtype=bool)
+    while run.any():
+        live = np.flatnonzero(run)
+        Xn, ok = retract(X[live] + (sense * eta[live])[:, None] * G[live])
+        run[live[~ok]] = False
+        rows = live[ok]
+        if not len(rows):
+            continue
+        Fn, Pn = f(Xn)
+        up = sense * (Fn - F[rows]) >= -1e-18
+        a, r = rows[up], rows[~up]
+        moved = np.linalg.norm(Xn[up] - X[a], axis=1)
+        X[a], F[a] = Xn[up], Fn[up]
+        G[a] = 2.0 * (Pn[up] @ A)
+        eta[a] = np.minimum(eta[a] * 1.25, 1e3 * eta0)
+        steps[a] += 1
+        rejects[a] = 0
+        run[a[(moved <= MULTISTART_TOL) | (steps[a] >= 500)]] = False
+        eta[r] *= 0.5
+        rejects[r] += 1
+        run[r[rejects[r] >= 40]] = False
+    vals = np.sqrt(np.maximum(F, 0.0))
+    j = int(np.argmax(vals) if sense > 0 else np.argmin(vals))
+    return RestrictedValue(float(vals[j]), X[j], "multistart", True)
 
 
 def _restricted_extremum(A, C, D, sense, method="auto", stream=None):

@@ -253,25 +253,31 @@ def _unit(a: float) -> np.ndarray:
 
 
 def _planar_from_generators(V: np.ndarray):
-    """Planar form of cone(V) for V with 2 rows; every such V has one."""
-    norms = np.linalg.norm(V, axis=0)
-    keep = norms > 1e-14 * max(1.0, norms.max(initial=0.0))
-    if not keep.any():
+    """Planar form of cone(V) for V with 2 rows; every such V has one.
+
+    A planar cone has few generators, so its columns are scanned as Python
+    floats, with one numpy call for their angles."""
+    xs, ys = V.tolist()
+    norms = [math.sqrt(x * x + y * y) for x, y in zip(xs, ys)]
+    cut = 1e-14 * max(1.0, max(norms, default=0.0))
+    keep = [i for i, r in enumerate(norms) if r > cut]
+    if not keep:
         return ("zero",)
-    ang = np.sort(np.mod(np.arctan2(V[1, keep], V[0, keep]), _TWO_PI))
-    gaps = np.diff(np.concatenate([ang, [ang[0] + _TWO_PI]]))
-    j = int(np.argmax(gaps))
-    gmax = float(gaps[j])
+    ang = sorted(np.mod(np.arctan2([ys[i] for i in keep],
+                                   [xs[i] for i in keep]), _TWO_PI).tolist())
+    gaps = [b - a for a, b in zip(ang, ang[1:] + [ang[0] + _TWO_PI])]
+    gmax = max(gaps)
+    j = gaps.index(gmax)
     if gmax < math.pi - 1e-9:
         return ("full",)
-    lo = float(ang[(j + 1) % len(ang)])
+    lo = ang[(j + 1) % len(ang)]
     w = _TWO_PI - gmax
     if w <= 1e-12:
         return ("ray", lo % _TWO_PI)
     if abs(gmax - math.pi) <= 1e-9:
         # generators span a closed halfplane; antipodal-only sets are a line
-        rel = np.mod(ang - lo, _TWO_PI)
-        if np.all((rel < 1e-9) | (np.abs(rel - math.pi) < 1e-9)):
+        rel = [(a - lo) % _TWO_PI for a in ang]
+        if all(r < 1e-9 or abs(r - math.pi) < 1e-9 for r in rel):
             return ("line", lo % _TWO_PI)
         return ("arc", lo % _TWO_PI, math.pi)
     return ("arc", lo % _TWO_PI, w)

@@ -386,6 +386,34 @@ def test_explicit_flags_beat_config(tmp_path, capsys):
     assert "2000 samples" in capsys.readouterr().out
 
 
+def test_config_does_not_leak_into_later_calls(tmp_path, capsys):
+    # the parser is built once per process, so a config must not change it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "samples": 500, "json": True}))
+    assert main(["statdim", "--cone", ORTHANT4, "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["statdim"]["samples"] == 500
+    with pytest.raises(SystemExit):
+        main(["statdim", "--cone", ORTHANT4])
+    assert "--seed is mandatory" in capsys.readouterr().err
+    assert main(["statdim", "--cone", ORTHANT4, "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert not out.startswith("{") and "10000 samples" in out
+
+
+def test_config_values_pass_argparse_checks(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"samples": "many"}, {"json": "yes"}):
+        cfg.write_text(json.dumps({"seed": 7, **bad}))
+        with pytest.raises(SystemExit) as exc:
+            main(["statdim", "--cone", ORTHANT4, "--config", str(cfg)])
+        assert exc.value.code == 2
+    cfg.write_text(json.dumps({"seed": 7, "method": "newton"}))
+    with pytest.raises(SystemExit):
+        main(["condition", "--matrix", "[[1, 0], [0, 1]]", "--cone-c",
+              '{"variant": "nonneg_orthant", "n": 2}', "--config", str(cfg)])
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 7, "sample": 100}))

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import planar_wedge, stream
+from multistart_oracle import _multistart_extremum as multistart_oracle
 
 from conekit.condition import (classify_feasibility, condition_report,
                                empirical_gordon_check, gordon_kappa_bound,
                                kappa_bar, min_perturbation_to_primal,
                                renegar, renegar_single, restricted_norm,
                                restricted_sv)
-from conekit.cones import (GeneratorCone, NonnegOrthant, Subspace, full_space,
-                           polar, project)
+from conekit.cones import (GeneratorCone, InequalityCone, NonnegOrthant,
+                           PolarCone, Subspace, full_space, polar, project)
 from conekit import condition, solvers
 from conekit.numerics import haar_from_rng, haar_orthogonal
 from conekit.regularizers import finite_difference_matrix
@@ -146,6 +147,90 @@ def test_restricted_sv_matches_grid_on_wedges():
         ref = grid_restricted(A, C, D, "sv")
         assert abs(out.value - ref) <= 1e-3
 
+
+
+# ---------------------------------------------------------------------------
+# lockstep multistart against the per-start oracle
+# ---------------------------------------------------------------------------
+
+def _closed_form_cone(rng, n):
+    pick = int(rng.integers(3 if n == 2 else 2))
+    if pick == 0:
+        return NonnegOrthant(n)
+    if pick == 1:
+        return PolarCone(NonnegOrthant(n))
+    return planar_wedge(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2 * math.pi))
+
+
+def _nnls_cone(rng):
+    # at most 3 normals, so an inequality cone in R^3 is never {0}
+    if rng.random() < 0.5:
+        return GeneratorCone(rng.standard_normal((3, int(rng.integers(2, 6)))))
+    return InequalityCone(rng.standard_normal((3, int(rng.integers(1, 4)))))
+
+
+def test_lockstep_multistart_matches_oracle_on_closed_forms():
+    rng = np.random.default_rng(420)
+    for t in range(40):
+        n, m = (int(d) for d in rng.integers(2, 4, size=2))
+        C, D = _closed_form_cone(rng, n), _closed_form_cone(rng, m)
+        A = rng.standard_normal((m, n))
+        for sense in (1, -1):
+            got = condition._multistart_extremum(A, C, D, sense, stream(421, t))
+            want = multistart_oracle(A, C, D, sense, stream(421, t))
+            assert abs(got.value - want.value) <= 1e-15
+            assert np.abs(got.certificate - want.certificate).max() <= 1e-6
+
+
+def test_lockstep_multistart_matches_oracle_on_nnls_cones():
+    # batched NNLS rows round differently from one-row calls, so the two
+    # searches may part at rounding level; a certificate must still be a
+    # unit vector of C that attains its value.  Values are compared on the
+    # scale of ||A||, since minima at 0 read about 1e-17 on both sides.
+    rng = np.random.default_rng(424)
+    apart = []
+    for t in range(8):
+        C, D = _nnls_cone(rng), _nnls_cone(rng)
+        A = rng.standard_normal((3, 3))
+        for sense in (1, -1):
+            got = condition._multistart_extremum(A, C, D, sense, stream(423, t))
+            x = got.certificate
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+            assert np.linalg.norm(project(C, x).point - x) <= 1e-12
+            assert (abs(np.linalg.norm(project(D, A @ x).point) - got.value)
+                    <= 1e-12 * max(1.0, got.value))
+            want = multistart_oracle(A, C, D, sense, stream(423, t))
+            if abs(got.value - want.value) > 1e-9 * np.linalg.norm(A, 2):
+                apart.append(got.value - want.value)
+    assert len(apart) <= 1, apart
+
+
+def test_lockstep_multistart_batches_its_projections(monkeypatch):
+    # the per-start search made 860 project_batch calls here
+    calls = []
+    for cls in (GeneratorCone, NonnegOrthant):
+        def counted(self, *args, _orig=cls.project_batch, **kwargs):
+            calls.append(type(self))
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "project_batch", counted)
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((3, 5))
+    A = rng.standard_normal((3, 3))
+    restricted_sv(A, GeneratorCone(V), NonnegOrthant(3), method="multistart")
+    assert len(calls) < 100
+
+
+@pytest.mark.parametrize("seed", [11, 19])
+def test_multistart_on_zero_cone_raises(seed):
+    # cone(W) is all of R^3, so {x : W^T x <= 0} is {0}; the NNLS residual
+    # of a projection onto it is no unit vector of C
+    rng = np.random.default_rng(seed)
+    C = InequalityCone(rng.standard_normal((3, 4)))
+    A = rng.standard_normal((3, 3))
+    P, _, _ = C.project_batch(rng.standard_normal((20, 3)), faces=False)
+    assert np.abs(P).max() <= 1e-9
+    with pytest.raises(ValueError, match="all starts collapsed"):
+        restricted_sv(A, C, NonnegOrthant(3), method="multistart")
 
 def test_complementary_split_of_image_norm():
     # ||Ax||^2 = ||Proj_D(Ax)||^2 + ||Proj_polar(D)(Ax)||^2 pointwise, so at

@@ -8,7 +8,7 @@ import pytest
 from conftest import planar_wedge, random_generator_cone
 from nnls_oracle import _nnls_gram
 
-from conekit import solvers
+from conekit import cones, solvers
 from conekit.cones import (GeneratorCone, InequalityCone, IntersectionCone,
                            L1SubdiffCone, LinearImage, NonnegOrthant,
                            PolarCone, ProductCone, Subspace,
@@ -661,6 +661,65 @@ def test_planar_generated_cone_has_inequality_matrix(angles):
         got, want = project(H, x), project(G, x)
         assert np.allclose(got.point, want.point, atol=1e-12, rtol=0.0)
         assert got.face_dim == want.face_dim
+
+
+def numpy_planar_from_generators(V):
+    """The array form of ``cones._planar_from_generators``, the oracle of
+    its float scan."""
+    two_pi = 2.0 * math.pi
+    norms = np.linalg.norm(V, axis=0)
+    keep = norms > 1e-14 * max(1.0, norms.max(initial=0.0))
+    if not keep.any():
+        return ("zero",)
+    ang = np.sort(np.mod(np.arctan2(V[1, keep], V[0, keep]), two_pi))
+    gaps = np.diff(np.concatenate([ang, [ang[0] + two_pi]]))
+    j = int(np.argmax(gaps))
+    gmax = float(gaps[j])
+    if gmax < math.pi - 1e-9:
+        return ("full",)
+    lo = float(ang[(j + 1) % len(ang)])
+    w = two_pi - gmax
+    if w <= 1e-12:
+        return ("ray", lo % two_pi)
+    if abs(gmax - math.pi) <= 1e-9:
+        rel = np.mod(ang - lo, two_pi)
+        if np.all((rel < 1e-9) | (np.abs(rel - math.pi) < 1e-9)):
+            return ("line", lo % two_pi)
+        return ("arc", lo % two_pi, math.pi)
+    return ("arc", lo % two_pi, w)
+
+
+def planar_boundary_cases(rng):
+    """Generator matrices within a factor of 3 of each tolerance of the
+    planar scan: zero columns, rays, lines and the full plane."""
+    a = rng.uniform(0.0, 2 * math.pi)
+    for d in (3e-13, 3e-12, 3e-10, 3e-9):
+        yield _unit_columns(a + np.array([0.0, d]))
+        yield _unit_columns(a + np.array([0.0, math.pi + d]))
+        yield _unit_columns(a + np.array([0.0, math.pi - d, 1.5 * math.pi]))
+    for r in (3e-15, 3e-14):
+        yield _unit_columns(a + np.array([0.0, 2.0])) * [1.0, r]
+
+
+def test_planar_forms_match_array_oracle():
+    rng = np.random.default_rng(27)
+    kinds = set()
+    for _ in range(400):
+        k = int(rng.integers(0, 6))
+        V = (rng.integers(-2, 3, (2, k)).astype(float) if rng.random() < 0.4
+             else rng.standard_normal((2, k)))
+        if k and rng.random() < 0.3:
+            V[:, rng.integers(k)] = 0.0
+        if k > 1 and rng.random() < 0.3:
+            V[:, 1] = -rng.uniform(0.5, 2.0) * V[:, 0]
+        want = numpy_planar_from_generators(V)
+        assert cones._planar_from_generators(V) == want
+        kinds.add(want[0])
+    assert kinds == {"zero", "full", "line", "ray", "arc"}
+    for _ in range(20):
+        for V in planar_boundary_cases(rng):
+            assert cones._planar_from_generators(V) == \
+                numpy_planar_from_generators(V)
 
 
 def test_rotated_inequality_cone_matches_linear_image():
