@@ -21,7 +21,9 @@ where they are exact:
   {x : V^{-1} x >= 0}, and a planar generated cone takes its normals from
   its polar wedge;
 * planar generated and inequality cones project by closed-form wedge
-  arithmetic.
+  arithmetic, and so does a stack of one 2-row matrix per row;
+* a rotation Q maps an inequality cone to the normals Q W, since
+  Q^{-T} = Q.
 
 Each representation projects a batch of rows; ``project_point`` is row 0
 of a one-row batch.  Generated and inequality cones project by a batched
@@ -201,7 +203,11 @@ def _project_generated(V: np.ndarray, X: np.ndarray, G=None, faces=True):
     """Project each row of X onto cone(V) by the batched NNLS kernel, with V
     (n x k) shared or one per row (N x n x k); G is the Gram matrix V^T V,
     computed when not given.  Returns (P, face_dims, converged), face_dims
-    None when ``faces`` is false."""
+    None when ``faces`` is false.  One 2-row V per row takes its exact
+    wedge form instead (:func:`_planar_rows`): 0 iterations, converged."""
+    if V.ndim == 3 and V.shape[1] == 2:
+        P, fd = _planar_project(_planar_rows(V), X)
+        return _closed_form(P, fd if faces else None)
     if G is None:
         G = _transpose(V) @ V
     coef, iters, ok = _nnls_batch(G, _rows_times(X, V))
@@ -212,7 +218,11 @@ def _project_generated(V: np.ndarray, X: np.ndarray, G=None, faces=True):
 def _project_normals(W: np.ndarray, X: np.ndarray, G=None, faces=True):
     """Project each row of X onto {x : W^T x <= 0} by Moreau, subtracting
     the NNLS projection onto the polar cone(W); W is shared or one matrix
-    per row, as in :func:`_project_generated`."""
+    per row, as in :func:`_project_generated`; one 2-row W per row
+    projects onto the polars of its wedge forms."""
+    if W.ndim == 3 and W.shape[1] == 2:
+        P, fd = _planar_project(_planar_polar_rows(*_planar_rows(W)), X)
+        return _closed_form(P, fd if faces else None)
     if G is None:
         G = _transpose(W) @ W
     coef, iters, ok = _nnls_batch(G, _rows_times(X, W))
@@ -243,9 +253,13 @@ def _span_intersection_dim(Ba: np.ndarray, Bb: np.ndarray) -> int:
 #   ("zero",) | ("full",) | ("line", a) | ("ray", a) |
 #   ("arc", a, w)  with 0 < w <= pi  (w == pi is a halfplane)
 # where the cone is { r*(cos t, sin t) : r >= 0, t in [a, a+w] }.
+# Per-row forms are arrays (kind, a, w), kind indexing _KINDS; a and w are
+# read only where the form has them.
 # ---------------------------------------------------------------------------
 
 _ANG_TOL = 1e-12
+_KINDS = ("zero", "full", "line", "ray", "arc")
+_ZERO, _FULL, _LINE, _RAY, _ARC = range(5)
 
 
 def _unit(a: float) -> np.ndarray:
@@ -283,6 +297,40 @@ def _planar_from_generators(V: np.ndarray):
     return ("arc", lo % _TWO_PI, w)
 
 
+def _planar_rows(V: np.ndarray):
+    """Per-row forms of cone(V[i]) for a stack V of 2-row matrices
+    (N x 2 x k): the array form of :func:`_planar_from_generators`, which
+    it equals row for row.  Dropped columns sort last, at an angle of
+    4 pi, and row i's wrap-around gap follows its last kept angle."""
+    N, _, k = V.shape
+    if k == 0:
+        return np.zeros(N, dtype=np.int64), np.zeros(N), np.zeros(N)
+    x, y = np.ascontiguousarray(V[:, 0]), np.ascontiguousarray(V[:, 1])
+    norms = np.sqrt(x * x + y * y)
+    cut = 1e-14 * np.maximum(1.0, norms.max(axis=1))
+    keep = norms > cut[:, None]
+    c = keep.sum(axis=1)
+    ang = np.where(keep, np.mod(np.arctan2(y, x), _TWO_PI), 2 * _TWO_PI)
+    ang.sort(axis=1)
+    j = np.arange(k)
+    valid = j < c[:, None]
+    nxt = np.where(j == (c - 1)[:, None], ang[:, :1] + _TWO_PI,
+                   np.roll(ang, -1, axis=1))
+    gaps = np.where(valid, nxt - ang, -1.0)
+    top = gaps.argmax(axis=1)
+    rows = np.arange(N)
+    gmax = gaps[rows, top]
+    lo = ang[rows, np.where(top + 1 < c, top + 1, 0)]
+    span = _TWO_PI - gmax
+    rel = np.mod(ang - lo[:, None], _TWO_PI)
+    antipodal = ((rel < 1e-9) | (np.abs(rel - math.pi) < 1e-9)
+                 | ~valid).all(axis=1)
+    half = np.abs(gmax - math.pi) <= 1e-9
+    kind = np.select([c == 0, gmax < math.pi - 1e-9, span <= 1e-12,
+                      half & antipodal], [_ZERO, _FULL, _RAY, _LINE], _ARC)
+    return kind, np.mod(lo, _TWO_PI), np.where(half, math.pi, span)
+
+
 def _planar_polar(form):
     kind = form[0]
     if kind == "zero":
@@ -299,47 +347,81 @@ def _planar_polar(form):
     return ("arc", (a + w + math.pi / 2) % _TWO_PI, math.pi - w)
 
 
+def _planar_polar_rows(kind, a, w):
+    """Row-wise :func:`_planar_polar` of per-row forms (kind, a, w)."""
+    half = (kind == _ARC) & (np.abs(w - math.pi) <= 1e-12)
+    arc = (kind == _ARC) & ~half
+    pkind = np.array([_FULL, _ZERO, _LINE, _ARC, _ARC])[kind]
+    pkind[half] = _RAY
+    pa = np.select([half, arc], [np.mod(a - math.pi / 2, _TWO_PI),
+                                 np.mod(a + w + math.pi / 2, _TWO_PI)],
+                   np.mod(a + math.pi / 2, _TWO_PI))
+    pw = np.select([kind == _RAY, arc], [math.pi, math.pi - w], 0.0)
+    return pkind, pa, pw
+
+
 def _planar_project(form, X: np.ndarray):
-    """Vectorized projection of rows of X onto a planar form.
+    """Vectorized projection of the rows of X onto a planar form, or of
+    row i onto form i of per-row forms (kind, a, w).  A shared form takes a
+    shortcut per kind; per-row forms run the wedge arithmetic on every row,
+    with a ray or a line as a wedge's first edge.
 
     Returns (P, face_dims).
     """
     N = X.shape[0]
     kind = form[0]
-    if kind == "zero":
-        return np.zeros_like(X), np.zeros(N, dtype=np.int64)
-    if kind == "full":
-        return X.copy(), np.full(N, 2, dtype=np.int64)
-    if kind == "line":
-        u = _unit(form[1])
-        t = X @ u
-        return np.outer(t, u), np.ones(N, dtype=np.int64)
+    rows = not isinstance(kind, str)
+    if rows:
+        kind, a, w = form
+        ua = np.column_stack([np.cos(a), np.sin(a)])
+        ub = np.column_stack([np.cos(a + w), np.sin(a + w)])
+        line = kind == _LINE
+    else:
+        if kind == "zero":
+            return np.zeros_like(X), np.zeros(N, dtype=np.int64)
+        if kind == "full":
+            return X.copy(), np.full(N, 2, dtype=np.int64)
+        if kind == "line":
+            u = _unit(form[1])
+            t = X @ u
+            return np.outer(t, u), np.ones(N, dtype=np.int64)
+        if kind == "ray":
+            u = _unit(form[1])
+            t = np.maximum(X @ u, 0.0)
+            fd = (t > FACE_TOL * (1.0 + np.abs(X).max(axis=1))).astype(
+                np.int64)
+            return np.outer(t, u), fd
+        a, w = form[1], form[2]
+        ua, ub = _unit(a), _unit(a + w)
     scale = 1.0 + np.abs(X).max(axis=1)
-    if kind == "ray":
-        u = _unit(form[1])
-        t = np.maximum(X @ u, 0.0)
-        fd = (t > FACE_TOL * scale).astype(np.int64)
-        return np.outer(t, u), fd
-    a, w = form[1], form[2]
-    ua, ub = _unit(a), _unit(a + w)
     phi = np.mod(np.arctan2(X[:, 1], X[:, 0]) - a, _TWO_PI)
     P = np.zeros_like(X)
     fd = np.zeros(N, dtype=np.int64)
     inside = phi <= w
+    on_b = (phi > w) & (phi <= w + math.pi / 2)
+    on_a = phi >= 3 * math.pi / 2
+    # halfplane: the boundary line is a 1-face containing 0 in its
+    # relative interior, so clipped hits keep face dimension 1
+    one = abs(w - math.pi) <= 1e-12
+    if rows:
+        arc = kind == _ARC
+        inside = inside & arc | (kind == _FULL)
+        on_b &= arc
+        on_a = on_a & arc | line | (kind == _RAY)
+        one = one | line
     P[inside] = X[inside]
     fd[inside] = 2
-    on_b = (phi > w) & (phi <= w + math.pi / 2)
-    tb = np.maximum(X[on_b] @ ub, 0.0)
-    P[on_b] = np.outer(tb, ub)
-    fd[on_b] = (tb > FACE_TOL * scale[on_b]).astype(np.int64)
-    on_a = phi >= 3 * math.pi / 2
-    ta = np.maximum(X[on_a] @ ua, 0.0)
-    P[on_a] = np.outer(ta, ua)
-    fd[on_a] = (ta > FACE_TOL * scale[on_a]).astype(np.int64)
-    if abs(w - math.pi) <= 1e-12:
-        # halfplane: the boundary line is a 1-face containing 0 in its
-        # relative interior, so clipped hits keep face dimension 1
-        fd[on_a | on_b] = 1
+    for edge, u in ((on_b, ub), (on_a, ua)):
+        if rows:
+            u = u[edge]
+            t = np.einsum("ij,ij->i", X[edge], u)
+            t = np.where(line[edge], t, np.maximum(t, 0.0))
+        else:
+            t = np.maximum(X[edge] @ u, 0.0)
+        P[edge] = t[:, None] * u
+        fd[edge] = (t > FACE_TOL * scale[edge]).astype(np.int64)
+    if rows or one:
+        fd[(on_a | on_b) & one] = 1
     return P, fd
 
 
@@ -504,12 +586,12 @@ class GeneratorCone(Cone):
         V = np.asarray(V, dtype=float)
         if V.ndim != 2:
             raise ValueError("V must be 2-d (n x k)")
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(V).all():
             raise ValueError("generators must be finite")
         self.V = V
         self.n, self.k = V.shape
-        self._gram = V.T @ V
         self._planar = _planar_from_generators(V) if self.n == 2 else None
+        self._gram = V.T @ V if self._planar is None else None
 
     def project_batch(self, X, faces=True):
         if self._planar is not None:
@@ -541,13 +623,13 @@ class InequalityCone(Cone):
         W = np.asarray(W, dtype=float)
         if W.ndim != 2:
             raise ValueError("W must be 2-d (n x r)")
-        if not np.all(np.isfinite(W)):
+        if not np.isfinite(W).all():
             raise ValueError("normals must be finite")
         self.W = W
         self.n, self.r = W.shape
-        self._gram = W.T @ W
         self._planar = (_planar_polar(_planar_from_generators(W))
                         if self.n == 2 else None)
+        self._gram = W.T @ W if self._planar is None else None
 
     def project_batch(self, X, faces=True):
         if self._planar is not None:
@@ -912,7 +994,16 @@ def linear_image(A: np.ndarray, inner: Cone) -> Cone:
 
 
 def rotate(cone: Cone, Q: np.ndarray) -> Cone:
-    """Image of the cone under an orthogonal map."""
+    """Image of the cone under an orthogonal map Q, which must be n x n
+    with max |Q^T Q - I| <= 1e-10 (ValueError otherwise).  An inequality
+    cone {x : W^T x <= 0} maps to ``InequalityCone(Q W)``, since
+    Q^{-T} = Q; every other cone goes through :func:`linear_image`."""
+    Q = np.asarray(Q, dtype=float)
+    n = cone.n
+    if Q.shape != (n, n) or not np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-10:
+        raise ValueError("Q must be an n x n orthogonal matrix")
+    if isinstance(cone, InequalityCone):
+        return InequalityCone(Q @ cone.W)
     return linear_image(Q, cone)
 
 

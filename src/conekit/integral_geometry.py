@@ -17,8 +17,9 @@ from one ``stream.normals`` call, its rotations from one stacked QR, and
 each draw's cone is a per-draw matrix: normals [W_C, Q_i W_D] for the
 kinematic formula, generators M_i V or normals M_i^{-T} W for a
 compression M_i = T Q_i.  One batched Lawson-Hanson call, with one Gram
-matrix per draw, projects the block.  Inputs that no such matrix
-represents keep the per-draw loop, which builds each cone with
+matrix per draw, projects the block; a block of 2-row matrices (planar
+cones) takes each draw's exact wedge form instead.  Inputs that no such
+matrix represents keep the per-draw loop, which builds each cone with
 ``intersect``/``rotate``/``linear_image`` from ``stream.gen(i)``: a
 kinematic side without normals (a generated cone with more generators
 than dimensions in R^3 and up, a :class:`~conekit.cones.LinearImage`, an
@@ -147,10 +148,9 @@ def _stacked_faces(samples, stream, n, m, width, project_block, make_cone):
     projecting a block of draws at once.
 
     A draw whose stacked projection did not converge takes the answer and
-    flag of make_cone(Q), the cone of :func:`_faces_per_draw`.  A planar
-    image cone spanned by nearly collinear generators (a compression by a
-    badly conditioned T) can need NNLS coefficients of 1e6 and more, which
-    the active set does not resolve; its wedge arithmetic is exact.
+    flag of make_cone(Q), the cone of :func:`_faces_per_draw`.  Stacks of
+    2-row matrices project by their exact wedge forms and always converge,
+    so only draws in R^3 and up can take this fallback.
     """
     fd = np.zeros(samples, dtype=np.int64)
     ok = np.zeros(samples, dtype=bool)
@@ -191,9 +191,10 @@ def verify_kinematic(C: Cone, D: Cone, samples: int,
 
     When both C and D have an inequality matrix (see
     :func:`~conekit.cones._inequality_matrix`), all draws are stacked: g is
-    projected onto {x : W^T x <= 0}, W = [W_C, Q W_D], by Moreau.
-    Otherwise each draw projects onto ``intersect(C, rotate(D, Q))``, by
-    Dykstra's algorithm when the intersection has no exact form."""
+    projected onto {x : W^T x <= 0}, W = [W_C, Q W_D], by Moreau, or in
+    the plane by the exact wedge form of each draw's W.  Otherwise each
+    draw projects onto ``intersect(C, rotate(D, Q))``, by Dykstra's
+    algorithm when the intersection has no exact form."""
     if C.n != D.n:
         raise ValueError("C and D must share an ambient dimension")
     n = C.n
@@ -363,9 +364,10 @@ def _compression_report(name, C, T, samples, stream):
     Where ``linear_image(T Q, C)`` is exact the draws run stacked: a cone
     with generators V is projected onto cone(M_i V), M_i = T Q_i, and one
     with only normals W under a square invertible T onto
-    {x : (M_i^{-T} W)^T x <= 0}.  A cone with only normals under a wide or
-    singular T keeps the per-draw loop; FISTA projects those images and
-    cannot classify their faces."""
+    {x : (M_i^{-T} W)^T x <= 0}; at m = 2 each image is a wedge, projected
+    in closed form.  A cone with only normals under a wide or singular T
+    keeps the per-draw loop; FISTA projects those images and cannot
+    classify their faces."""
     m, n = T.shape
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     t, _ = tails(prof)
@@ -416,8 +418,9 @@ def projected_statdim(C: Cone, m: int, samples: int,
     coordinates, with one Gaussian per rotation.
 
     The draws are those of :func:`_faces_per_draw`, stacked as in
-    :func:`_compression_report`.  A draw whose stacked projection did not
-    converge, and every draw of a cone with only normals at m < n, is
+    :func:`_compression_report`; at m = 2 they are exact wedge forms.  A
+    draw whose stacked projection did not converge (in R^3 and up), and
+    every draw of a cone with only normals at m < n, is
     projected onto its own cone ``linear_image(P Q, C)`` (by FISTA for the
     latter); a draw is dropped when that projection did not converge.
     """

@@ -8,16 +8,20 @@ the order in which samples are drawn.  Independent child streams are derived
 by hashing the parent identity, so distinct estimator calls never share keys.
 
 The key map has two consumers.  ``gen(i)`` returns a fresh generator for
-sample i, for loops that draw a variable amount per sample.  ``normals``
-draws fixed-shape Gaussians for a run of samples at once, from one Philox
-moved to each sample's key in turn; row i equals what ``gen(start + i)``
-gives, bit for bit, since a keyed counter-based generator at a new key is
-the stream a fresh one would give.
+sample i, for callers that keep it and draw a variable amount.  ``normals``
+draws fixed-shape Gaussians for a run of samples at once; it and every
+fixed-shape draw built on it (``normal_block``, ``haar_orthogonal``,
+``gaussian_vector``) use one Philox per thread, built once and moved to
+each sample's key in turn.  Row i equals what ``gen(start + i)`` gives,
+bit for bit, since a keyed counter-based generator at a new key is the
+stream a fresh one would give.  The Philox is per thread so that two
+threads' draws never interleave.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,28 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+_THREAD = threading.local()
+
+
+def _keyed_philox():
+    """This thread's Philox, its ``standard_normal``, a state dict of
+    Python ints (counter 0, empty buffer) and the dict's key list, which
+    :meth:`SeededStream.normals` sets before assigning the dict.  Built on
+    the thread's first draw, so importing this module loads no generator."""
+    try:
+        return _THREAD.philox
+    except AttributeError:
+        bits = np.random.Philox(0)
+        key = [0, 0]
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        _THREAD.philox = (bits, np.random.Generator(bits).standard_normal,
+                          state, key)
+        return _THREAD.philox
 
 
 @dataclass(frozen=True)
@@ -75,21 +101,20 @@ class SeededStream:
         """Standard normals of samples ``start .. start + count - 1``: one
         array of shape ``(count, *shape)`` per shape, whose row i holds
         what ``gen(start + i).standard_normal(shape)`` gives, drawn in the
-        order of ``shapes``.  One Philox serves the whole call; it is moved
-        to each sample's key with a fresh counter and an empty buffer, and
-        draws all of the sample's normals at once (draws within a sample
-        are sequential, so splitting them by shape gives the same values)."""
+        order of ``shapes``.  One Philox per thread serves every call; it
+        is moved to each sample's key with a fresh counter and an empty
+        buffer, and draws all of the sample's normals at once (draws within
+        a sample are sequential, so splitting them by shape gives the same
+        values)."""
         sizes = [math.prod(shape) for shape in shapes]
         flat = np.empty((count, sum(sizes)))
-        bits = np.random.Philox(key=self._key(start))
-        rng = np.random.Generator(bits)
-        state = bits.state              # counter 0, empty buffer
-        key = state["state"]["key"]
+        bits, draw, state, key = _keyed_philox()
+        key[0] = self.master_seed
         base = self.counter + int(start)
         for i in range(count):
             key[1] = (base + i) & _MASK64
             bits.state = state
-            rng.standard_normal(out=flat[i])
+            draw(out=flat[i])
         out, a = [], 0
         for shape, n in zip(shapes, sizes):
             out.append(np.ascontiguousarray(flat[:, a:a + n])
@@ -109,8 +134,7 @@ class SeededStream:
 
     def normal_block(self, block: int, rows: int, cols: int) -> np.ndarray:
         """Standard-normal ``(rows, cols)`` array for block ``block``."""
-        G, = self.normals(block, 1, (rows, cols))
-        return G[0]
+        return self.normals(block, 1, (rows, cols))[0][0]
 
 
 def block_ranges(total: int, block: int = BLOCK):
@@ -157,7 +181,7 @@ def haar_orthogonal(n: int, stream: SeededStream, index: int = 0) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return haar_from_rng(n, stream.gen(index))
+    return haar_stack(stream.normals(index, 1, (n, n))[0][0])
 
 
 def haar_from_rng(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,7 +203,7 @@ def gaussian_vector(n: int, stream: SeededStream, index: int = 0) -> np.ndarray:
     """Standard Gaussian vector in R^n (sample ``index`` of the stream)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return stream.gen(index).standard_normal(n)
+    return stream.normals(index, 1, (n,))[0][0]
 
 
 def row_projection(m: int, n: int) -> np.ndarray:

@@ -701,9 +701,9 @@ def planar_boundary_cases(rng):
         yield _unit_columns(a + np.array([0.0, 2.0])) * [1.0, r]
 
 
-def test_planar_forms_match_array_oracle():
-    rng = np.random.default_rng(27)
-    kinds = set()
+def planar_test_matrices(rng):
+    """400 random 2 x k generator matrices, k < 6, with zero, integer and
+    antipodal columns, then 20 rounds of :func:`planar_boundary_cases`."""
     for _ in range(400):
         k = int(rng.integers(0, 6))
         V = (rng.integers(-2, 3, (2, k)).astype(float) if rng.random() < 0.4
@@ -712,14 +712,68 @@ def test_planar_forms_match_array_oracle():
             V[:, rng.integers(k)] = 0.0
         if k > 1 and rng.random() < 0.3:
             V[:, 1] = -rng.uniform(0.5, 2.0) * V[:, 0]
+        yield V
+    for _ in range(20):
+        yield from planar_boundary_cases(rng)
+
+
+def test_planar_forms_match_array_oracle():
+    kinds = set()
+    for V in planar_test_matrices(np.random.default_rng(27)):
         want = numpy_planar_from_generators(V)
         assert cones._planar_from_generators(V) == want
         kinds.add(want[0])
     assert kinds == {"zero", "full", "line", "ray", "arc"}
-    for _ in range(20):
-        for V in planar_boundary_cases(rng):
-            assert cones._planar_from_generators(V) == \
-                numpy_planar_from_generators(V)
+
+
+def _stacks_by_width(mats):
+    """The matrices grouped by column count, each group as one stack."""
+    groups = {}
+    for V in mats:
+        groups.setdefault(V.shape[1], []).append(V)
+    return [np.stack(group) for group in groups.values()]
+
+
+def _form_of_row(forms, i):
+    """Row i of per-row forms (kind, a, w) as a planar form tuple."""
+    kind, a, w = (int(forms[0][i]), float(forms[1][i]), float(forms[2][i]))
+    name = cones._KINDS[kind]
+    return (name,) + ((a,) if name in ("line", "ray") else
+                      (a, w) if name == "arc" else ())
+
+
+def test_row_wise_planar_forms_match_float_scan():
+    stacks = _stacks_by_width(planar_test_matrices(np.random.default_rng(27)))
+    for S in stacks:
+        forms = cones._planar_rows(S)
+        polars = cones._planar_polar_rows(*forms)
+        for i, V in enumerate(S):
+            want = cones._planar_from_generators(V)
+            assert _form_of_row(forms, i) == want
+            assert _form_of_row(polars, i) == cones._planar_polar(want)
+
+
+def test_stacked_planar_projections_match_per_row_cones():
+    # generator stacks and normal stacks of every planar kind, against the
+    # closed forms of per-row GeneratorCone and InequalityCone
+    rng = np.random.default_rng(28)
+    mats = list(planar_test_matrices(rng))
+    mats += [_unit_columns(rng.uniform(0, 2 * math.pi, k))
+             * rng.uniform(0.5, 2.0, k)
+             for k in (1, 2, 3, 6) for _ in range(50)]
+    for S in _stacks_by_width(mats):
+        X = rng.standard_normal((len(S), 2)) * \
+            rng.choice([1e-3, 1.0, 1e3], size=(len(S), 1))
+        for stacked, make in ((cones._project_generated, GeneratorCone),
+                              (cones._project_normals, InequalityCone)):
+            P, fd, ok = batch = stacked(S, X)
+            assert ok.all() and not batch.iterations.any()
+            assert np.array_equal(stacked(S, X, faces=False)[0], P)
+            for i, V in enumerate(S):
+                want = project(make(V), X[i])
+                assert (np.abs(P[i] - want.point).max()
+                        <= 1e-15 * (1.0 + np.linalg.norm(X[i])))
+                assert fd[i] == want.face_dim
 
 
 def test_rotated_inequality_cone_matches_linear_image():
@@ -728,11 +782,24 @@ def test_rotated_inequality_cone_matches_linear_image():
         W = rng.standard_normal((n, n + 1))
         Q = haar_orthogonal(n, SeededStream(23, n))
         R = rotate(InequalityCone(W), Q)
-        assert isinstance(R, InequalityCone)
+        assert isinstance(R, InequalityCone) and np.array_equal(R.W, Q @ W)
         oracle = LinearImage(Q, InequalityCone(W))
         for x in rng.standard_normal((20, n)):
             assert np.allclose(project(R, x).point, project(oracle, x).point,
                                atol=1e-10, rtol=0.0)
+
+
+@pytest.mark.parametrize("Q", [
+    1.5 * haar_orthogonal(3, SeededStream(30, 0)),
+    haar_orthogonal(3, SeededStream(30, 0)) + 1e-8,
+    np.eye(3)[:, :2],
+    np.eye(2),
+    np.full((3, 3), np.nan),
+], ids=["scaled", "perturbed", "tall", "wrong-size", "nan"])
+def test_rotate_rejects_non_orthogonal_q(Q):
+    for C in (InequalityCone(np.eye(3)), NonnegOrthant(3)):
+        with pytest.raises(ValueError):
+            rotate(C, Q)
 
 
 def test_invertible_image_matches_fista():

@@ -8,6 +8,7 @@ import pytest
 from conftest import combined_stderr, stream
 
 import conekit.cones as cone_module
+import conekit.integral_geometry as ig_module
 from conekit import solvers
 from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
                            NonnegOrthant, ProductCone, Subspace,
@@ -494,18 +495,17 @@ def test_stacked_compression_draws_match_per_draw_cones(T, C):
 
 def test_ill_conditioned_compression_loses_no_draw():
     # T = diag(1, 1e-6) P squeezes the generators of each image of R^3_+
-    # to within about 1e-6 rad of a line.  About 1% of the per-draw NNLS solves stop
-    # unconverged there, on image cones that are the full plane; those
-    # draws take the wedge arithmetic of the per-draw cone, so no draw is
-    # lost.  The converged NNLS answers differ from the wedge arithmetic on
-    # 9 of the 20,000 draws, each time farther from g than the wedge answer.
+    # to within about 1e-6 rad of a line, where Lawson-Hanson would need
+    # coefficients of 1e6 and more.  The stacked draws take the exact
+    # wedge form of each 2-row image, as the per-draw cones do, so every
+    # draw converges and agrees with its per-draw cone.
     T = np.diag([1.0, 1e-6]) @ row_projection(2, 3)
     C = NonnegOrthant(3)
     st = stream(318).child(0)
     fd, ok = _compression_faces(T, C, 20000, st)
     want = _faces_per_draw(20000, st, lambda Q: linear_image(T @ Q, C), 3)
     assert ok.all() and want[1].all()
-    assert np.count_nonzero(fd != want[0]) <= 9
+    assert np.count_nonzero(fd != want[0]) == 0
 
 
 def test_kinematic_l1_cone_runs_stacked():
@@ -537,6 +537,35 @@ def test_identity_suites_never_take_the_per_draw_loop(monkeypatch):
             assert run_identity_suite(name, 1000, st).verdict
     verify_kinematic(NonnegOrthant(3), L1SubdiffCone(3, [0], [1.0]), 200,
                      SeededStream(3, 0))
+
+
+def test_two_row_stacks_never_reach_nnls(monkeypatch):
+    # the stacks of 2-row matrices (kinematic-planar, projection, tqc)
+    # take their exact wedge forms; only the 3-row kinematic-subspace
+    # stacks run Lawson-Hanson
+    planar, seen = [], []
+    real_nnls = cone_module._nnls_batch
+
+    def watch(project):
+        def wrapped(M, X, *args, **kwargs):
+            planar.append(M.ndim == 3 and M.shape[1] == 2)
+            seen.append(planar[-1])
+            try:
+                return project(M, X, *args, **kwargs)
+            finally:
+                planar.pop()
+        return wrapped
+
+    def nnls(G, W0):
+        assert not any(planar), "a 2-row stack reached NNLS"
+        return real_nnls(G, W0)
+
+    monkeypatch.setattr(cone_module, "_nnls_batch", nnls)
+    for name in ("_project_generated", "_project_normals"):
+        monkeypatch.setattr(ig_module, name, watch(getattr(ig_module, name)))
+    for i, name in enumerate(sorted(IDENTITY_SUITES)):
+        run_identity_suite(name, 1000, SeededStream(1303, 0).child(i))
+    assert any(seen) and not all(seen)
 
 
 def test_stacked_draws_are_chunk_invariant(monkeypatch):

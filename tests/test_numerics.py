@@ -1,10 +1,17 @@
 """Randomness plumbing, Haar sampling, and the svd wrapper."""
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import conekit
 from conekit.numerics import (SeededStream, block_ranges, gaussian_vector,
-                              haar_orthogonal, row_projection, svd)
+                              haar_from_rng, haar_orthogonal, row_projection,
+                              svd)
 
 
 def test_stream_reproducible_across_instances():
@@ -55,6 +62,63 @@ def test_normals_match_gen_over_random_keys():
         for a, b in zip(st.normals(start, count, (3, 2), (4,)),
                         _normals_by_gen(st, start, count, (3, 2), (4,))):
             assert np.array_equal(a, b)
+
+
+def test_normals_are_per_thread():
+    # four threads, more than the cores of a small host, draw from
+    # different streams at once and switch often; each thread's rows
+    # equal a serial run's
+    streams = [SeededStream(41, 0), SeededStream(42, 7).child(2),
+               SeededStream(2 ** 64 - 1, 3), SeededStream(43, 2 ** 64 - 5)]
+
+    def run(st):
+        return [st.normals(i, 3, (2, 2), (3,)) for i in range(200)]
+
+    want = [run(st) for st in streams]
+    got = [None] * len(streams)
+    barrier = threading.Barrier(len(streams))
+
+    def work(j):
+        barrier.wait(timeout=60)
+        got[j] = run(streams[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,))
+                   for j in range(len(streams))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for g, w in zip(got, want):
+        assert g is not None
+        for a, b in zip(g, w):
+            for u, v in zip(a, b):
+                assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_keyed_draws_match_gen(n):
+    st = SeededStream(2 ** 64 - 9, 5).child(n)
+    for i in (0, 1, 17, 2 ** 40 + 3):
+        assert np.array_equal(haar_orthogonal(n, st, i),
+                              haar_from_rng(n, st.gen(i)))
+        assert np.array_equal(gaussian_vector(n, st, i),
+                              st.gen(i).standard_normal(n))
+
+
+def test_import_loads_no_generator():
+    # each thread's Philox is built on its first draw, so importing conekit
+    # leaves numpy.random unloaded
+    src = os.path.dirname(os.path.dirname(conekit.__file__))
+    code = "import sys, conekit; sys.exit('numpy.random' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0
 
 
 def test_normal_block_matches_gen():
