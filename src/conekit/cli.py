@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .bounds import (analysis_statdim_bound, edge_thresholds,
                      optimal_m_search)
-from .condition import (classify_feasibility, condition_report,
+from .condition import (METHODS, classify_feasibility, condition_report,
                         empirical_gordon_check, gordon_kappa_bound,
-                        kappa_bar, min_perturbation_to_primal)
+                        kappa_bar, min_perturbation_to_primal, restricted_sv)
 from .cones import (GeneratorCone, NonnegOrthant, cone_from_dict, polar,
                     project)
 from .integral_geometry import IDENTITY_SUITES, run_identity_suite
@@ -376,13 +376,12 @@ def _suite_condition(samples: int, stream: SeededStream):
     A = rng.standard_normal((2, 2))
     C = GeneratorCone(np.array([[1.0, 0.0], [0.0, 1.0]]))
     D = NonnegOrthant(2)
-    from .condition import restricted_sv
-    exact_like = restricted_sv(A, C, D, method="grid_oracle",
-                               stream=stream.child(1))
+    exact = restricted_sv(A, C, D, method="exact")
     ms = restricted_sv(A, C, D, method="multistart", stream=stream.child(2))
-    diff = abs(exact_like.value - ms.value)
-    checks.append(("sigma-grid-vs-multistart", diff <= 2e-3,
-                   f"|grid - multistart| = {diff:.2e}", None))
+    diff = abs(exact.value - ms.value)
+    checks.append(("sigma-exact-vs-multistart",
+                   diff <= 1e-9 * max(1.0, float(np.linalg.norm(A, 2))),
+                   f"|exact - multistart| = {diff:.2e}", None))
     dA, rv = min_perturbation_to_primal(A, C, D, method="multistart",
                                         stream=stream.child(3))
     feas = classify_feasibility(A + dA, C, D, method="multistart",
@@ -568,8 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cone-c", required=True, help="source cone JSON")
     p.add_argument("--cone-d", default=None,
                    help="target cone JSON (default orthant)")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "multistart", "grid_oracle"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     _add_common(p)
     p.set_defaults(fn=cmd_condition)
 

@@ -7,23 +7,22 @@ the min counterpart.  These drive the Renegar-style condition number
 of the pair (C, D), minimal perturbations into primal feasibility, and the
 projected condition number with its Gordon-type bound.
 
-Extrema over a sphere-cone section are nonconvex, so three methods are
-offered: closed forms when C (and D) are subspaces or C is a single ray,
-multistart projected gradient with spherical retraction (certificate, not
-certified), and an exhaustive angular grid for ambient dimension <= 3.
-The multistart starts advance in lockstep, so each step projects all
-running starts with one batched call per cone.
+Extrema over a sphere-cone section are nonconvex.  ``exact`` takes the
+closed form of a subspace pair or enumerates the supports of the optimum
+(polyhedral pairs of moderate size); ``multistart`` runs projected
+gradient with spherical retraction from starts advancing in lockstep (a
+certificate, not certified); ``auto`` takes the first that applies.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, GeneratorCone, InequalityCone, NonnegOrthant,
-                    Subspace, generators_of)
+from .cones import Cone, Subspace, _inequality_matrix, generators_of
 from .numerics import SeededStream, haar_from_rng, haar_stack
 from .solvers import LPStandardForm, _chunk_rows, lp_solve_standard
 from .statdim import Estimate, mc_estimate
@@ -45,10 +44,10 @@ __all__ = [
     "empirical_gordon_check",
 ]
 
+METHODS = ("auto", "exact", "multistart")
 MULTISTART_DEFAULT = 50
 MULTISTART_TOL = 1e-9
-GRID_RESOLUTION = 1e-3
-GRID_CHUNK = 1_000_000   # grid directions built and projected at once
+EXACT_MAX_PAIRS = 10_000   # support pairs above which auto runs multistart
 _DEFAULT_STREAM = SeededStream(1_000_003, 0)
 
 
@@ -56,8 +55,7 @@ _DEFAULT_STREAM = SeededStream(1_000_003, 0)
 class RestrictedValue:
     """Extreme value of ||Proj_D(A x)|| over x in C with |x| = 1.
 
-    heuristic is True when the value is a multistart bound rather than an
-    exact or exhaustively searched quantity.
+    heuristic is True for a multistart bound, False for an exact value.
     """
 
     value: float
@@ -116,115 +114,134 @@ class Feasibility:
 # restricted extrema
 # ---------------------------------------------------------------------------
 
-def _single_ray_direction(C: Cone):
-    """Unit direction u with C = {t u : t >= 0}, or None."""
-    V = generators_of(C)
-    if V is None or V.shape[1] == 0:
+def _subspace_pair(A, C, D, sense):
+    """Closed-form extreme value of a pair of subspaces."""
+    K = D.basis.T @ A @ C.basis
+    if C.dim == 0:
+        raise ValueError("C is the zero cone; no unit vectors")
+    if D.dim == 0:
+        return RestrictedValue(0.0, C.basis[:, 0], "exact", False)
+    U, s, Vt = np.linalg.svd(K, full_matrices=True)
+    if sense > 0:
+        return RestrictedValue(float(s[0]), C.basis @ Vt[0], "exact", False)
+    if K.shape[1] > K.shape[0]:
+        return RestrictedValue(0.0, C.basis @ Vt[-1], "exact", False)
+    return RestrictedValue(float(s[-1]), C.basis @ Vt[len(s) - 1], "exact",
+                           False)
+
+
+def _directions(V):
+    """Unit columns of V, with zero columns and columns within 1e-12 of the
+    direction of an earlier one dropped; None when V is None."""
+    if V is None:
         return None
     norms = np.linalg.norm(V, axis=0)
-    keep = norms > 1e-14 * max(1.0, norms.max())
-    if not keep.any():
-        return None
+    keep = norms > 1e-14 * max(1.0, norms.max(initial=0.0))
     U = V[:, keep] / norms[keep]
-    u = U[:, 0]
-    if np.all(U.T @ u > 1.0 - 1e-12):
-        return u
-    return None
+    i = np.arange(U.shape[1])
+    return U[:, ~((U.T @ U > 1.0 - 1e-12) & (i[:, None] < i)).any(axis=0)]
 
 
-def _exact_restricted(A, C, D, sense):
-    """Closed-form extreme value when available, else None."""
-    u = _single_ray_direction(C)
-    if u is not None:
-        p = D.project_point(A @ u).point
-        return RestrictedValue(float(np.linalg.norm(p)), u, "exact", False)
-    if isinstance(C, Subspace) and isinstance(D, Subspace):
-        K = D.basis.T @ A @ C.basis
-        if C.dim == 0:
-            raise ValueError("C is the zero cone; no unit vectors")
-        if D.dim == 0:
-            return RestrictedValue(0.0, C.basis[:, 0], "exact", False)
-        U, s, Vt = np.linalg.svd(K, full_matrices=True)
-        if sense > 0:
-            return RestrictedValue(float(s[0]), C.basis @ Vt[0], "exact",
-                                   False)
-        if K.shape[1] > K.shape[0]:
-            return RestrictedValue(0.0, C.basis @ Vt[-1], "exact", False)
-        return RestrictedValue(float(s[-1]), C.basis @ Vt[len(s) - 1],
-                               "exact", False)
-    return None
+def _support_count(k, n, smallest):
+    """Number of subsets of k columns in R^n with smallest..n members."""
+    return sum(math.comb(k, s) for s in range(smallest, min(n, k) + 1))
 
 
-def _objective_batch(A, D, U):
-    """||Proj_D(A u)|| for each row u of U."""
-    Y = U @ A.T
-    P, _, _ = D.project_batch(Y, faces=False)
-    return np.linalg.norm(P, axis=1)
+def _supports(U, size):
+    """(S, Q, R^{-1}) for the linearly independent size-subsets S of the
+    unit columns of U, each U[:, S] = Q R, stacked."""
+    S = np.array(list(itertools.combinations(range(U.shape[1]), size)),
+                 dtype=np.intp).reshape(math.comb(U.shape[1], size), size)
+    B = np.swapaxes(U.T[S], 1, 2)
+    if size <= 1:
+        return S, B, np.ones((len(S), size, size))
+    Q, R = np.linalg.qr(B)
+    ok = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > 1e-10).all(axis=1)
+    return S[ok], Q[ok], np.linalg.inv(R[ok])
 
 
-def _membership_mask(C: Cone, U: np.ndarray, tol: float = 1e-9):
-    """Vectorized cone membership for unit rows of U."""
-    if isinstance(C, Subspace):
-        R = U - (U @ C.basis) @ C.basis.T
-        return np.linalg.norm(R, axis=1) <= tol
-    if isinstance(C, NonnegOrthant):
-        return U.min(axis=1) >= -tol
-    if isinstance(C, InequalityCone):
-        wn = np.maximum(np.linalg.norm(C.W, axis=0), 1.0)
-        return (U @ C.W <= tol * wn).all(axis=1)
-    if isinstance(C, GeneratorCone):
-        if C.k == C.n:
-            try:
-                coef = np.linalg.solve(C.V, U.T)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                return (coef >= -tol).all(axis=0)
-    P, _, _ = C.project_batch(U, faces=False)
-    return np.linalg.norm(U - P, axis=1) <= tol
+def _padded_supports(U, smallest):
+    """(Q, R^{-1}) of :func:`_supports` for every size from ``smallest``
+    up, padded with zeros to the largest size, as one stack."""
+    n, width = U.shape[0], min(U.shape)
+    Q2, R2inv = np.zeros((0, n, width)), np.zeros((0, width, width))
+    for size in range(smallest, width + 1):
+        _, Q, Rinv = _supports(U, size)
+        pad = (0, width - size)
+        Q2 = np.concatenate([Q2, np.pad(Q, ((0, 0), (0, 0), pad))])
+        R2inv = np.concatenate([R2inv, np.pad(Rinv, ((0, 0), pad, pad))])
+    return Q2, R2inv
 
 
-def _sphere_grid(n: int, resolution: float):
-    """Quasi-uniform unit vectors at the requested angular resolution, in
-    blocks of at most ``GRID_CHUNK`` rows.  In R^3 they are a Fibonacci
-    lattice, and each block is made from its own range of lattice indices,
-    so the whole lattice is never held at once."""
-    if n == 1:
-        yield np.array([[1.0], [-1.0]])
-    elif n == 2:
-        ang = np.arange(0.0, 2 * math.pi, resolution)
-        U = np.column_stack([np.cos(ang), np.sin(ang)])
-        for a in range(0, len(U), GRID_CHUNK):
-            yield U[a:a + GRID_CHUNK]
-    elif n == 3:
-        N = int(math.ceil(4 * math.pi / resolution ** 2))
-        for a in range(0, N, GRID_CHUNK):
-            i = np.arange(a, min(a + GRID_CHUNK, N))
-            z = 1.0 - (2.0 * i + 1.0) / N
-            r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-            phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-            yield np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+def _nonneg(v):
+    """Whether each stacked column of v is >= 0 to 1e-9 of its max."""
+    scale = np.abs(v).max(axis=-2, keepdims=True, initial=0.0)
+    return (v >= -1e-9 * scale).all(axis=-2)
+
+
+def _stationary_points(AQ, R1inv, UJ, Q2, R2inv, sense):
+    """Unit candidate rows of :func:`_support_enumeration` for supports J
+    of one size (A Q1, R1^{-1}, U_J^T) against padded sets of D."""
+    T = np.swapaxes(Q2, 1, 2)[:, None] @ AQ
+    if sense < 0:
+        M = AQ - Q2[:, None] @ T
+        _, Y = np.linalg.eigh(np.swapaxes(M, 2, 3) @ M)
+        c, side = R1inv @ Y, R2inv[:, None] @ T @ Y
     else:
-        raise ValueError("grid oracle supports ambient dimension <= 3")
+        Wd, _, Vt = np.linalg.svd(T, full_matrices=False)
+        c, side = R1inv @ np.swapaxes(Vt, 2, 3), R2inv[:, None] @ Wd
+    flip = np.where(c.sum(axis=2, keepdims=True) < 0, -1.0, 1.0)
+    i, j, e = np.nonzero(_nonneg(flip * c) & _nonneg(flip * side))
+    coef = np.maximum(flip[i, j, 0, e][:, None] * c[i, j, :, e], 0.0)
+    Z = np.einsum("ks,ksn->kn", coef, UJ[j])
+    return Z / np.linalg.norm(Z, axis=1, keepdims=True)
 
 
-def _grid_extremum(A, C, D, sense):
-    best_val = -math.inf if sense > 0 else math.inf
-    best_u = None
-    for Uc in _sphere_grid(C.n, GRID_RESOLUTION):
-        mask = _membership_mask(C, Uc)
-        if not mask.any():
-            continue
-        Uf = Uc[mask]
-        vals = _objective_batch(A, D, Uf)
-        j = int(np.argmax(vals)) if sense > 0 else int(np.argmin(vals))
-        if (sense > 0 and vals[j] > best_val) or \
-                (sense < 0 and vals[j] < best_val):
-            best_val = float(vals[j])
-            best_u = Uf[j].copy()
-    if best_u is None:
-        raise ValueError("no grid direction lies in C; is C the zero cone?")
-    return RestrictedValue(best_val, best_u, "grid_oracle", False)
+def _support_enumeration(A, C, D, sense):
+    """Exact extreme value by enumerating supports, or None when a needed
+    representation is missing or there are over ``EXACT_MAX_PAIRS`` pairs.
+
+    The candidates are the unit generators of C and, for each independent
+    set J of two or more of them, U_J = Q1 R1: for the min, per independent
+    set L of unit normals of D (empty included), each eigenvector y of
+    M^T M, M = (I - P_L) A Q1, with c = R1^{-1} y and W_L^+ A Q1 y >= 0 up
+    to one joint sign; for the max, per independent set K of unit
+    generators of D, U_K = Q2 R2, each singular triplet (v, u) of
+    Q2^T A Q1 with c = R1^{-1} v and R2^{-1} u >= 0 up to one joint sign.
+    By Caratheodory the optimum lies in such a pair of supports, where it
+    is one of these stationary points.  Each candidate U_J max(c, 0),
+    normalized, lies in C; one ``D.project_batch(faces=False)`` call
+    scores all, and only that score counts, since a candidate's own value
+    bounds ||Proj_D(A x)|| from one side only.  A C whose generators span
+    one line needs no representation of D.
+    """
+    U = _directions(generators_of(C))
+    if U is None:
+        return None
+    if U.shape[1] == 0:
+        raise ValueError("C is the zero cone; no unit vectors")
+    X = [U.T]
+    if not (np.abs(U.T @ U[:, 0]) > 1.0 - 1e-12).all():
+        other = _directions(_inequality_matrix(D) if sense < 0
+                            else generators_of(D))
+        if other is None or (
+                _support_count(U.shape[1], C.n, 2) *
+                _support_count(other.shape[1], D.n, int(sense > 0))
+                > EXACT_MAX_PAIRS):
+            return None
+        Q2, R2inv = _padded_supports(other, int(sense > 0))
+        for size in range(2, min(C.n, U.shape[1]) + 1):
+            S, Q1, R1inv = _supports(U, size)
+            AQ, UJ = A @ Q1, U.T[S]
+            step = _chunk_rows(len(S) * D.n * size)
+            X += [_stationary_points(AQ, R1inv, UJ, Q2[a:a + step],
+                                     R2inv[a:a + step], sense)
+                  for a in range(0, len(Q2), step)]
+    X = np.concatenate(X)
+    P = D.project_batch(X @ A.T, faces=False)[0]
+    vals = np.linalg.norm(P, axis=1)
+    j = int(np.argmax(vals) if sense > 0 else np.argmin(vals))
+    return RestrictedValue(float(np.linalg.norm(P[j])), X[j], "exact", False)
 
 
 def _multistart_extremum(A, C, D, sense, stream):
@@ -305,17 +322,18 @@ def _restricted_extremum(A, C, D, sense, method="auto", stream=None):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape != (D.n, C.n):
         raise ValueError(f"A must be {D.n} x {C.n} for these cones")
-    if method not in ("auto", "exact", "multistart", "grid_oracle"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "exact"):
-        res = _exact_restricted(A, C, D, sense)
+    if method != "multistart":
+        res = (_subspace_pair(A, C, D, sense)
+               if isinstance(C, Subspace) and isinstance(D, Subspace)
+               else _support_enumeration(A, C, D, sense))
         if res is not None:
             return res
         if method == "exact":
-            raise ValueError("no exact form for this cone pair; "
-                             "use multistart or grid_oracle")
-    if method == "grid_oracle":
-        return _grid_extremum(A, C, D, sense)
+            raise ValueError("no exact method for this cone pair (C needs "
+                             "generators, D normals or generators, at most "
+                             f"{EXACT_MAX_PAIRS} support pairs)")
     return _multistart_extremum(A, C, D, sense,
                                 stream if stream is not None
                                 else _DEFAULT_STREAM)

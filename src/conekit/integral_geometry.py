@@ -18,15 +18,13 @@ each draw's cone is a per-draw matrix: normals [W_C, Q_i W_D] for the
 kinematic formula, generators M_i V or normals M_i^{-T} W for a
 compression M_i = T Q_i.  One batched Lawson-Hanson call, with one Gram
 matrix per draw, projects the block; a block of 2-row matrices (planar
-cones) takes each draw's exact wedge form instead.  Inputs that no such
-matrix represents keep the per-draw loop, which builds each cone with
-``intersect``/``rotate``/``linear_image`` from ``stream.gen(i)``: a
-kinematic side without normals (a generated cone with more generators
-than dimensions in R^3 and up, a :class:`~conekit.cones.LinearImage`, an
-:class:`~conekit.cones.IntersectionCone`) and a cone with normals only
-under a wide or singular compression.  ``projected_statdim`` stacks its
-draws the same way; a cone with only normals at m < n projects each
-draw's image by FISTA.
+cones) takes each draw's exact wedge form instead.  A kinematic side
+without normals (a generated cone with more generators than dimensions
+in R^3 and up, a :class:`~conekit.cones.LinearImage`) projects each draw
+onto its own cone ``intersect(C, rotate(D, Q_i))``.  A compression of a
+cone without generators under a wide or singular T raises ValueError,
+since its images classify no faces; ``projected_statdim`` projects them
+by FISTA.
 """
 
 from __future__ import annotations
@@ -36,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, Subspace, _inequality_matrix, _project_generated,
-                    _project_normals, generators_of, intersect, linear_image,
-                    project, rotate)
-from .numerics import SeededStream, haar_from_rng, haar_stack, row_projection
+from .cones import (Cone, Subspace, _inequality_matrix, _orthonormal_columns,
+                    _project_generated, _project_normals, generators_of,
+                    intersect, linear_image, project, rotate)
+from .numerics import SeededStream, haar_stack, row_projection
 from .statdim import (Estimate, estimate_intrinsic_volumes, face_histogram,
                       mc_estimate, tails)
 from .solvers import _chunk_rows, nnls
@@ -112,29 +110,12 @@ def _zscores(lhs, lse, rhs, rse):
     return z
 
 
-def _faces_per_draw(samples, stream, make_cone, ambient):
-    """Face dims of Proj_{K(Q)}(g) and their flags, one rotation at a time.
-
-    make_cone(Q) builds the random cone; one Gaussian is drawn per rotation
-    from the same substream.  A draw is flagged when its projection did not
-    converge or could not be classified.
-    """
-    fd = np.zeros(samples, dtype=np.int64)
-    ok = np.zeros(samples, dtype=bool)
-    for i in range(samples):
-        gen = stream.gen(i)
-        K = make_cone(haar_from_rng(ambient, gen))
-        r = project(K, gen.standard_normal(K.n))
-        if r.converged and r.face_dim is not None:
-            fd[i], ok[i] = r.face_dim, True
-    return fd, ok
-
-
 def _rotation_draws(samples, stream, n, m, width):
-    """Blocks (start, Q, g) of the draws of :func:`_faces_per_draw`: sample
-    i takes its n x n Gaussian matrix and then its Gaussian point in R^m,
-    the draws of ``stream.gen(i)``, from one ``stream.normals`` call per
-    block, and the block's rotations come from one stacked QR.  A block
+    """Blocks (start, Q, g) of rotation draws: sample i takes its n x n
+    Gaussian matrix and then its Gaussian point in R^m, the draws of
+    ``stream.gen(i)``, from one ``stream.normals`` call per block, and the
+    block's rotations come from one stacked QR, bit-identical to
+    ``haar_from_rng(n, stream.gen(i))``.  A block
     holds as many samples as fit ``width`` floats each (at least n^2) into
     ``CHUNK_BYTES``."""
     step = _chunk_rows(max(n * n, width))
@@ -144,18 +125,20 @@ def _rotation_draws(samples, stream, n, m, width):
 
 
 def _stacked_faces(samples, stream, n, m, width, project_block, make_cone):
-    """Face dims and flags of every draw, with project_block(Q, g)
-    projecting a block of draws at once.
+    """Face dims of Proj_{K(Q)}(g) per draw, flagged False when the
+    projection did not converge or could not be classified, with
+    project_block(Q, g) projecting a block of draws at once.
 
-    A draw whose stacked projection did not converge takes the answer and
-    flag of make_cone(Q), the cone of :func:`_faces_per_draw`.  Stacks of
-    2-row matrices project by their exact wedge forms and always converge,
-    so only draws in R^3 and up can take this fallback.
+    A draw whose stacked projection did not converge, and with
+    project_block None every draw, takes the answer and flag of its own
+    cone make_cone(Q).  Stacks of 2-row matrices project by their exact
+    wedge forms and always converge.
     """
     fd = np.zeros(samples, dtype=np.int64)
     ok = np.zeros(samples, dtype=bool)
     for a, Q, g in _rotation_draws(samples, stream, n, m, width):
-        _, fd[a:a + len(g)], ok[a:a + len(g)] = project_block(Q, g)
+        if project_block is not None:
+            _, fd[a:a + len(g)], ok[a:a + len(g)] = project_block(Q, g)
         for i in np.flatnonzero(~ok[a:a + len(g)]):
             r = project(make_cone(Q[i]), g[i])
             if r.converged and r.face_dim is not None:
@@ -173,7 +156,7 @@ def _kinematic_faces(C: Cone, D: Cone, samples: int, stream: SeededStream):
         return intersect(C, rotate(D, Q))
 
     if WC is None or WD is None:
-        return _faces_per_draw(samples, stream, make_cone, n)
+        return _stacked_faces(samples, stream, n, n, 0, None, make_cone)
     k = WC.shape[1] + WD.shape[1]
 
     def project_block(Q, g):
@@ -349,10 +332,10 @@ def _compression_faces(T: np.ndarray, C: Cone, samples: int,
     def make_cone(Q):
         return linear_image(T @ Q, C)
 
-    block = _compression_block(T, C)
-    if block is None:
-        return _faces_per_draw(samples, stream, make_cone, n)
-    project_block, width = block
+    project_block, width = _compression_block(T, C) or (None, 0)
+    if project_block is None and not _orthonormal_columns(T):
+        raise ValueError(f"{type(C).__name__} has no generators: FISTA "
+                         "would project its images, classifying no faces")
     return _stacked_faces(samples, stream, n, m, width, project_block,
                           make_cone)
 
@@ -365,10 +348,11 @@ def _compression_report(name, C, T, samples, stream):
     with generators V is projected onto cone(M_i V), M_i = T Q_i, and one
     with only normals W under a square invertible T onto
     {x : (M_i^{-T} W)^T x <= 0}; at m = 2 each image is a wedge, projected
-    in closed form.  A cone with only normals under a wide or singular T
-    keeps the per-draw loop; FISTA projects those images and cannot
-    classify their faces."""
+    in closed form.  A cone without generators under a wide or singular,
+    non-orthogonal T raises ValueError before any draw, since FISTA would
+    project its images and cannot classify their faces."""
     m, n = T.shape
+    fd, ok = _compression_faces(T, C, samples, stream.child(0))
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     t, _ = tails(prof)
     rhs = np.empty(m + 1)
@@ -377,8 +361,7 @@ def _compression_report(name, C, T, samples, stream):
     rse[:m] = prof.stderr[:m]
     rhs[m] = t[m]
     rse[m] = math.sqrt(float(np.sum(prof.stderr[m:] ** 2)))
-    lhs, lse, n_eff, failures = face_histogram(
-        *_compression_faces(T, C, samples, stream.child(0)), m)
+    lhs, lse, n_eff, failures = face_histogram(fd, ok, m)
     z = _zscores(lhs, lse, rhs, rse)
     return IdentityCheckReport(
         name, list(range(m + 1)), lhs, lse, rhs, rse, z, n_eff, failures,
@@ -417,7 +400,7 @@ def projected_statdim(C: Cone, m: int, samples: int,
     """Estimate E_Q[delta(P Q C)] for the projection onto the first m
     coordinates, with one Gaussian per rotation.
 
-    The draws are those of :func:`_faces_per_draw`, stacked as in
+    The draws are those of :func:`_rotation_draws`, stacked as in
     :func:`_compression_report`; at m = 2 they are exact wedge forms.  A
     draw whose stacked projection did not converge (in R^3 and up), and
     every draw of a cone with only normals at m < n, is

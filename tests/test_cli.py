@@ -332,6 +332,28 @@ def test_verify_suite_exit_codes(tmp_path):
     assert "[pass]" in text and "FAIL" not in text
 
 
+def test_verify_condition_suite_compares_the_exact_minimum(tmp_path):
+    # the grid oracle this check compared against missed the minimum on
+    # the quadrant's edge at seed 132 by 2.28e-3
+    rc, text = run_to_file(
+        ["verify", "--suite", "condition", "--seed", "132", "--samples",
+         "4000"], tmp_path / "verify.txt")
+    assert rc == 0
+    first = text.splitlines()[0]
+    assert first.startswith("[pass] condition/sigma-exact-vs-multistart: ")
+    assert "z = " not in first
+
+
+def test_condition_methods_are_one_list(capsys):
+    assert cli.METHODS == ("auto", "exact", "multistart")
+    with pytest.raises(SystemExit) as exc:
+        main(["condition", "--matrix", "[[1, 0], [0, 1]]", "--cone-c",
+              '{"variant": "nonneg_orthant", "n": 2}', "--method",
+              "grid_oracle", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_json_output(tmp_path):
     # the statdim suite's checks return numpy booleans
     rc, text = run_to_file(

@@ -13,10 +13,11 @@ from conekit.condition import (classify_feasibility, condition_report,
                                kappa_bar, min_perturbation_to_primal,
                                renegar, renegar_single, restricted_norm,
                                restricted_sv)
-from conekit.cones import (GeneratorCone, InequalityCone, NonnegOrthant,
-                           PolarCone, Subspace, full_space, polar, project)
-from conekit import condition, solvers
-from conekit.numerics import haar_from_rng, haar_orthogonal
+from conekit.cones import (GeneratorCone, InequalityCone, LinearImage,
+                           NonnegOrthant, PolarCone, Subspace, full_space,
+                           polar, project)
+from conekit import cli, condition, solvers
+from conekit.numerics import SeededStream, haar_from_rng, haar_orthogonal
 from conekit.regularizers import finite_difference_matrix
 from conekit.statdim import mc_estimate
 
@@ -36,30 +37,6 @@ def grid_restricted(A, C, D, which, resolution=1e-3):
     PD, _, _ = D.project_batch(img)
     vals = np.linalg.norm(PD, axis=1)
     return float(vals.max() if which == "norm" else vals.min())
-
-
-def test_sphere_grid_blocks_rebuild_the_whole_lattice(monkeypatch):
-    # the R^3 Fibonacci lattice as one array, as it was built before the
-    # blocks; each block is made from its own index range
-    N = int(math.ceil(4 * math.pi / 0.05 ** 2))
-    i = np.arange(N)
-    z = 1.0 - (2.0 * i + 1.0) / N
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    whole = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    monkeypatch.setattr(condition, "GRID_RESOLUTION", 0.05)
-    rng = np.random.default_rng(37)
-    A = rng.standard_normal((3, 3))
-    want = restricted_sv(A, NonnegOrthant(3), NonnegOrthant(3),
-                         method="grid_oracle")
-    monkeypatch.setattr(condition, "GRID_CHUNK", 97)
-    blocks = list(condition._sphere_grid(3, 0.05))
-    assert len(blocks) == math.ceil(N / 97)
-    assert np.array_equal(np.vstack(blocks), whole)
-    got = restricted_sv(A, NonnegOrthant(3), NonnegOrthant(3),
-                        method="grid_oracle")
-    assert got.value == want.value
-    assert np.array_equal(got.certificate, want.certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +67,8 @@ def test_restricted_norm_matches_grid_on_wedges():
         D = planar_wedge(0.9, 0.2 + 0.4 * i)
         out = restricted_norm(A, C, D, stream=stream(200, i))
         ref = grid_restricted(A, C, D, "norm")
-        assert abs(out.value - ref) <= 1e-3
+        assert out.method == "exact" and not out.heuristic
+        assert ref - 1e-12 <= out.value <= ref + 1e-3
 
 
 def test_restricted_norm_certificate_attains_value():
@@ -145,8 +123,164 @@ def test_restricted_sv_matches_grid_on_wedges():
         D = planar_wedge(1.1, 0.15 * i)
         out = restricted_sv(A, C, D, stream=stream(203, i))
         ref = grid_restricted(A, C, D, "sv")
-        assert abs(out.value - ref) <= 1e-3
+        assert out.method == "exact" and not out.heuristic
+        assert ref - 1e-3 <= out.value <= ref + 1e-12
 
+
+
+# ---------------------------------------------------------------------------
+# the support enumeration
+# ---------------------------------------------------------------------------
+
+def _polyhedral_cone(rng, n):
+    pick = int(rng.integers(5))
+    if pick == 0:
+        return NonnegOrthant(n)
+    if pick == 4:
+        return polar(GeneratorCone(rng.standard_normal((n, n))))
+    return GeneratorCone(rng.standard_normal((n, n + (0, 0, 1, 3)[pick])))
+
+
+def _assert_certifies(out, A, C, D):
+    x = out.certificate
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+    assert np.linalg.norm(project(C, x).point - x) <= 1e-12
+    assert (abs(np.linalg.norm(project(D, A @ x).point) - out.value)
+            <= 1e-12 * max(1.0, out.value))
+
+
+def test_support_enumeration_never_loses_to_multistart():
+    # random pairs in R^2..R^4 whose needed representations exist: the
+    # exact value is never worse than the multistart search, and its
+    # certificate is a unit vector of C that attains it
+    rng = np.random.default_rng(2026)
+    done = 0
+    while done < 24:
+        n, m = (int(d) for d in rng.integers(2, 5, size=2))
+        C, D = _polyhedral_cone(rng, n), _polyhedral_cone(rng, m)
+        A = rng.standard_normal((m, n))
+        scale = 1e-9 * max(1.0, np.linalg.norm(A, 2))
+        for sense in (1, -1):
+            out = condition._support_enumeration(A, C, D, sense)
+            if out is None:
+                continue
+            done += 1
+            assert out.method == "exact" and not out.heuristic
+            _assert_certifies(out, A, C, D)
+            ms = condition._multistart_extremum(A, C, D, sense,
+                                                stream(425, done))
+            assert sense * (ms.value - out.value) <= scale
+
+
+def test_support_enumeration_is_chunk_invariant(monkeypatch):
+    rng = np.random.default_rng(430)
+    C = GeneratorCone(rng.standard_normal((4, 6)))
+    D = InequalityCone(-np.abs(rng.standard_normal((4, 5))))
+    A = rng.standard_normal((4, 4))
+    one = [condition._support_enumeration(A, C, K, sense)
+           for K, sense in ((D, -1), (C, 1))]
+    monkeypatch.setattr(solvers, "CHUNK_BYTES", 8 * 50)
+    many = [condition._support_enumeration(A, C, K, sense)
+            for K, sense in ((D, -1), (C, 1))]
+    for a, b in zip(one, many):
+        assert a.value == b.value
+        assert np.array_equal(a.certificate, b.certificate)
+
+
+def _suite_pair(seed):
+    """A, C and D of the condition suite of ``verify --seed seed``."""
+    st = SeededStream(seed, 0).child(sorted(cli._VERIFY_SUITES).index(
+        "condition"))
+    A = st.gen(0).standard_normal((2, 2))
+    return A, GeneratorCone(np.eye(2)), NonnegOrthant(2), st
+
+
+def test_exact_matches_multistart_on_the_verify_pair():
+    # the grid read 0.871939 at seed 132; the minimum, 0.869664, sits on
+    # the edge e2 of the quadrant
+    A, C, D, _ = _suite_pair(132)
+    out = restricted_sv(A, C, D, method="exact")
+    assert abs(out.value - 0.869664) <= 1e-6
+    assert np.array_equal(out.certificate, [0.0, 1.0])
+    for seed in range(1, 201):
+        A, C, D, st = _suite_pair(seed)
+        out = restricted_sv(A, C, D, method="exact")
+        ms = restricted_sv(A, C, D, method="multistart", stream=st.child(2))
+        assert (abs(out.value - ms.value)
+                <= 1e-9 * max(1.0, np.linalg.norm(A, 2))), seed
+
+
+def test_single_rays_and_subspace_pairs_keep_their_closed_forms():
+    # a single ray needs no representation of D, not even under a FISTA
+    # image; subspace pairs take the svd of the compressed matrix
+    rng = np.random.default_rng(426)
+    u = rng.standard_normal(3)
+    C = GeneratorCone(np.column_stack([u, 2.0 * u]))
+    D = LinearImage(rng.standard_normal((4, 6)), NonnegOrthant(6))
+    A = rng.standard_normal((4, 3))
+    ray = u / np.linalg.norm(u)
+    want = float(np.linalg.norm(D.project_point(A @ ray).point))
+    for rv in (restricted_sv(A, C, D, method="exact"),
+               restricted_norm(A, C, D)):
+        assert rv.method == "exact" and not rv.heuristic
+        assert rv.value == want and np.array_equal(rv.certificate, ray)
+    Cs, Ds = Subspace.span(rng.standard_normal((3, 2))), full_space(4)
+    _, s, Vt = np.linalg.svd(Ds.basis.T @ A @ Cs.basis)
+    lo, hi = restricted_sv(A, Cs, Ds), restricted_norm(A, Cs, Ds)
+    assert (lo.value, hi.value) == (s[-1], s[0])
+    assert np.array_equal(lo.certificate, Cs.basis @ Vt[-1])
+    assert np.array_equal(hi.certificate, Cs.basis @ Vt[0])
+
+
+def test_lines_are_exact_for_every_target():
+    rng = np.random.default_rng(427)
+    u = rng.standard_normal(3)
+    C = GeneratorCone(np.column_stack([u, -u]))
+    D = InequalityCone(rng.standard_normal((3, 2)))   # no generators
+    A = rng.standard_normal((3, 3))
+    ray = u / np.linalg.norm(u)
+    vals = [np.linalg.norm(project(D, A @ x).point) for x in (ray, -ray)]
+    assert min(vals) > 0.1
+    hi, lo = restricted_norm(A, C, D), restricted_sv(A, C, D, method="exact")
+    assert abs(hi.value - max(vals)) <= 1e-12
+    assert abs(lo.value - min(vals)) <= 1e-12
+    assert np.abs(np.abs(hi.certificate @ lo.certificate) - 1.0) <= 1e-15
+    assert np.abs(np.abs(hi.certificate @ ray) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("method", ["auto", "exact"])
+def test_zero_cone_with_generators_raises(method):
+    with pytest.raises(ValueError, match="zero cone"):
+        restricted_sv(np.eye(3), GeneratorCone(np.zeros((3, 2))),
+                      NonnegOrthant(3), method=method)
+
+
+def test_pairs_over_the_cap_run_multistart(monkeypatch):
+    # one support pair of the quadrant (e1, e2) times 4 sets of normals
+    A, C, D, _ = _suite_pair(1)
+    monkeypatch.setattr(condition, "EXACT_MAX_PAIRS", 4)
+    assert restricted_sv(A, C, D).method == "exact"
+    monkeypatch.setattr(condition, "EXACT_MAX_PAIRS", 3)
+    out = restricted_sv(A, C, D)
+    assert out.method == "multistart" and out.heuristic
+    with pytest.raises(ValueError, match="no exact method"):
+        restricted_sv(A, C, D, method="exact")
+
+
+def test_exact_needs_the_representations():
+    # an inequality cone in R^3 has no generators yet; the max needs the
+    # generators of D as well
+    rng = np.random.default_rng(428)
+    A = rng.standard_normal((3, 3))
+    with pytest.raises(ValueError, match="no exact method"):
+        restricted_sv(A, InequalityCone(rng.standard_normal((3, 2))),
+                      NonnegOrthant(3), method="exact")
+    D = InequalityCone(rng.standard_normal((3, 2)))
+    with pytest.raises(ValueError, match="no exact method"):
+        restricted_norm(A, NonnegOrthant(3), D, method="exact")
+    assert restricted_sv(A, NonnegOrthant(3), D).method == "exact"
+    assert restricted_norm(A, NonnegOrthant(3), D,
+                           stream=stream(429)).method == "multistart"
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import combined_stderr, stream
+from per_draw_oracle import _faces_per_draw
 
 import conekit.cones as cone_module
 import conekit.integral_geometry as ig_module
 from conekit import solvers
 from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
-                           NonnegOrthant, ProductCone, Subspace,
+                           LinearImage, NonnegOrthant, ProductCone, Subspace,
                            _inequality_matrix, full_space, generators_of,
                            intersect, linear_image, polar, project, rotate,
                            zero_cone)
 from conekit.integral_geometry import (IDENTITY_SUITES, _compression_faces,
-                                       _crofton_hits, _faces_per_draw,
-                                       _kinematic_faces, _line_hits_cone,
+                                       _crofton_hits, _kinematic_faces,
+                                       _line_hits_cone,
                                        _section_nontrivial,
                                        crofton_probability,
                                        eta_for_projection_margin,
@@ -491,6 +492,36 @@ def test_stacked_compression_draws_match_per_draw_cones(T, C):
     want = _faces_per_draw(300, st, lambda Q: linear_image(T @ Q, C), C.n)
     assert want[1].all()
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_per_draw_cones_take_the_stacked_draws():
+    # a side without a stacked form (an l1 cone under a fixed rotation has
+    # neither generators nor normals) projects each draw onto its own cone
+    # inside _stacked_faces, with the draws of the per-draw oracle
+    st = stream(335)
+    C = LinearImage(haar_from_rng(3, np.random.default_rng(3)),
+                    L1SubdiffCone(3, [0], [1.0]))
+    L = subspace_dim(3, 2)
+    got = _kinematic_faces(C, L, 20, st)
+    want = _faces_per_draw(20, st, lambda Q: intersect(C, rotate(L, Q)), 3)
+    assert want[1].all()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    got = _compression_faces(np.eye(3), C, 300, st)
+    want = _faces_per_draw(300, st, lambda Q: linear_image(Q, C), 3)
+    assert want[1].all() and len(set(want[0])) == 4
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("C", [polar(NonnegOrthant(4)),
+                               L1SubdiffCone(4, [0], [1.0])],
+                         ids=["polar-orthant", "l1"])
+def test_unclassifiable_compressions_fail_before_any_draw(monkeypatch, C):
+    # under a wide T a cone with only normals maps to a non-isometric
+    # LinearImage, whose FISTA projections classify no faces
+    _forbid(monkeypatch, "_fista_image")
+    monkeypatch.setattr(ig_module, "estimate_intrinsic_volumes", None)
+    with pytest.raises(ValueError, match="no generators"):
+        verify_projection_formula(C, 2, 200, SeededStream(1))
 
 
 def test_ill_conditioned_compression_loses_no_draw():

@@ -314,7 +314,7 @@ def test_tv_cones_never_reach_fista(seed):
 
 
 def test_norm_only_callers_never_rank_faces(monkeypatch, tmp_path):
-    # statdim, Moreau, grid-oracle, multistart, line-hit and FISTA
+    # statdim, Moreau, support-enumeration, multistart, line-hit and FISTA
     # projections read only the points, so the batched rank svd of the faces must not run;
     # the intrinsic-volume profile inside crofton_probability reads faces
     ranks = cones._masked_ranks
@@ -344,13 +344,12 @@ def test_norm_only_callers_never_rank_faces(monkeypatch, tmp_path):
     for suite in ("cones", "condition"):
         assert main(["verify", "--suite", suite, "--seed", "42", "--samples",
                      "400", "--out", str(tmp_path / f"{suite}.txt")]) == 0
-    # the condition suite's cones are planar; the grid oracle on cones in
-    # R^3 reaches the membership and objective projections by NNLS
-    monkeypatch.setattr(condition, "GRID_RESOLUTION", 0.05)
+    # the condition suite's cones are planar; the support enumeration on
+    # cones in R^3 scores its candidates by NNLS
     rv = condition.restricted_sv(
         rng.standard_normal((3, 3)), GeneratorCone(rng.standard_normal((3, 4))),
-        InequalityCone(rng.standard_normal((3, 4))), method="grid_oracle")
-    assert rv.method == "grid_oracle"
+        InequalityCone(rng.standard_normal((3, 4))), method="exact")
+    assert rv.method == "exact"
     # multistart reads only the projected points of its iterates
     ms = np.random.default_rng(418)
     rv = condition.restricted_sv(
