@@ -127,7 +127,6 @@ def test_restricted_sv_matches_grid_on_wedges():
         assert ref - 1e-3 <= out.value <= ref + 1e-12
 
 
-
 # ---------------------------------------------------------------------------
 # the support enumeration
 # ---------------------------------------------------------------------------
