@@ -293,7 +293,8 @@ def cmd_condition(args) -> int:
         _emit_text(args.out, [
             f"op_norm              = {rep.op_norm:.10g}",
             f"sigma_CD             = {rep.sigma_CD:.10g}  [{rep.method}]",
-            f"sigma_DC_transposed  = {rep.sigma_DC_transposed:.10g}",
+            f"sigma_DC_transposed  = {rep.sigma_DC_transposed:.10g}"
+            f"  [{rep.method_dual}]",
             f"renegar_R            = {rep.renegar_R:.10g}",
             f"kappa                = {rep.kappa:.10g}",
             f"feasibility          = {feas.status}"

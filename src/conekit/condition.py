@@ -70,7 +70,12 @@ class RestrictedValue:
 
 @dataclass
 class ConditionReport:
-    """Condition summary of A relative to the cone pair (C, D)."""
+    """Condition summary of A relative to the cone pair (C, D).
+
+    ``method`` is the method that computed ``sigma_CD`` and
+    ``method_dual`` the one that computed ``sigma_DC_transposed``; under
+    ``auto`` the two sides may differ.
+    """
 
     op_norm: float
     sigma_CD: float
@@ -78,6 +83,7 @@ class ConditionReport:
     renegar_R: float
     kappa: float
     method: str
+    method_dual: str
     certificate_primal: np.ndarray
     certificate_dual: np.ndarray
 
@@ -85,7 +91,7 @@ class ConditionReport:
         return {"op_norm": self.op_norm, "sigma_CD": self.sigma_CD,
                 "sigma_DC_transposed": self.sigma_DC_transposed,
                 "renegar_R": self.renegar_R, "kappa": self.kappa,
-                "method": self.method,
+                "method": self.method, "method_dual": self.method_dual,
                 "certificate_primal": self.certificate_primal.tolist(),
                 "certificate_dual": self.certificate_dual.tolist()}
 
@@ -382,7 +388,7 @@ def condition_report(A, C: Cone, D: Cone, method: str = "auto",
     dist = max(rp.value, rd.value)
     R = op / dist if dist > 1e-15 * max(op, 1.0) else math.inf
     return ConditionReport(op, rp.value, rd.value, R, kappa, rp.method,
-                           rp.certificate, rd.certificate)
+                           rd.method, rp.certificate, rd.certificate)
 
 
 # ---------------------------------------------------------------------------

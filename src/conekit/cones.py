@@ -773,9 +773,10 @@ class LinearImage(Cone):
         self.A = A
         self.inner = inner
         self.n = A.shape[0]
-        s = np.linalg.svd(A, compute_uv=False)
-        self._lip = float(s[0] ** 2) if s.size else 1.0
         self._isometric = _orthonormal_columns(A)
+        if not self._isometric:        # FISTA's step is 1 / ||A||^2
+            s = np.linalg.svd(A, compute_uv=False)
+            self._lip = float(s[0] ** 2) if s.size else 1.0
 
     def project_batch(self, X, faces=True):
         if self._isometric:

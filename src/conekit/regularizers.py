@@ -185,10 +185,13 @@ def build_BC_matrices(inst: AnalysisInstance):
     if p < n:
         raise ValueError("the reduction requires p >= n")
     s = inst.s
-    sv = svd(inst.D)[1]
-    if sv[-1] > 1e-12 * sv[0] and s < p - n + 1:
-        raise ValueError("rank-n D forces at least p - n + 1 nonzeros "
-                         f"in D x0; got s = {s}")
+    if not np.all(np.isfinite(inst.D)):
+        raise ValueError("D must be finite")
+    if s < p - n + 1:              # else the rank condition cannot fire
+        sv = np.linalg.svd(inst.D, compute_uv=False)
+        if sv[-1] > 1e-12 * sv[0]:
+            raise ValueError("rank-n D forces at least p - n + 1 nonzeros "
+                             f"in D x0; got s = {s}")
     comp = np.setdiff1d(np.arange(p), inst.support)
     B = np.zeros((p, p - s + 1))
     B[comp, np.arange(p - s)] = 1.0

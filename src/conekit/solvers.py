@@ -119,13 +119,16 @@ def _nnls_batch(G: np.ndarray, W0: np.ndarray):
     row, count and flag per row of W0.
 
     Every running row takes one inner step per loop, so one counter holds
-    every row's iteration count.  Each step makes few passes over the
-    arrays: ``thr`` holds the entering threshold of every index (``tol``,
-    or ``inf`` on the passive set), the systems are solved in the compact
-    passive order of :func:`_passive_solves`, and a feasible solution is
-    scattered straight into C, which is 0 off the passive set.  Only the
+    every row's iteration count.  The bookkeeping is kept small: ``E`` is
+    W0 with ``-inf`` on the passive set, so the entering scan is one
+    subtraction and one ``argmax``, and an index is passive exactly when
+    its entry of ``E`` is ``-inf``.  Each running row lists its passive
+    indices ascending in a row of ``L``, padded with the dead index k to
+    the largest passive set; an entering index takes a dead slot and a
+    drop turns slots dead, each followed by a sort.  A feasible solution
+    is scattered straight into C, which is 0 off the passive set; only the
     few rows with a nonpositive passive coefficient step toward
-    feasibility in k-space.
+    feasibility, on their lists.
     """
     N, k = W0.shape
     iters = np.zeros(N, dtype=np.int64)
@@ -133,11 +136,11 @@ def _nnls_batch(G: np.ndarray, W0: np.ndarray):
         return np.zeros((N, 0)), iters, np.ones(N, dtype=bool)
     tol = 1e-10 * np.maximum(1.0, np.abs(W0).max(axis=1))
     max_iter = 3 * k + 30
-    passive = np.zeros((N, k), dtype=bool)
-    thr = np.repeat(tol[:, None], k, axis=1)
+    E = W0.copy()
     entered = np.zeros(N, dtype=np.int64)  # step at which the inner loop began
     live = np.arange(N)                    # rows still running
     outer = np.ones(N, dtype=bool)         # per live row: in the outer loop
+    L = np.full((N, 0), k)                 # per live row: its passive list
     # C, G and W0 bordered by a zero column (and row) for the dead slot k
     Cb = np.zeros((N, k + 1))
     Gb = np.zeros(G.shape[:-2] + (k + 1, k + 1))
@@ -150,53 +153,58 @@ def _nnls_batch(G: np.ndarray, W0: np.ndarray):
         rows = live[outer]
         if t >= max_iter:              # every live row has taken t steps
             iters[rows] = t
-            live = live[~outer]
+            live, L = live[~outer], L[~outer]
         else:
-            grad = W0[rows] - _gram_rows(G, Cb[rows, :k], rows)
-            np.copyto(grad, -np.inf, where=~(grad > thr[rows]))
+            grad = E[rows] - _gram_rows(G, Cb[rows, :k], rows)
             j = np.argmax(grad, axis=1)
-            done = grad[np.arange(rows.size), j] == -np.inf
+            done = ~(grad[np.arange(rows.size), j] > tol[rows])
             if done.any():
                 iters[rows[done]] = t
                 keep = np.ones(live.size, dtype=bool)
                 keep[np.flatnonzero(outer)[done]] = False
-                live, rows, j = live[keep], rows[~done], j[~done]
-            passive[rows, j] = True
-            thr[rows, j] = np.inf
+                live, L, outer = live[keep], L[keep], outer[keep]
+                rows, j = rows[~done], j[~done]
+            E[rows, j] = -np.inf
             entered[rows] = t
+            L = np.concatenate([L, np.full((live.size, 1), k)], axis=1)
+            L[outer, -1] = j
+            L.sort(axis=1)
         if not live.size:
             break
         # inner loop: restore feasibility of the passive-set LS solution
         t += 1
         rows = live
-        idx, z = _passive_solves(Gb, Wb, rows, passive[rows])
-        feasible = outer = ((z > 0) | (idx == k)).all(axis=1)
+        while not (L[:, -1] < k).any():  # trim to the largest passive set
+            L = L[:, :-1]
+        z = _passive_solves(Gb, Wb, rows, L)
+        on = L < k
+        feasible = outer = ((z > 0) | ~on).all(axis=1)
+        idx = L
         if not feasible.all():
             pos = np.flatnonzero(~feasible)
-            bad = rows[pos]
-            Z = np.zeros((bad.size, k + 1))
-            Z[np.arange(bad.size)[:, None], idx[pos]] = z[pos]
-            Z = Z[:, :k]
-            P = passive[bad]
-            cur = Cb[bad, :k]
+            bad, ix, Z, on = rows[pos], L[pos], z[pos], on[pos]
+            cur = Cb[bad[:, None], ix]  # dead slots read the zero column
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(P & (Z <= 0), cur / (cur - Z), np.inf)
+                ratios = np.where(on & (Z <= 0), cur / (cur - Z), np.inf)
             alpha = np.clip(ratios.min(axis=1), 0.0, 1.0)
-            cur = np.where(P, np.maximum(cur + alpha[:, None] * (Z - cur),
-                                         0.0), 0.0)
-            drop = P & (cur <= 0)
+            cur = np.where(on, np.maximum(cur + alpha[:, None] * (Z - cur),
+                                          0.0), 0.0)
+            drop = cur <= 0
             drop[np.arange(bad.size), ratios.argmin(axis=1)] = True
-            P &= ~drop
-            passive[bad] = P
-            thr[bad] = np.where(P, np.inf, tol[bad, None])
-            Cb[bad, :k] = np.where(P, cur, 0.0)
+            drop &= on
+            r, q = np.nonzero(drop)
+            E[bad[r], ix[r, q]] = W0[bad[r], ix[r, q]]
+            Cb[bad[:, None], ix] = np.where(drop, 0.0, cur)
+            ix = np.where(drop, k, ix)
+            ix.sort(axis=1)
             outer = feasible.copy()
-            outer[pos] = ~P.any(axis=1) | (t - entered[bad] == k + 1)
-            rows, idx, z = rows[feasible], idx[feasible], z[feasible]
+            outer[pos] = (ix[:, 0] == k) | (t - entered[bad] == k + 1)
+            L[pos] = ix
+            rows, idx, z = rows[feasible], L[feasible], z[feasible]
         Cb[rows[:, None], idx] = z     # dead slots write the scratch column
     C = Cb[:, :k].copy()
-    grad = W0 - _gram_rows(G, C, slice(None))
-    ok = ~((~passive) & (grad > 10 * tol[:, None])).any(axis=1)
+    grad = E - _gram_rows(G, C, slice(None))
+    ok = ~(grad > 10 * tol[:, None]).any(axis=1)
     return C, iters, ok
 
 
@@ -209,46 +217,43 @@ def _gram_rows(G: np.ndarray, C: np.ndarray, rows):
 
 
 def _passive_solves(Gb: np.ndarray, Wb: np.ndarray, rows: np.ndarray,
-                    P: np.ndarray):
-    """For each row i of ``rows`` and its passive mask P[i], the solution z
+                    L: np.ndarray):
+    """For each row i of ``rows`` and its passive list L[i], the solution z
     of G[p, p] z = w0[p], with G and w0 given bordered by a zero column and
     row (``Gb``: (k + 1) x (k + 1), shared, or one per row of W0; ``Wb``:
     N x (k + 1)).
 
-    Returns (idx, z), both len(rows) x m for the largest passive set m:
-    idx[i] lists the row's passive indices ascending, then the dead index
-    k, and z[i, q] is the coefficient of index idx[i, q].  Each stacked
-    system is the passive block padded with the identity: it is gathered
-    from the bordered G, with ones put on the diagonal of the dead slots.
-    They are solved in chunks of rows of at most ``CHUNK_BYTES``.  A
-    singular system falls back to ``lstsq`` on its passive block.
+    L is len(rows) x m: each row lists its passive indices ascending, then
+    the dead index k, and z[i, q] is the coefficient of index L[i, q].
+    Each stacked system is the passive block padded with the identity,
+    gathered by one flat ``take`` from the bordered G, with ones put on the
+    diagonal of the dead slots.  They are solved in chunks of rows of at
+    most ``CHUNK_BYTES``.  A singular system falls back to ``lstsq`` on its
+    passive block.
     """
-    R, k = P.shape
-    idx = np.where(P, np.arange(k), k)
-    idx.sort(axis=1)
-    m = int(P.sum(axis=1).max())
-    idx = idx[:, :m]
-    rhs = Wb[rows[:, None], idx]
+    R, m = L.shape
+    k1 = Wb.shape[1]
+    rhs = Wb.take(rows[:, None] * k1 + L)
     z = np.empty((R, m))
     step = _chunk_rows(m * m)
     for a in range(0, R, step):
-        ix, b = idx[a:a + step], rhs[a:a + step]
-        sel = (ix[:, :, None], ix[:, None, :])
+        ix, b = L[a:a + step], rhs[a:a + step]
+        flat = ix[:, :, None] * k1 + ix[:, None, :]
         if Gb.ndim == 3:
-            sel = (rows[a:a + step, None, None],) + sel
-        M = Gb[sel]
-        M.reshape(len(ix), m * m)[:, ::m + 1][ix == k] = 1.0
+            flat += (rows[a:a + step] * (k1 * k1))[:, None, None]
+        M = Gb.take(flat)
+        M.reshape(len(ix), m * m)[:, ::m + 1][ix == k1 - 1] = 1.0
         try:
             z[a:a + step] = np.linalg.solve(M, b[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             z[a:a + step] = 0.0
-            for i, p in enumerate((ix < k).sum(axis=1)):
+            for i, p in enumerate((ix < k1 - 1).sum(axis=1)):
                 try:
                     z[a + i] = np.linalg.solve(M[i], b[i])
                 except np.linalg.LinAlgError:
                     z[a + i, :p] = np.linalg.lstsq(M[i, :p, :p], b[i, :p],
                                                    rcond=None)[0]
-    return idx, z
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,25 @@ def test_verify_condition_suite_compares_the_exact_minimum(tmp_path):
     assert "z = " not in first
 
 
+def test_condition_shows_the_method_of_each_side(tmp_path):
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((3, 3))
+    W = rng.standard_normal((3, 2))
+    argv = ["condition", "--matrix", json.dumps(A.tolist()), "--cone-c",
+            '{"variant": "nonneg_orthant", "n": 3}', "--cone-d",
+            json.dumps({"variant": "inequality_cone", "W": W.tolist()}),
+            "--seed", "1"]
+    rc, text = run_to_file(argv, tmp_path / "condition.txt")
+    assert rc == 0
+    lines = {l.split("=")[0].strip(): l for l in text.splitlines()}
+    assert lines["sigma_CD"].endswith("  [exact]")
+    assert lines["sigma_DC_transposed"].endswith("  [multistart]")
+    rc, text = run_to_file(argv + ["--json"], tmp_path / "condition.json")
+    assert rc == 0
+    rep = json.loads(text)["condition"]
+    assert (rep["method"], rep["method_dual"]) == ("exact", "multistart")
+
+
 def test_condition_methods_are_one_list(capsys):
     assert cli.METHODS == ("auto", "exact", "multistart")
     with pytest.raises(SystemExit) as exc:

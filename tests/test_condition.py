@@ -725,3 +725,17 @@ def test_condition_report_consistency():
     denom = max(rep.sigma_CD, rep.sigma_DC_transposed)
     assert abs(rep.renegar_R - rep.op_norm / denom) <= 1e-6 * rep.renegar_R
     assert abs(rep.kappa - np.linalg.cond(A, 2)) <= 1e-8
+
+
+def test_condition_report_names_the_method_of_each_side():
+    # the enumeration serves the primal side, but an inequality cone in R^3
+    # has no generators, so the dual side runs multistart
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((3, 3))
+    C, D = NonnegOrthant(3), InequalityCone(rng.standard_normal((3, 2)))
+    rep = condition_report(A, C, D, stream=stream(218))
+    assert (rep.method, rep.method_dual) == ("exact", "multistart")
+    assert rep.method == restricted_sv(A, C, D).method
+    assert rep.method_dual == restricted_sv(-A.T, D, C,
+                                            stream=stream(218)).method
+    assert rep.to_dict()["method_dual"] == "multistart"

@@ -1,6 +1,7 @@
 """Cone representations, projections, polarity, and serialization."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -313,6 +314,7 @@ def kernel_generators():
 
 def test_batched_nnls_matches_scalar_kernel():
     rng = np.random.default_rng(31)
+    reentered = 0      # rows that drop a passive index and enter it again
     for V in kernel_generators():
         G = V.T @ V
         # the polar projects by Moreau through the same NNLS on V
@@ -321,13 +323,16 @@ def test_batched_nnls_matches_scalar_kernel():
             _, iters, ok = _nnls_batch(G, X @ V)
             P, fd, conv = C.project_batch(X)
             for i, x in enumerate(X):
-                _, it, converged = _nnls_gram(G, V.T @ x)
+                entering = []
+                _, it, converged = _nnls_gram(G, V.T @ x, entering)
+                reentered += len(entering) > len(set(entering))
                 want = C.project_point(x)
                 assert (iters[i], ok[i]) == (it, converged)
                 assert conv[i] == want.converged
                 assert (np.linalg.norm(P[i] - want.point)
                         <= 1e-10 * (1.0 + np.linalg.norm(x)))
                 assert fd[i] == want.face_dim
+    assert reentered
 
 
 def test_per_row_gram_nnls_matches_scalar_kernel(monkeypatch):
@@ -343,6 +348,7 @@ def test_per_row_gram_nnls_matches_scalar_kernel(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     rng = np.random.default_rng(32)
     singular = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    reentered = 0      # rows that drop a passive index and enter it again
     for V in kernel_generators()[::4] + [singular]:
         n = V.shape[0]
         Vs = np.stack([haar_orthogonal(n, SeededStream(32, i)) @ V
@@ -355,9 +361,12 @@ def test_per_row_gram_nnls_matches_scalar_kernel(monkeypatch):
         coef, iters, ok = _nnls_batch(G, W0)
         assert calls or V is not singular
         for i in range(30):
-            c, it, converged = _nnls_gram(G[i], W0[i])
+            entering = []
+            c, it, converged = _nnls_gram(G[i], W0[i], entering)
+            reentered += len(entering) > len(set(entering))
             assert (iters[i], ok[i]) == (it, converged)
             assert np.abs(coef[i] - c).max() <= 1e-12 * (1.0 + np.abs(c).max())
+    assert reentered
 
 
 def test_per_row_gram_nnls_matches_scalar_kernel_at_iteration_cap():
@@ -413,17 +422,40 @@ def test_batched_kernels_are_chunk_invariant(monkeypatch):
                    for i in range(50)])
     G = np.swapaxes(Vs, 1, 2) @ Vs
     W0 = np.einsum("nik,ni->nk", Vs, rng.standard_normal((50, 5)))
+    # the outer normals of the two reduced TV analysis cones, projected on
+    # by the tv-statdim computation
+    tv = [InequalityCone(W) for W in kernel_generators()[-2:]]
+    T = [rng.standard_normal((50, C.n)) for C in tv]
+
+    solves = []                   # stacked passive-set solves per call
+    solve = np.linalg.solve
+
+    def counting_solve(M, b):
+        solves[-1] += M.ndim == 3
+        return solve(M, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    calls = [partial(C.project_batch, Z)
+             for C, Z in zip(cones + tv, [X, Y] + T)] + [
+        partial(_nnls_batch, G, W0)]
 
     def run():
-        return [C.project_batch(Z) for C, Z in zip(cones, (X, Y))] + [
-            _nnls_batch(G, W0)]
+        solves.clear()
+        out = []
+        for call in calls:
+            solves.append(0)
+            out.append(call())
+        return out, list(solves)
 
-    one = run()
+    one, whole = run()
     coef, iters, _ = one[-1]
     assert (iters > (coef > 0).sum(axis=1)).any()
     # a few rows per chunk, for the NNLS solves and the face-dimension svd
     monkeypatch.setattr(solvers, "CHUNK_BYTES", 8 * 7 * 12 * 3)
-    many = run()
+    many, split = run()
+    # the same steps in more stacked solves: each call split some step's
+    # rows across chunks
+    assert all(a > b for a, b in zip(split, whole))
     for a, b in zip(one, many):
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
