@@ -42,6 +42,7 @@ or singular maps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -393,10 +394,7 @@ def _planar_project(form, X: np.ndarray):
             return np.outer(t, u), fd
         a, w = form[1], form[2]
         ua, ub = _unit(a), _unit(a + w)
-    scale = 1.0 + np.abs(X).max(axis=1)
     phi = np.mod(np.arctan2(X[:, 1], X[:, 0]) - a, _TWO_PI)
-    P = np.zeros_like(X)
-    fd = np.zeros(N, dtype=np.int64)
     inside = phi <= w
     on_b = (phi > w) & (phi <= w + math.pi / 2)
     on_a = phi >= 3 * math.pi / 2
@@ -409,17 +407,20 @@ def _planar_project(form, X: np.ndarray):
         on_b &= arc
         on_a = on_a & arc | line | (kind == _RAY)
         one = one | line
-    P[inside] = X[inside]
-    fd[inside] = 2
+    P = np.where(inside[:, None], X, 0.0)
+    fd = np.where(inside, 2, 0)
     for edge, u in ((on_b, ub), (on_a, ua)):
+        if not edge.any():
+            continue
+        Xe = X[edge]
         if rows:
             u = u[edge]
-            t = np.einsum("ij,ij->i", X[edge], u)
+            t = np.einsum("ij,ij->i", Xe, u)
             t = np.where(line[edge], t, np.maximum(t, 0.0))
         else:
-            t = np.maximum(X[edge] @ u, 0.0)
+            t = np.maximum(Xe @ u, 0.0)
         P[edge] = t[:, None] * u
-        fd[edge] = (t > FACE_TOL * scale[edge]).astype(np.int64)
+        fd[edge] = t > FACE_TOL * (1.0 + np.abs(Xe).max(axis=1))
     if rows or one:
         fd[(on_a | on_b) & one] = 1
     return P, fd
@@ -590,8 +591,13 @@ class GeneratorCone(Cone):
             raise ValueError("generators must be finite")
         self.V = V
         self.n, self.k = V.shape
-        self._planar = _planar_from_generators(V) if self.n == 2 else None
-        self._gram = V.T @ V if self._planar is None else None
+        self._gram = V.T @ V if self.n != 2 else None
+
+    @functools.cached_property
+    def _planar(self):
+        """Wedge form of a planar cone, built when first read; None off
+        the plane."""
+        return _planar_from_generators(self.V) if self.n == 2 else None
 
     def project_batch(self, X, faces=True):
         if self._planar is not None:
@@ -627,9 +633,14 @@ class InequalityCone(Cone):
             raise ValueError("normals must be finite")
         self.W = W
         self.n, self.r = W.shape
-        self._planar = (_planar_polar(_planar_from_generators(W))
-                        if self.n == 2 else None)
-        self._gram = W.T @ W if self._planar is None else None
+        self._gram = W.T @ W if self.n != 2 else None
+
+    @functools.cached_property
+    def _planar(self):
+        """Wedge form of a planar cone, the polar of cone(W), built when
+        first read; None off the plane."""
+        return (_planar_polar(_planar_from_generators(self.W))
+                if self.n == 2 else None)
 
     def project_batch(self, X, faces=True):
         if self._planar is not None:

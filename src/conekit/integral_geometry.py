@@ -13,12 +13,16 @@ and the projected statistical dimension with its concentration bracket.
 
 The rotation checks run stacked.  Sample i draws its Gaussian matrix and
 then its Gaussian point from key i of the stream.  A block of draws comes
-from one ``stream.normals`` call, its rotations from one stacked QR, and
-each draw's cone is a per-draw matrix: normals [W_C, Q_i W_D] for the
-kinematic formula, generators M_i V or normals M_i^{-T} W for a
-compression M_i = T Q_i.  One batched Lawson-Hanson call, with one Gram
-matrix per draw, projects the block; a block of 2-row matrices (planar
-cones) takes each draw's exact wedge form instead.  A kinematic side
+from one ``stream.normals`` call, its rotations from one stacked QR (a
+closed form in the plane), and each draw's cone is a per-draw matrix:
+normals [W_C, Q_i W_D] for the kinematic formula, or, with a subspace
+side, the other side's normals in the subspace's section frame; generators
+M_i V or normals M_i^{-T} W for a compression M_i = T Q_i.  One batched
+Lawson-Hanson call, with one Gram matrix per draw, projects the block; a
+block of 2-row matrices (planar cones and 2-dimensional sections) takes
+each draw's exact wedge form instead.  A draw whose stacked projection
+did not converge is projected onto its own cone and counted in the
+report's ``retried``.  A kinematic side
 without normals (a generated cone with more generators than dimensions
 in R^3 and up, a :class:`~conekit.cones.LinearImage`) projects each draw
 onto its own cone ``intersect(C, rotate(D, Q_i))``.  A compression of a
@@ -35,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (Cone, Subspace, _inequality_matrix, _orthonormal_columns,
-                    _project_generated, _project_normals, generators_of,
-                    intersect, linear_image, project, rotate)
+                    _project_generated, _project_normals, _rows_times,
+                    _transpose, generators_of, intersect, linear_image,
+                    project, rotate)
 from .numerics import SeededStream, haar_stack, row_projection
 from .statdim import (Estimate, estimate_intrinsic_volumes, face_histogram,
                       mc_estimate, tails)
@@ -58,7 +63,10 @@ __all__ = [
 
 @dataclass
 class IdentityCheckReport:
-    """Per-index comparison of an identity's two sides."""
+    """Per-index comparison of an identity's two sides.  ``failures``
+    counts the draws dropped as unconverged or unclassified, and
+    ``retried`` the draws whose stacked projection did not converge and
+    that were projected again onto their own cone."""
 
     name: str
     ks: list
@@ -69,6 +77,7 @@ class IdentityCheckReport:
     z: np.ndarray
     samples: int
     failures: int
+    retried: int
     verdict: bool
 
     def to_dict(self) -> dict:
@@ -78,7 +87,8 @@ class IdentityCheckReport:
                 "rhs": self.rhs.tolist(),
                 "rhs_stderr": self.rhs_stderr.tolist(),
                 "z": self.z.tolist(), "samples": self.samples,
-                "failures": self.failures, "verdict": self.verdict}
+                "failures": self.failures, "retried": self.retried,
+                "verdict": self.verdict}
 
 
 @dataclass
@@ -114,7 +124,7 @@ def _rotation_draws(samples, stream, n, m, width):
     """Blocks (start, Q, g) of rotation draws: sample i takes its n x n
     Gaussian matrix and then its Gaussian point in R^m, the draws of
     ``stream.gen(i)``, from one ``stream.normals`` call per block, and the
-    block's rotations come from one stacked QR, bit-identical to
+    block's rotations come from one ``haar_stack`` call, bit-identical to
     ``haar_from_rng(n, stream.gen(i))``.  A block
     holds as many samples as fit ``width`` floats each (at least n^2) into
     ``CHUNK_BYTES``."""
@@ -127,28 +137,40 @@ def _rotation_draws(samples, stream, n, m, width):
 def _stacked_faces(samples, stream, n, m, width, project_block, make_cone):
     """Face dims of Proj_{K(Q)}(g) per draw, flagged False when the
     projection did not converge or could not be classified, with
-    project_block(Q, g) projecting a block of draws at once.
+    project_block(Q, g) projecting a block of draws at once, and the
+    number of draws retried.
 
-    A draw whose stacked projection did not converge, and with
-    project_block None every draw, takes the answer and flag of its own
-    cone make_cone(Q).  Stacks of 2-row matrices project by their exact
-    wedge forms and always converge.
+    A draw whose stacked projection did not converge is retried: it takes
+    the answer and flag of its own cone make_cone(Q).  With project_block
+    None every draw takes its own cone, and none counts as retried.
+    Stacks of 2-row matrices project by their exact wedge forms and always
+    converge.
     """
     fd = np.zeros(samples, dtype=np.int64)
     ok = np.zeros(samples, dtype=bool)
+    retried = 0
     for a, Q, g in _rotation_draws(samples, stream, n, m, width):
         if project_block is not None:
             _, fd[a:a + len(g)], ok[a:a + len(g)] = project_block(Q, g)
+            retried += len(g) - int(ok[a:a + len(g)].sum())
         for i in np.flatnonzero(~ok[a:a + len(g)]):
             r = project(make_cone(Q[i]), g[i])
             if r.converged and r.face_dim is not None:
                 fd[a + i], ok[a + i] = r.face_dim, True
-    return fd, ok
+    return fd, ok, retried
 
 
 def _kinematic_faces(C: Cone, D: Cone, samples: int, stream: SeededStream):
-    """Per-draw face dims and flags of Proj_{C cap QD}(g); stacked over the
-    normals [W_C, Q W_D] when both sides have an inequality matrix."""
+    """Per-draw face dims, flags and retry count of Proj_{C cap QD}(g),
+    stacked when both sides have an inequality matrix.
+
+    A :class:`~conekit.cones.Subspace` side L with orthonormal basis B
+    projects in its section frame, as ``intersect`` does: draw i has the
+    section basis B_i = Q_i B when L is D and B when L is C, the section
+    normals S_i = B_i^T W_i (d x k) of the other side's normals W_i
+    (W_C, or Q_i W_D) and the point B_i^T g_i.  The isometry keeps face
+    dimensions, and a 2-dimensional section projects by its wedge form.
+    Any other pair stacks the normals [W_C, Q_i W_D] in R^n."""
     n = C.n
     WC, WD = _inequality_matrix(C), _inequality_matrix(D)
 
@@ -157,11 +179,22 @@ def _kinematic_faces(C: Cone, D: Cone, samples: int, stream: SeededStream):
 
     if WC is None or WD is None:
         return _stacked_faces(samples, stream, n, n, 0, None, make_cone)
-    k = WC.shape[1] + WD.shape[1]
+    if isinstance(C, Subspace) or isinstance(D, Subspace):
+        rotated = not isinstance(C, Subspace)
+        B, W = (D.basis, WC) if rotated else (C.basis, WD)
+        k = W.shape[1]
 
-    def project_block(Q, g):
-        WCs = np.broadcast_to(WC, (len(g),) + WC.shape)
-        return _project_normals(np.concatenate([WCs, Q @ WD], axis=2), g)
+        def project_block(Q, g):
+            Bs = Q @ B if rotated else B
+            Ws = W if rotated else Q @ W
+            return _project_normals(_transpose(Bs) @ Ws, _rows_times(g, Bs))
+    else:
+        k = WC.shape[1] + WD.shape[1]
+
+        def project_block(Q, g):
+            WCs = np.broadcast_to(WC, (len(g),) + WC.shape)
+            return _project_normals(np.concatenate([WCs, Q @ WD], axis=2),
+                                    g)
 
     return _stacked_faces(samples, stream, n, n, max(n, k) * k,
                           project_block, make_cone)
@@ -175,9 +208,11 @@ def verify_kinematic(C: Cone, D: Cone, samples: int,
     When both C and D have an inequality matrix (see
     :func:`~conekit.cones._inequality_matrix`), all draws are stacked: g is
     projected onto {x : W^T x <= 0}, W = [W_C, Q W_D], by Moreau, or in
-    the plane by the exact wedge form of each draw's W.  Otherwise each
-    draw projects onto ``intersect(C, rotate(D, Q))``, by Dykstra's
-    algorithm when the intersection has no exact form."""
+    the plane by the exact wedge form of each draw's W.  A subspace side
+    of dimension d projects in its section frame instead, onto the
+    section normals of the other side in R^d (a wedge form at d = 2).
+    Otherwise each draw projects onto ``intersect(C, rotate(D, Q))``, by
+    Dykstra's algorithm when the intersection has no exact form."""
     if C.n != D.n:
         raise ValueError("C and D must share an ambient dimension")
     n = C.n
@@ -197,12 +232,12 @@ def verify_kinematic(C: Cone, D: Cone, samples: int,
     rhs[0] = conv[:n + 1].sum()
     rse[0] = math.sqrt(conv_var[:n + 1].sum())
 
-    lhs, lse, n_eff, failures = face_histogram(
-        *_kinematic_faces(C, D, samples, stream.child(0)), n)
+    fd, ok, retried = _kinematic_faces(C, D, samples, stream.child(0))
+    lhs, lse, n_eff, failures = face_histogram(fd, ok, n)
     z = _zscores(lhs, lse, rhs, rse)
     return IdentityCheckReport(
         "kinematic", list(range(n + 1)), lhs, lse, rhs, rse, z, n_eff,
-        failures, bool(np.all(np.abs(z) <= 3.0)))
+        failures, retried, bool(np.all(np.abs(z) <= 3.0)))
 
 
 _LINE_TOL = 1e-9    # distance at which a projected line point counts as in C
@@ -325,8 +360,9 @@ def _compression_block(T: np.ndarray, C: Cone, faces=True):
 
 def _compression_faces(T: np.ndarray, C: Cone, samples: int,
                        stream: SeededStream):
-    """Per-draw face dims and flags of Proj_{T Q C}(g), stacked where
-    ``linear_image(T Q, C)`` is exact; see :func:`_compression_report`."""
+    """Per-draw face dims, flags and retry count of Proj_{T Q C}(g),
+    stacked where ``linear_image(T Q, C)`` is exact; see
+    :func:`_compression_report`."""
     m, n = T.shape
 
     def make_cone(Q):
@@ -352,7 +388,7 @@ def _compression_report(name, C, T, samples, stream):
     non-orthogonal T raises ValueError before any draw, since FISTA would
     project its images and cannot classify their faces."""
     m, n = T.shape
-    fd, ok = _compression_faces(T, C, samples, stream.child(0))
+    fd, ok, retried = _compression_faces(T, C, samples, stream.child(0))
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     t, _ = tails(prof)
     rhs = np.empty(m + 1)
@@ -365,7 +401,7 @@ def _compression_report(name, C, T, samples, stream):
     z = _zscores(lhs, lse, rhs, rse)
     return IdentityCheckReport(
         name, list(range(m + 1)), lhs, lse, rhs, rse, z, n_eff, failures,
-        bool(np.all(np.abs(z) <= 3.0)))
+        retried, bool(np.all(np.abs(z) <= 3.0)))
 
 
 def verify_projection_formula(C: Cone, m: int, samples: int,

@@ -16,6 +16,10 @@ each sample's key in turn.  Row i equals what ``gen(start + i)`` gives,
 bit for bit, since a keyed counter-based generator at a new key is the
 stream a fresh one would give.  The Philox is per thread so that two
 threads' draws never interleave.
+
+Haar rotations are sign-fixed QR factors of Gaussian matrices
+(:func:`haar_stack`): closed form in the plane, one stacked LAPACK QR
+otherwise, with one matrix and a stack of them computed alike.
 """
 
 from __future__ import annotations
@@ -173,12 +177,8 @@ def svd(M: np.ndarray):
 
 
 def haar_orthogonal(n: int, stream: SeededStream, index: int = 0) -> np.ndarray:
-    """Haar-distributed orthogonal matrix from O(n).
-
-    QR of a standard Gaussian matrix, with the columns of Q rescaled by the
-    signs of diag(R).  Without the sign fix the QR factorization is not
-    unique and the result is not Haar distributed.
-    """
+    """Haar-distributed orthogonal matrix from O(n), sample ``index`` of
+    the stream; see :func:`haar_stack`."""
     if n < 1:
         raise ValueError("n must be positive")
     return haar_stack(stream.normals(index, 1, (n, n))[0][0])
@@ -191,8 +191,31 @@ def haar_from_rng(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_stack(G: np.ndarray) -> np.ndarray:
     """Haar orthogonal matrices from standard Gaussian ones, G of shape
-    (n, n) or stacked (N, n, n): one stacked QR with the sign fix.  Each
-    matrix equals the one-matrix result bit for bit."""
+    (n, n) or stacked (N, n, n): the Q of G = QR with the columns of Q
+    rescaled by the signs of diag(R) (a zero sign counts as 1).  Without
+    the sign fix the factorization is not unique and Q is not Haar
+    distributed.
+
+    For n = 2 the sign-fixed Q is closed form: with (u, v) the unit first
+    column of G ((1, 0) when it is zero) and sigma the sign of
+    u G_11 - v G_01 (1 at 0), Q = [[u, -sigma v], [v, sigma u]].  Other n
+    take one stacked LAPACK QR.  The same elementwise arithmetic serves
+    one matrix and a stack, so each matrix of a stack equals the
+    one-matrix result bit for bit.
+    """
+    if G.shape[-1] == 2:
+        a, b = G[..., 0, 0], G[..., 0, 1]
+        c, d = G[..., 1, 0], G[..., 1, 1]
+        r = np.sqrt(a * a + c * c)
+        if not r.all():
+            zero = r == 0
+            a, r = np.where(zero, 1.0, a), np.where(zero, 1.0, r)
+        u, v = a / r, c / r
+        sigma = np.where(u * d < v * b, -1.0, 1.0)
+        Q = np.empty(G.shape)
+        Q[..., 0, 0], Q[..., 1, 0] = u, v
+        Q[..., 0, 1], Q[..., 1, 1] = -sigma * v, sigma * u
+        return Q
     Q, R = np.linalg.qr(G)
     d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     d[d == 0] = 1.0

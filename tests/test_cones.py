@@ -320,11 +320,12 @@ def test_batched_nnls_matches_scalar_kernel():
         # the polar projects by Moreau through the same NNLS on V
         for C in (GeneratorCone(V), polar(GeneratorCone(V))):
             X = rng.standard_normal((40, C.n))
-            _, iters, ok = _nnls_batch(G, X @ V)
+            XV = X @ V
+            _, iters, ok = _nnls_batch(G, XV)
             P, fd, conv = C.project_batch(X)
             for i, x in enumerate(X):
                 entering = []
-                _, it, converged = _nnls_gram(G, V.T @ x, entering)
+                _, it, converged = _nnls_gram(G, XV[i], entering)
                 reentered += len(entering) > len(set(entering))
                 want = C.project_point(x)
                 assert (iters[i], ok[i]) == (it, converged)
@@ -819,6 +820,31 @@ def test_rotated_inequality_cone_matches_linear_image():
         for x in rng.standard_normal((20, n)):
             assert np.allclose(project(R, x).point, project(oracle, x).point,
                                atol=1e-10, rtol=0.0)
+
+
+def test_planar_wedge_forms_are_built_on_first_use(monkeypatch):
+    # a rotated planar cone that is only intersected builds no wedge form;
+    # a planar cone builds its form when first projected, and only once
+    calls = []
+
+    def counting(V):
+        calls.append(V.shape)
+        return planar_from_generators(V)
+
+    planar_from_generators = cones._planar_from_generators
+    monkeypatch.setattr(cones, "_planar_from_generators", counting)
+    quadrant = polar(NonnegOrthant(2))
+    Q = haar_orthogonal(2, SeededStream(48))
+    K = intersect(quadrant, rotate(quadrant, Q))
+    G = GeneratorCone(Q)
+    assert isinstance(K, InequalityCone) and not calls
+    X = np.random.default_rng(48).standard_normal((5, 2))
+    for x in X:
+        assert project(K, x).face_dim is not None
+    assert calls == [(2, 4)]
+    G.project_batch(X)
+    G.project_batch(X)
+    assert calls == [(2, 4), (2, 2)]
 
 
 @pytest.mark.parametrize("Q", [

@@ -16,7 +16,8 @@ from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
                            _inequality_matrix, full_space, generators_of,
                            intersect, linear_image, polar, project, rotate,
                            zero_cone)
-from conekit.integral_geometry import (IDENTITY_SUITES, _compression_faces,
+from conekit.integral_geometry import (IDENTITY_SUITES, IdentityCheckReport,
+                                       _compression_faces,
                                        _crofton_hits, _kinematic_faces,
                                        _line_hits_cone,
                                        _section_nontrivial,
@@ -457,7 +458,7 @@ def test_stacked_suite_draws_match_per_draw_cones(name):
 def test_stacked_polar_quadrant_draws_match_per_draw_cones():
     Pq = polar(NonnegOrthant(2))
     st = SeededStream(1303, 0).child(0)
-    fd, ok = _kinematic_faces(Pq, Pq, 1000, st)
+    fd, ok, _ = _kinematic_faces(Pq, Pq, 1000, st)
     want = _faces_per_draw(1000, st, lambda Q: intersect(Pq, rotate(Pq, Q)),
                            2)
     assert np.array_equal(fd, want[0]) and np.array_equal(ok, want[1])
@@ -477,6 +478,58 @@ def test_stacked_kinematic_draws_match_per_draw_cones(C, D):
                            C.n)
     assert want[1].all()
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("side", ["C", "D"])
+@pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
+                                 (4, 3)])
+def test_subspace_sections_match_per_draw_cones(monkeypatch, n, d, side):
+    # a subspace side projects each draw in its section frame, by the
+    # wedge form of its section normals at d = 2
+    K, L = polar(GeneratorCone(np.eye(n) + 0.5)), subspace_dim(n, d)
+    C, D = (L, K) if side == "C" else (K, L)
+    st = stream(336, 10 * n + d)
+    want = _faces_per_draw(300, st, lambda Q: intersect(C, rotate(D, Q)), n)
+    assert want[1].all()
+    for chunk in (solvers.CHUNK_BYTES, 8 * 25 * 3):
+        monkeypatch.setattr(solvers, "CHUNK_BYTES", chunk)
+        fd, ok, retried = _kinematic_faces(C, D, 300, st)
+        assert np.array_equal(fd, want[0]) and np.array_equal(ok, want[1])
+        assert retried == 0
+
+
+def test_retried_counts_the_draws_reprojected_per_draw(monkeypatch):
+    # rows marked unconverged by the stacked projection are projected onto
+    # their own cones: the report is unchanged apart from ``retried``
+    def run():
+        return [verify_kinematic(NonnegOrthant(3), NonnegOrthant(3), 300,
+                                 stream(337)),
+                verify_tqc(np.diag([1.0, 2.0]) @ row_projection(2, 3),
+                           NonnegOrthant(3), 300, stream(338))]
+
+    for i, name in enumerate(sorted(IDENTITY_SUITES)):
+        rep = run_identity_suite(name, 1000, SeededStream(1303, 0).child(i))
+        assert not isinstance(rep, IdentityCheckReport) or rep.retried == 0
+    want = run()
+    marked = []
+
+    def unconverged_rows(project):
+        def wrapped(M, X, *args, **kwargs):
+            P, fd, ok = project(M, X, *args, **kwargs)
+            ok = ok.copy()
+            ok[::7] = False
+            marked.append(len(ok[::7]))
+            return P, fd, ok
+        return wrapped
+
+    for name in ("_project_generated", "_project_normals"):
+        monkeypatch.setattr(ig_module, name,
+                            unconverged_rows(getattr(ig_module, name)))
+    got = run()
+    assert marked == [43, 43]
+    for g, w in zip(got, want):
+        assert (w.retried, g.retried, g.to_dict()["retried"]) == (0, 43, 43)
+        assert np.array_equal(g.lhs, w.lhs) and g.failures == w.failures
 
 
 @pytest.mark.parametrize("T,C", [
@@ -533,7 +586,7 @@ def test_ill_conditioned_compression_loses_no_draw():
     T = np.diag([1.0, 1e-6]) @ row_projection(2, 3)
     C = NonnegOrthant(3)
     st = stream(318).child(0)
-    fd, ok = _compression_faces(T, C, 20000, st)
+    fd, ok, _ = _compression_faces(T, C, 20000, st)
     want = _faces_per_draw(20000, st, lambda Q: linear_image(T @ Q, C), 3)
     assert ok.all() and want[1].all()
     assert np.count_nonzero(fd != want[0]) == 0
@@ -571,32 +624,28 @@ def test_identity_suites_never_take_the_per_draw_loop(monkeypatch):
 
 
 def test_two_row_stacks_never_reach_nnls(monkeypatch):
-    # the stacks of 2-row matrices (kinematic-planar, projection, tqc)
-    # take their exact wedge forms; only the 3-row kinematic-subspace
-    # stacks run Lawson-Hanson
-    planar, seen = [], []
-    real_nnls = cone_module._nnls_batch
+    # every stack the suites project is made of 2-row matrices: the planar
+    # intersections of kinematic-planar, the compressions of projection
+    # and tqc, and the 2-dimensional sections of kinematic-subspace.  They
+    # take their exact wedge forms, so no suite runs Lawson-Hanson
+    seen = []
 
     def watch(project):
         def wrapped(M, X, *args, **kwargs):
-            planar.append(M.ndim == 3 and M.shape[1] == 2)
-            seen.append(planar[-1])
-            try:
-                return project(M, X, *args, **kwargs)
-            finally:
-                planar.pop()
+            seen.append(M.ndim == 3 and M.shape[1] == 2)
+            return project(M, X, *args, **kwargs)
         return wrapped
 
     def nnls(G, W0):
-        assert not any(planar), "a 2-row stack reached NNLS"
-        return real_nnls(G, W0)
+        raise AssertionError("an identity suite reached NNLS")
 
-    monkeypatch.setattr(cone_module, "_nnls_batch", nnls)
+    for module in (cone_module, solvers):
+        monkeypatch.setattr(module, "_nnls_batch", nnls)
     for name in ("_project_generated", "_project_normals"):
         monkeypatch.setattr(ig_module, name, watch(getattr(ig_module, name)))
     for i, name in enumerate(sorted(IDENTITY_SUITES)):
         run_identity_suite(name, 1000, SeededStream(1303, 0).child(i))
-    assert any(seen) and not all(seen)
+    assert seen and all(seen)
 
 
 def test_stacked_draws_are_chunk_invariant(monkeypatch):

@@ -4,14 +4,15 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import conekit
 from conekit.numerics import (SeededStream, block_ranges, gaussian_vector,
-                              haar_from_rng, haar_orthogonal, row_projection,
-                              svd)
+                              haar_from_rng, haar_orthogonal, haar_stack,
+                              row_projection, svd)
 
 
 def test_stream_reproducible_across_instances():
@@ -175,6 +176,40 @@ def test_haar_orthogonality_and_det():
         Q = haar_orthogonal(6, s, i)
         assert np.max(np.abs(Q.T @ Q - np.eye(6))) <= 1e-12
         assert abs(abs(np.linalg.det(Q)) - 1.0) <= 1e-10
+
+
+def _qr_with_sign_fix(G):
+    Q, R = np.linalg.qr(G)
+    d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
+    d[d == 0] = 1.0
+    return Q * d[..., None, :]
+
+
+def test_planar_haar_is_the_sign_fixed_qr():
+    G = SeededStream(47).normals(0, 20000, (2, 2))[0]
+    Q = haar_stack(G)
+    assert np.abs(Q - _qr_with_sign_fix(G)).max() <= 1e-15
+    assert np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(2)).max() <= 1e-15
+    assert np.array_equal(np.round(np.linalg.det(Q)),
+                          np.sign(np.linalg.det(G)))
+    for i in range(300):
+        assert np.array_equal(Q[i], haar_stack(G[i]))
+
+
+@pytest.mark.parametrize("b,d", [(1.5, 2.0), (-1.5, -2.0), (0.3, 0.0),
+                                 (0.0, 0.0)])
+def test_planar_haar_zero_first_column(b, d):
+    # LAPACK applies no reflection to a zero column, so the sign fix
+    # leaves Q = diag(1, sign d), with sign 0 read as 1
+    G = np.array([[0.0, b], [0.0, d]])
+    stack = np.stack([G, SeededStream(49).normals(0, 1, (2, 2))[0][0], G])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Q, Qs = haar_stack(G), haar_stack(stack)
+    assert np.array_equal(Q, np.diag([1.0, -1.0 if d < 0 else 1.0]))
+    assert np.array_equal(Q, _qr_with_sign_fix(G))
+    for i in range(3):
+        assert np.array_equal(Qs[i], haar_stack(stack[i]))
 
 
 def test_haar_n1_sign_frequency():
