@@ -501,7 +501,7 @@ def kappa_bar(A, m: int, samples: int, stream: SeededStream) -> Estimate:
     A must be square and full rank, m <= n.  Sample i's rotation comes from
     the first n x n Gaussian matrix of ``stream.gen(i)``; a block of
     samples draws its matrices with one ``stream.normals`` call and takes
-    one stacked QR and one stacked svd.  Draws with numerically
+    one :func:`haar_stack` call and one stacked svd.  Draws with numerically
     rank-deficient compressions (a probability-zero event) are resampled
     from the following matrices of ``stream.gen(i)``.
     """
@@ -582,7 +582,12 @@ def empirical_gordon_check(sigma, m: int, trials: int,
 
     Trial i's G is the first draw of ``stream.gen(i)``; a block of trials
     draws its matrices with one ``stream.normals`` call and takes one
-    stacked svd."""
+    stacked ``eigvalsh`` of the min(n, m)-square Gram matrices of Sigma G,
+    (Sigma G)^T (Sigma G) when m <= n and (Sigma G)(Sigma G)^T otherwise:
+    s_max = sqrt(lambda_max) and s_min = sqrt(max(lambda_min, 0)).  The
+    Gram squares the condition number, so a nearly singular Sigma G loses
+    digits in s_min: its absolute error is at worst about
+    sqrt(eps) * s_max.  A zero Sigma gives exact zeros."""
     sig = np.asarray(sigma, dtype=float)
     if sig.ndim == 2:
         if not np.allclose(sig, np.diag(np.diag(sig))):
@@ -590,7 +595,7 @@ def empirical_gordon_check(sigma, m: int, trials: int,
         sig = np.diag(sig)
     if sig.ndim != 1:
         raise ValueError("Sigma must be a vector of diagonal entries")
-    if np.max(np.abs(sig), initial=0.0) > 1.0 + 1e-12:
+    if not np.max(np.abs(sig), initial=0.0) <= 1.0 + 1e-12:
         raise ValueError("need ||Sigma|| <= 1")
     n = len(sig)
     if not 1 <= m:
@@ -602,9 +607,11 @@ def empirical_gordon_check(sigma, m: int, trials: int,
     step = _chunk_rows(n * m)
     for a in range(0, trials, step):
         G, = stream.normals(a, min(step, trials - a), (n, m))
-        S = np.linalg.svd(sig[:, None] * G, compute_uv=False)
-        smax[a:a + len(S)] = S[:, 0]
-        smin[a:a + len(S)] = S[:, min(n, m) - 1]
+        M = sig[:, None] * G
+        Mt = np.swapaxes(M, 1, 2)
+        lam = np.linalg.eigvalsh(Mt @ M if m <= n else M @ Mt)
+        smax[a:a + len(M)] = np.sqrt(lam[:, -1])
+        smin[a:a + len(M)] = np.sqrt(np.maximum(lam[:, 0], 0.0))
     fro = float(np.linalg.norm(sig))
     root = math.sqrt(m)
     ok = np.ones(trials, dtype=bool)

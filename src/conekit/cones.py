@@ -1134,16 +1134,18 @@ def intersect(C: Cone, D: Cone) -> Cone:
 # ---------------------------------------------------------------------------
 
 def project(cone: Cone, x: np.ndarray) -> ProjectionResult:
-    """Project x onto the cone.
+    """Project x onto the cone by ``cone.project_point``.
 
-    The zero input maps to the zero point with face_dim 0 by convention.
+    x must have shape (n,) and finite entries, else ValueError.  The zero
+    input (signed zeros included) maps to the zero point with face_dim 0
+    by convention, without reaching the cone.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (cone.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({cone.n},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("point must be finite")
-    if np.all(x == 0.0):
+    if not x.any():
         return ProjectionResult(np.zeros(cone.n), 0, 0, True)
     return cone.project_point(x)
 

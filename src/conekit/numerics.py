@@ -18,8 +18,10 @@ stream a fresh one would give.  The Philox is per thread so that two
 threads' draws never interleave.
 
 Haar rotations are sign-fixed QR factors of Gaussian matrices
-(:func:`haar_stack`): closed form in the plane, one stacked LAPACK QR
-otherwise, with one matrix and a stack of them computed alike.
+(:func:`haar_stack`): closed form in the plane (on Python floats for one
+matrix), Gram-Schmidt applied twice for n = 3 and 4, and one stacked
+LAPACK QR otherwise or for a nearly dependent matrix.  One matrix and a
+stack of them are computed alike, to the bit.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ __all__ = [
 BLOCK = 1024
 
 _MASK64 = (1 << 64) - 1
+
+# Smallest normal float: a squared column norm below it lost digits to
+# underflow.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _splitmix64(z: int) -> int:
@@ -119,6 +125,8 @@ class SeededStream:
             key[1] = (base + i) & _MASK64
             bits.state = state
             draw(out=flat[i])
+        if len(shapes) == 1:
+            return [flat.reshape(count, *shapes[0])]
         out, a = [], 0
         for shape, n in zip(shapes, sizes):
             out.append(np.ascontiguousarray(flat[:, a:a + n])
@@ -194,32 +202,102 @@ def haar_stack(G: np.ndarray) -> np.ndarray:
     (n, n) or stacked (N, n, n): the Q of G = QR with the columns of Q
     rescaled by the signs of diag(R) (a zero sign counts as 1).  Without
     the sign fix the factorization is not unique and Q is not Haar
-    distributed.
+    distributed.  The path depends only on the shape of G:
 
-    For n = 2 the sign-fixed Q is closed form: with (u, v) the unit first
-    column of G ((1, 0) when it is zero) and sigma the sign of
-    u G_11 - v G_01 (1 at 0), Q = [[u, -sigma v], [v, sigma u]].  Other n
-    take one stacked LAPACK QR.  The same elementwise arithmetic serves
-    one matrix and a stack, so each matrix of a stack equals the
-    one-matrix result bit for bit.
+    * n = 2 is closed form: with (u, v) the unit first column of G and
+      sigma the sign of u G_11 - v G_01 (1 at 0),
+      Q = [[u, -sigma v], [v, sigma u]].  One matrix evaluates it on
+      Python floats, a stack with numpy ops; each step is one correctly
+      rounded operation, so both give the same bits.
+    * n = 3 and 4 take classical Gram-Schmidt applied twice (see
+      :func:`_gram_schmidt`), whose R diagonal is positive, which is the
+      sign fix.
+    * Other n take one stacked LAPACK QR.
+
+    A matrix that the first two cannot normalise takes the LAPACK QR
+    alone: a first column (n = 2) whose squared norm is zero, below the
+    smallest normal float or overflows, or a column that Gram-Schmidt
+    finds nearly dependent.  So each matrix of a stack equals its
+    one-matrix result bit for bit, and no path warns on a zero, dependent
+    or badly scaled column.
     """
-    if G.shape[-1] == 2:
+    if G.shape == (2, 2):
+        (a, b), (c, d) = G.tolist()
+        rr = a * a + c * c
+        if not _TINY <= rr < math.inf:
+            return _sign_fixed_qr(G)
+        r = math.sqrt(rr)
+        u, v = a / r, c / r
+        sigma = -1.0 if u * d < v * b else 1.0
+        return np.array([[u, -sigma * v], [v, sigma * u]])
+    n = G.shape[-1]
+    if n == 2:
         a, b = G[..., 0, 0], G[..., 0, 1]
         c, d = G[..., 1, 0], G[..., 1, 1]
-        r = np.sqrt(a * a + c * c)
-        if not r.all():
-            zero = r == 0
-            a, r = np.where(zero, 1.0, a), np.where(zero, 1.0, r)
-        u, v = a / r, c / r
-        sigma = np.where(u * d < v * b, -1.0, 1.0)
+        with np.errstate(all="ignore"):
+            rr = a * a + c * c
+            r = np.sqrt(rr)
+            u, v = a / r, c / r
+            sigma = np.where(u * d < v * b, -1.0, 1.0)
+            good = (rr >= _TINY) & (rr < np.inf)
         Q = np.empty(G.shape)
         Q[..., 0, 0], Q[..., 1, 0] = u, v
         Q[..., 0, 1], Q[..., 1, 1] = -sigma * v, sigma * u
+        if not good.all():
+            Q[~good] = _sign_fixed_qr(G[~good])
         return Q
+    if n in (3, 4):
+        return _gram_schmidt(G)
+    return _sign_fixed_qr(G)
+
+
+def _sign_fixed_qr(G: np.ndarray) -> np.ndarray:
+    """The Q of one stacked LAPACK QR, its columns rescaled by the signs
+    of diag(R) (a zero sign counts as 1)."""
     Q, R = np.linalg.qr(G)
     d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
     return Q * d[..., None, :]
+
+
+def _gram_schmidt(G: np.ndarray) -> np.ndarray:
+    """Sign-fixed Q of G (n, n) or (N, n, n) for small n, column by
+    column: subtract the projection onto the previous columns of Q twice,
+    then normalise.  The second pass keeps Q orthogonal to rounding level
+    (Giraud, Langou & Rozloznik 2005).  The stack is laid out column,
+    entry, matrix, so every step is one elementwise op over the matrices
+    and each matrix takes the arithmetic it takes alone.
+
+    A matrix with a column whose remaining squared norm is at most 1e-16
+    of the column's own (a zero or dependent column, or a condition
+    number beyond about 1e8), or below the smallest normal float, takes
+    :func:`_sign_fixed_qr` alone; so does one that overflows.
+    """
+    n = G.shape[-1]
+    S = G.reshape(-1, n, n)
+    X = np.ascontiguousarray(S.transpose(2, 1, 0))  # X[j, k]: G[:, k, j]
+    Q = np.empty(X.shape)
+
+    def sums(P):                    # sum over the entry axis, in order
+        s = P[..., 0, :]
+        for k in range(1, n):
+            s = s + P[..., k, :]
+        return s
+
+    pivots = np.empty((n, len(S)))
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            x, B = X[j], Q[:j]
+            for _ in range(2 if j else 0):
+                for p in sums(B * x)[:, None] * B:
+                    x = x - p
+            pivots[j] = sums(x * x)
+            Q[j] = x / np.sqrt(pivots[j])
+        good = (pivots > 1e-16 * sums(X * X) + _TINY).all(axis=0)
+    Q = np.ascontiguousarray(Q.transpose(2, 1, 0))
+    if not good.all():
+        Q[~good] = _sign_fixed_qr(S[~good])
+    return Q.reshape(G.shape)
 
 
 def gaussian_vector(n: int, stream: SeededStream, index: int = 0) -> np.ndarray:

@@ -641,12 +641,17 @@ def test_kappa_bar_caps_resamples(monkeypatch):
 
 
 def _gordon_loop(sig, m, trials, st):
+    # per trial, the eigenvalues of the min(n, m)-square Gram of Sigma G;
+    # also returns the per-trial svd values they stand for
     smin, smax = np.empty(trials), np.empty(trials)
+    svd = np.empty((trials, 2))
     for i in range(trials):
-        s = np.linalg.svd(sig[:, None] * st.gen(i).standard_normal(
-            (len(sig), m)), compute_uv=False)
-        smax[i], smin[i] = s[0], s[min(len(sig), m) - 1]
-    return smin, smax
+        M = sig[:, None] * st.gen(i).standard_normal((len(sig), m))
+        lam = np.linalg.eigvalsh(M.T @ M if m <= len(sig) else M @ M.T)
+        smax[i], smin[i] = np.sqrt(lam[-1]), np.sqrt(max(lam[0], 0.0))
+        s = np.linalg.svd(M, compute_uv=False)
+        svd[i] = s[min(len(sig), m) - 1], s[0]
+    return smin, smax, svd
 
 
 def test_empirical_gordon_matches_per_trial_loop(monkeypatch):
@@ -658,7 +663,9 @@ def test_empirical_gordon_matches_per_trial_loop(monkeypatch):
         cases.append((sig, m, 40 + 7 * i, stream(225, i)))
     want = []
     for sig, m, trials, st in cases:
-        smin, smax = _gordon_loop(sig, m, trials, st)
+        smin, smax, svd = _gordon_loop(sig, m, trials, st)
+        assert np.all(np.abs(np.column_stack([smin, smax]) - svd)
+                      <= 1e-13 * svd)
         ok = np.ones(trials, dtype=bool)
         want.append((mc_estimate(smin, ok, st.master_seed),
                      mc_estimate(smax, ok, st.master_seed)))
@@ -708,6 +715,10 @@ def test_empirical_gordon_random_spectra():
 def test_empirical_gordon_rejects_unnormalized_spectrum():
     with pytest.raises(ValueError):
         empirical_gordon_check(np.full(10, 2.0), 3, 100, stream(217))
+    # a NaN entry has no norm to compare, so it fails the same check
+    with pytest.raises(ValueError):
+        empirical_gordon_check(np.r_[np.nan, np.full(9, 0.5)], 3, 100,
+                               stream(217))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from per_draw_oracle import _faces_per_draw
 
 import conekit.cones as cone_module
 import conekit.integral_geometry as ig_module
+import conekit.numerics as numerics_module
 from conekit import solvers
+from conekit.cli import main
 from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
                            LinearImage, NonnegOrthant, ProductCone, Subspace,
                            _inequality_matrix, full_space, generators_of,
@@ -646,6 +648,24 @@ def test_two_row_stacks_never_reach_nnls(monkeypatch):
     for i, name in enumerate(sorted(IDENTITY_SUITES)):
         run_identity_suite(name, 1000, SeededStream(1303, 0).child(i))
     assert seen and all(seen)
+
+
+def test_identity_checks_reach_no_lapack_qr_or_svd(monkeypatch, capsys):
+    # the suites' rotations have n <= 4: closed forms in the plane and
+    # Gram-Schmidt for n = 3 and 4, so none takes LAPACK's QR; the Gordon
+    # suite takes Gram eigenvalues, so it takes no svd
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"reached np.linalg.{name}")
+        return call
+
+    monkeypatch.setattr(numerics_module.np.linalg, "qr", refuse("qr"))
+    for i, name in enumerate(sorted(IDENTITY_SUITES)):
+        run_identity_suite(name, 1000, SeededStream(1303, 0).child(i))
+    monkeypatch.setattr(np.linalg, "svd", refuse("svd"))
+    assert main(["verify", "--suite", "gordon", "--samples", "1000",
+                 "--seed", "1303"]) == 0
+    assert "[pass] gordon/" in capsys.readouterr().out
 
 
 def test_stacked_draws_are_chunk_invariant(monkeypatch):

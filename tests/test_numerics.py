@@ -197,19 +197,88 @@ def test_planar_haar_is_the_sign_fixed_qr():
 
 
 @pytest.mark.parametrize("b,d", [(1.5, 2.0), (-1.5, -2.0), (0.3, 0.0),
-                                 (0.0, 0.0)])
+                                 (0.0, 0.0), (-0.3, -0.0), (-0.0, -0.0)])
 def test_planar_haar_zero_first_column(b, d):
     # LAPACK applies no reflection to a zero column, so the sign fix
-    # leaves Q = diag(1, sign d), with sign 0 read as 1
-    G = np.array([[0.0, b], [0.0, d]])
-    stack = np.stack([G, SeededStream(49).normals(0, 1, (2, 2))[0][0], G])
+    # leaves Q = diag(1, sign d), with sign 0 read as 1.  Signed zeros in
+    # the column or in d give the same Q, whose bits (zero signs
+    # included) are the same alone and in a stack
+    for a, c in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]:
+        G = np.array([[a, b], [c, d]])
+        stack = np.stack([G, SeededStream(49).normals(0, 1, (2, 2))[0][0],
+                          G])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q, Qs = haar_stack(G), haar_stack(stack)
+        assert np.array_equal(Q, np.diag([1.0, -1.0 if d < 0 else 1.0]))
+        assert np.array_equal(Q, _qr_with_sign_fix(G))
+        for i in range(3):
+            assert Qs[i].tobytes() == haar_stack(stack[i]).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gram_schmidt_haar_is_the_sign_fixed_qr(n):
+    G = SeededStream(47).normals(0, 20000, (n, n))[0]
+    Q = haar_stack(G)
+    assert np.abs(Q - _qr_with_sign_fix(G)).max() <= 1e-12
+    assert np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(n)).max() <= 1e-14
+    assert np.array_equal(np.round(np.linalg.det(Q)),
+                          np.sign(np.linalg.det(G)))
+    for i in range(1000):
+        assert np.array_equal(Q[i], haar_stack(G[i]))
+
+
+def _degenerate(n, case):
+    rng = np.random.default_rng(50 + n)
+    G = rng.standard_normal((n, n))
+    if case == "zero":
+        G[:] = 0.0
+    elif case == "zero-column":
+        G[:, 1] = 0.0
+    elif case == "equal-columns":
+        G[:, 2] = G[:, 0]
+    else:
+        U, _, Vt = np.linalg.svd(G)
+        G = U @ np.diag(np.logspace(0, -10, n)) @ Vt
+    return G
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("case", ["zero", "zero-column", "equal-columns",
+                                  "kappa-1e10"])
+def test_gram_schmidt_haar_degenerate_inputs_take_lapack(n, case):
+    # a nearly dependent column sends its matrix, and only it, to the
+    # sign-fixed LAPACK QR, with no warning from the Gram-Schmidt steps
+    G = _degenerate(n, case)
+    gauss = SeededStream(51).normals(0, 2, (n, n))[0]
+    stack = np.stack([gauss[0], G, gauss[1], G])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Q, Qs = haar_stack(G), haar_stack(stack)
-    assert np.array_equal(Q, np.diag([1.0, -1.0 if d < 0 else 1.0]))
-    assert np.array_equal(Q, _qr_with_sign_fix(G))
-    for i in range(3):
-        assert np.array_equal(Qs[i], haar_stack(stack[i]))
+    want = _qr_with_sign_fix(G).tobytes()
+    assert Q.tobytes() == want
+    assert Qs[1].tobytes() == want and Qs[3].tobytes() == want
+    for i in (0, 2):
+        assert Qs[i].tobytes() == haar_stack(stack[i]).tobytes()
+        assert Qs[i].tobytes() != _qr_with_sign_fix(stack[i]).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_haar_badly_scaled_inputs_take_lapack(n, scale):
+    # squared column norms that underflow or overflow cannot be
+    # normalised in closed form or by Gram-Schmidt; such a matrix takes
+    # the sign-fixed LAPACK QR, alone and in a stack
+    gauss = SeededStream(52).normals(0, 3, (n, n))[0]
+    G = gauss[2] * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Q, Qs = haar_stack(G), haar_stack(np.stack([gauss[0], G, gauss[1]]))
+    assert Q.tobytes() == _qr_with_sign_fix(G).tobytes()
+    assert np.abs(Q - _qr_with_sign_fix(gauss[2])).max() <= 1e-15
+    assert Qs[1].tobytes() == Q.tobytes()
+    assert Qs[0].tobytes() == haar_stack(gauss[0]).tobytes()
+    assert Qs[2].tobytes() == haar_stack(gauss[1]).tobytes()
 
 
 def test_haar_n1_sign_frequency():
