@@ -33,11 +33,10 @@ matrix per row, for cones that change from row to row.
 ``project_batch(X, faces=False)`` returns the same points and flags with
 ``face_dims`` None and skips face classification (one batched rank svd per
 call for generated and inequality cones), for callers that read only the
-points.  Two iterative fallbacks cover what remains: Dykstra's alternating
+points.  Two batched iterative fallbacks remain: Dykstra's alternating
 projections for intersections with a side that has no inequality matrix
-(e.g. a generated cone in R^3 with more generators than dimensions), one
-point at a time, and accelerated projected gradient for images under wide
-or singular maps.
+(e.g. a generated cone in R^3 with more generators than dimensions), and
+accelerated projected gradient for images under wide or singular maps.
 """
 
 from __future__ import annotations
@@ -869,7 +868,7 @@ class ProductCone(Cone):
 
 class IntersectionCone(Cone):
     """Intersection of two cones, projected by Dykstra's alternating scheme
-    one point at a time; batches take the base loop."""
+    on all rows in lockstep; faces come row by row from both sides."""
 
     def __init__(self, left: Cone, right: Cone):
         if left.n != right.n:
@@ -878,20 +877,19 @@ class IntersectionCone(Cone):
         self.right = right
         self.n = left.n
 
-    def project_point(self, x):
-        p, sweeps, conv, ya = _dykstra(self.left, self.right, x)
-        atol = max(100 * DYKSTRA_TOL, FACE_TOL) * (1.0 + float(np.linalg.norm(x)))
-        fd = self._face_dim(ya, p, atol)
-        return ProjectionResult(p, fd, sweeps, conv)
+    def project_batch(self, X, faces=True):
+        P, sweeps, conv, Ya = _dykstra(self.left, self.right, X)
+        fd = np.array([self._face_dim(*row) for row in zip(X, Ya, P)],
+                      dtype=np.int64) if faces else None
+        return _Batch(P, fd, conv, sweeps)
 
-    def _face_dim(self, pa, pb, atol):
+    def _face_dim(self, x, pa, pb):
+        atol = max(100 * DYKSTRA_TOL, FACE_TOL) * (1.0 + float(np.linalg.norm(x)))
         if np.linalg.norm(pb) <= atol:
             return 0
         Ba = self.left.face_basis(pa, atol)
         Bb = self.right.face_basis(pb, atol)
-        if Ba is None or Bb is None:
-            return None
-        return _span_intersection_dim(Ba, Bb)
+        return -1 if Ba is None or Bb is None else _span_intersection_dim(Ba, Bb)
 
     def to_dict(self):
         return {"variant": "intersection", "left": self.left.to_dict(),
@@ -1154,29 +1152,36 @@ def project(cone: Cone, x: np.ndarray) -> ProjectionResult:
 # iterative kernels
 # ---------------------------------------------------------------------------
 
-def _dykstra(Ca: Cone, Cb: Cone, x: np.ndarray):
-    """Dykstra's alternating projections onto Ca ∩ Cb.
+def _dykstra(Ca: Cone, Cb: Cone, X: np.ndarray):
+    """Dykstra's alternating projections of the rows of X onto Ca ∩ Cb, in
+    lockstep: one ``project_batch(faces=False)`` call per side per sweep on
+    the running rows.  A row stops at the first sweep after the first where
+    |ya - yb| and the change of yb are within DYKSTRA_TOL (1 + |x|); after
+    DYKSTRA_MAX_SWEEPS it returns its last yb, unconverged.
 
-    Returns (point, sweeps, converged, last_point_in_Ca).
+    Returns (points, sweeps, converged, last points in Ca), one row each.
     """
-    scale = 1.0 + float(np.linalg.norm(x))
-    p = x.copy()
-    qa = np.zeros_like(x)
-    qb = np.zeros_like(x)
-    prev = None
-    ya = p
+    tol = DYKSTRA_TOL * (1.0 + np.linalg.norm(X, axis=1))
+    P, Ya = X.copy(), np.empty_like(X)
+    Qa, Qb = np.zeros_like(X), np.zeros_like(X)
+    sweeps = np.zeros(X.shape[0], dtype=np.int64)
+    live = np.arange(X.shape[0])
     for sweep in range(1, DYKSTRA_MAX_SWEEPS + 1):
-        ya = Ca.project_point(p + qa).point
-        qa = p + qa - ya
-        yb = Cb.project_point(ya + qb).point
-        qb = ya + qb - yb
-        if prev is not None and \
-                np.linalg.norm(ya - yb) <= DYKSTRA_TOL * scale and \
-                np.linalg.norm(yb - prev) <= DYKSTRA_TOL * scale:
-            return yb, sweep, True, ya
-        prev = yb
-        p = yb
-    return prev if prev is not None else p, DYKSTRA_MAX_SWEEPS, False, ya
+        if not live.size:
+            break
+        p = P[live]
+        v = p + Qa[live]
+        Ya[live] = ya = Ca.project_batch(v, faces=False)[0]
+        Qa[live] = v - ya
+        v = ya + Qb[live]
+        P[live] = yb = Cb.project_batch(v, faces=False)[0]
+        Qb[live] = v - yb
+        done = (sweep > 1) & (np.linalg.norm(ya - yb, axis=1) <= tol[live]) \
+            & (np.linalg.norm(yb - p, axis=1) <= tol[live])
+        sweeps[live[done]] = sweep
+        live = live[~done]
+    conv = sweeps > 0
+    return P, np.where(conv, sweeps, DYKSTRA_MAX_SWEEPS), conv, Ya
 
 
 def _fista_image(A: np.ndarray, inner: Cone, X: np.ndarray, lip: float):

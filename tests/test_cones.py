@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import planar_wedge, random_generator_cone
+from dykstra_oracle import dykstra_project
 from nnls_oracle import _nnls_gram
 
 from conekit import cones, solvers
@@ -265,18 +266,17 @@ def assert_matches_dykstra(L, R, points):
     number of converged points."""
     C = intersect(L, R)
     assert isinstance(C, InequalityCone)
-    oracle = IntersectionCone(L, R)
+    want, want_fd, want_ok = IntersectionCone(L, R).project_batch(points)
     converged = 0
-    for x in points:
-        got = project(C, x)
-        want = oracle.project_point(x)
-        if not want.converged:
+    for x, p, fd, ok in zip(points, want, want_fd, want_ok):
+        if not ok:
             continue
         converged += 1
+        got = project(C, x)
         assert got.converged
-        assert (np.linalg.norm(got.point - want.point)
+        assert (np.linalg.norm(got.point - p)
                 <= 1e-6 * (1.0 + np.linalg.norm(x)))
-        assert got.face_dim == want.face_dim
+        assert got.face_dim == fd
     return converged
 
 
@@ -288,6 +288,81 @@ def test_hrep_intersection_matches_dykstra():
         converged += assert_matches_dykstra(L, R, points)
         total += len(points)
     assert converged >= 0.95 * total
+
+
+# ---------------------------------------------------------------------------
+# lockstep Dykstra against the point-by-point oracle
+# ---------------------------------------------------------------------------
+
+def assert_matches_point_oracle(L, R, X, tol, rows=slice(None),
+                                sweeps=True):
+    """IntersectionCone(L, R).project_batch(X) agrees on X[rows] with
+    Dykstra one point at a time: flags and face dims equal, points within
+    tol (1 + |x|), and, when ``sweeps``, equal sweep counts.  Returns the
+    batch's flags."""
+    P, fd, ok = batch = IntersectionCone(L, R).project_batch(X)
+    for i in range(len(X))[rows]:
+        want = dykstra_project(L, R, X[i])
+        assert ok[i] == want.converged
+        assert fd[i] == (-1 if want.face_dim is None else want.face_dim)
+        assert (np.linalg.norm(P[i] - want.point)
+                <= tol * (1.0 + np.linalg.norm(X[i])))
+        assert not sweeps or batch.iterations[i] == want.iterations
+    return ok
+
+
+def test_lockstep_dykstra_matches_point_oracle():
+    # the points of test_hrep_intersection_matches_dykstra, all converged
+    # (up to 6,339 sweeps); every tenth row is checked against the oracle
+    rng = np.random.default_rng(21)
+    for L, R in hrep_pairs():
+        X = rng.standard_normal((50, L.n))
+        assert assert_matches_point_oracle(L, R, X, 1e-12,
+                                           rows=slice(None, None, 10)).all()
+
+
+def test_lockstep_dykstra_with_fista_side_matches_point_oracle():
+    # batched accelerated projected gradient iterates every row until the
+    # whole batch converges, so a row's inner projections differ from its
+    # one-row ones within that kernel's tolerance, which moves some rows'
+    # stopping sweep (by up to 6 on 21 of 200 rows of 20 such pairs) and
+    # their points (by up to 1.2e-8); here 3 of the 5 rows differ by 1 or
+    # 2 of about 160 sweeps
+    rng = np.random.default_rng(28)
+    L = LinearImage(rng.standard_normal((3, 4)), NonnegOrthant(4))
+    R = InequalityCone(rng.standard_normal((3, 2)))
+    assert_matches_point_oracle(L, R, rng.standard_normal((5, 3)), 1e-7,
+                                sweeps=False)
+
+
+def test_lockstep_dykstra_rows_are_independent():
+    rng = np.random.default_rng(28)
+    C = IntersectionCone(NonnegOrthant(3),
+                         GeneratorCone(rng.standard_normal((3, 5))))
+    X = rng.standard_normal((30, 3)) * rng.uniform(0.1, 10.0, (30, 1))
+    P, fd, ok = batch = C.project_batch(X)
+    scale = 1.0 + np.linalg.norm(X, axis=1)
+    assert ok.all()
+    for i, x in enumerate(X):
+        p, f, o = alone = C.project_batch(x[None])
+        assert np.linalg.norm(p[0] - P[i]) <= 1e-12 * scale[i]
+        assert (f[0], o[0], alone.iterations[0]) == \
+            (fd[i], ok[i], batch.iterations[i])
+    perm = rng.permutation(len(X))
+    Pp, fdp, okp = permuted = C.project_batch(X[perm])
+    assert np.all(np.linalg.norm(Pp - P[perm], axis=1) <= 1e-12 * scale[perm])
+    assert np.array_equal(fdp, fd[perm]) and np.array_equal(okp, ok[perm])
+    assert np.array_equal(permuted.iterations, batch.iterations[perm])
+    Pn, fdn, okn = C.project_batch(X, faces=False)
+    assert fdn is None
+    assert np.array_equal(Pn, P) and np.array_equal(okn, ok)
+
+
+def test_only_the_base_cone_projects_point_by_point():
+    classes = [c for c in vars(cones).values()
+               if isinstance(c, type) and issubclass(c, cones.Cone)]
+    assert cones.IntersectionCone in classes
+    assert [c for c in classes if "project_point" in vars(c)] == [cones.Cone]
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +695,13 @@ def test_opposite_halfplanes_meet_in_a_line():
         u = np.array([[math.cos(a)], [math.sin(a)]])
         H, G = InequalityCone(u), InequalityCone(-u)
         L = intersect(H, G)
-        oracle = IntersectionCone(H, G)
-        for x in rng.standard_normal((10, 2)):
-            got, want = project(L, x), oracle.project_point(x)
-            assert want.converged
-            assert np.allclose(got.point, want.point, atol=1e-6)
-            assert got.face_dim == want.face_dim
+        points = rng.standard_normal((10, 2))
+        want, want_fd, want_ok = IntersectionCone(H, G).project_batch(points)
+        assert want_ok.all()
+        for x, p, fd in zip(points, want, want_fd):
+            got = project(L, x)
+            assert np.allclose(got.point, p, atol=1e-6)
+            assert got.face_dim == fd
 
 
 def _unit_columns(angles):
@@ -668,17 +744,19 @@ def test_planar_intersections_are_exact():
             for R in family[i:]:
                 C = intersect(L, R)
                 assert not isinstance(C, IntersectionCone)
-                oracle = IntersectionCone(L, R)
-                for x in rng.standard_normal((2, 2)):
+                points = rng.standard_normal((2, 2))
+                want, want_fd, want_ok = IntersectionCone(L, R).project_batch(
+                    points)
+                for x, p, fd, ok in zip(points, want, want_fd, want_ok):
                     total += 1
-                    got, want = project(C, x), oracle.project_point(x)
-                    if not want.converged:
+                    if not ok:
                         continue
                     converged += 1
+                    got = project(C, x)
                     assert got.converged
-                    assert (np.linalg.norm(got.point - want.point)
+                    assert (np.linalg.norm(got.point - p)
                             <= 1e-6 * (1.0 + np.linalg.norm(x)))
-                    assert got.face_dim == want.face_dim
+                    assert got.face_dim == fd
     assert converged >= 0.95 * total
 
 

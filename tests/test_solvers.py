@@ -12,6 +12,7 @@ from conekit.solvers import (LPStandardForm, bp_extract, crossing_from_rows,
                              golden_section_min, lp_solve_standard, nnls,
                              phase_transition_experiment, recover,
                              solve_bp_analysis, wilson_interval)
+from conekit.solvers import _nnls_batch
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,36 @@ def test_nnls_interior_point_zero_residual():
     res = nnls(A, A @ coef)
     assert res.residual <= 1e-10
     assert np.allclose(res.coef, coef, atol=1e-8)
+
+
+def test_batched_nnls_on_nearly_collinear_generators():
+    # five generators within eps of one direction and two random ones in
+    # R^3: every row the kernel flags converged is the projection found by
+    # a search over supports of at most 3 generators (Caratheodory); rows
+    # flagged unconverged are counted and allowed (none above eps = 1e-8,
+    # 56 at 1e-8)
+    rng = np.random.default_rng(5)
+    unconverged = []
+    for eps in 10.0 ** -np.arange(3, 9):
+        d = rng.standard_normal(3)
+        V = np.hstack([(d / np.linalg.norm(d))[:, None]
+                       + eps * rng.standard_normal((3, 5)),
+                       rng.standard_normal((3, 2))])
+        X = rng.standard_normal((1000, 3))
+        coef, _, ok = _nnls_batch(V.T @ V, X @ V)
+        best, dist = np.zeros_like(X), np.linalg.norm(X, axis=1)
+        for S in itertools.chain.from_iterable(
+                itertools.combinations(range(7), r) for r in (1, 2, 3)):
+            C = np.linalg.lstsq(V[:, S], X.T, rcond=None)[0]
+            P = (V[:, S] @ C).T
+            d_S = np.linalg.norm(X - P, axis=1)
+            better = (C >= -1e-12 * np.maximum(1.0, np.abs(C).max(axis=0))
+                      ).all(axis=0) & (d_S < dist)
+            best[better], dist[better] = P[better], d_S[better]
+        err = np.linalg.norm(coef @ V.T - best, axis=1)
+        assert np.all(err[ok] <= 1e-5 * (1.0 + np.linalg.norm(X[ok], axis=1)))
+        unconverged.append(int(np.count_nonzero(~ok)))
+    assert sum(unconverged) < 100
 
 
 def test_nnls_matches_enumeration_oracle():
