@@ -792,10 +792,9 @@ class LinearImage(Cone):
         if self._isometric:
             P, fd, conv = batch = self.inner.project_batch(X @ self.A, faces)
             return _Batch(P @ self.A.T, fd, conv, batch.iterations)
-        N = X.shape[0]
         P, _, conv, it = _fista_image(self.A, self.inner, X, self._lip)
-        fd = np.full(N, -1, dtype=np.int64) if faces else None
-        return _Batch(P, fd, conv, np.full(N, it, dtype=np.int64))
+        fd = np.full(X.shape[0], -1, dtype=np.int64) if faces else None
+        return _Batch(P, fd, conv, it)
 
     def face_basis(self, p, atol=None):
         if not self._isometric:
@@ -1187,37 +1186,30 @@ def _dykstra(Ca: Cone, Cb: Cone, X: np.ndarray):
 def _fista_image(A: np.ndarray, inner: Cone, X: np.ndarray, lip: float):
     """Accelerated projected gradient for min_{v in inner} ||x - A v||^2.
 
-    Batched over the rows of X with per-row adaptive restart; returns
-    (P, V, converged, iterations) with P = V A^T the projected points.
+    Batched over the rows of X with per-row adaptive restart; a row stops
+    once it converges, so it takes the steps it would take alone.  Returns
+    (P, V, converged, iterations), one row each, with P = V A^T.
     """
     N, k = X.shape[0], A.shape[1]
-    if lip <= 0:
-        P = np.zeros((N, A.shape[0]))
-        return P, np.zeros((N, k)), np.ones(N, dtype=bool), 0
-    V = np.zeros((N, k))
-    Y = V.copy()
-    t = np.ones(N)
-    scale = 1.0 + np.linalg.norm(X, axis=1)
-    conv = np.zeros(N, dtype=bool)
-    it = 0
-    for it in range(1, FISTA_MAX_ITER + 1):
-        G = (Y @ A.T - X) @ A
-        Vn = inner.project_batch(Y - G / lip, faces=False)[0]
-        step = Vn - V
-        # adaptive restart: drop momentum on rows moving against the step
-        bad = np.einsum("ij,ij->i", Y - Vn, step) > 0
-        res = lip * np.linalg.norm(Y - Vn, axis=1)
-        conv = res <= FISTA_TOL * scale
-        if conv.all():
-            V = Vn
+    V, it = np.zeros((N, k)), np.zeros(N, dtype=np.int64)
+    conv = np.zeros(N, dtype=bool) if lip > 0 else np.ones(N, dtype=bool)
+    live = np.flatnonzero(~conv)
+    x, v, y, t = X[live], V[live], V[live], np.ones(live.size)
+    tol = FISTA_TOL * (1.0 + np.linalg.norm(x, axis=1))
+    for i in range(1, FISTA_MAX_ITER + 1):
+        if not live.size:
             break
+        vn = inner.project_batch(y - (y @ A.T - x) @ A / lip, faces=False)[0]
+        step = vn - v
+        # adaptive restart: drop momentum on rows moving against the step
+        bad = np.einsum("ij,ij->i", y - vn, step) > 0
+        done = lip * np.linalg.norm(y - vn, axis=1) <= tol
+        V[live], it[live], conv[live] = vn, i, done
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / tn
-        beta[bad] = 0.0
-        tn[bad] = 1.0
-        Y = Vn + beta[:, None] * step
-        V = Vn
-        t = tn
+        beta = np.where(bad, 0.0, (t - 1.0) / tn)
+        y = (vn + beta[:, None] * step)[~done]
+        live, x, v, tol = live[~done], x[~done], vn[~done], tol[~done]
+        t = np.where(bad, 1.0, tn)[~done]
     return V @ A.T, V, conv, it
 
 

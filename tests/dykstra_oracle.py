@@ -2,18 +2,14 @@
 oracle of the lockstep kernel ``conekit.cones._dykstra``.
 
 The contract: row for row, the lockstep kernel takes the same sweeps, so
-it returns the same sweep counts, convergence flags and face dimensions,
-and the same points up to rounding.  Its sides project all running rows
-in one ``project_batch`` call, whose last bits may differ from a one-row
-call; a side projected by accelerated projected gradient iterates until
-every row of the batch converges, so its rows run a few more iterations
-than alone.
+it returns the same sweep counts and convergence flags, and the same
+points up to rounding: its sides project all running rows in one
+``project_batch`` call, whose last bits may differ from a one-row call.
 """
 
 import numpy as np
 
-from conekit.cones import (DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL, FACE_TOL,
-                           ProjectionResult, _span_intersection_dim)
+from conekit.cones import DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL
 
 
 def _dykstra_point(Ca, Cb, x):
@@ -40,15 +36,3 @@ def _dykstra_point(Ca, Cb, x):
         p = yb
     return prev if prev is not None else p, DYKSTRA_MAX_SWEEPS, False, ya
 
-
-def dykstra_project(Ca, Cb, x):
-    """Projection of x onto Ca ∩ Cb with its face dimension, the dimension
-    of the intersection of the two sides' face spans (None when a side
-    cannot classify faces); ``iterations`` counts sweeps."""
-    p, sweeps, conv, ya = _dykstra_point(Ca, Cb, x)
-    atol = max(100 * DYKSTRA_TOL, FACE_TOL) * (1.0 + float(np.linalg.norm(x)))
-    if np.linalg.norm(p) <= atol:
-        return ProjectionResult(p, 0, sweeps, conv)
-    Ba, Bb = Ca.face_basis(ya, atol), Cb.face_basis(p, atol)
-    fd = None if Ba is None or Bb is None else _span_intersection_dim(Ba, Bb)
-    return ProjectionResult(p, fd, sweeps, conv)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import planar_wedge, random_generator_cone
-from dykstra_oracle import dykstra_project
+from dykstra_oracle import _dykstra_point
 from nnls_oracle import _nnls_gram
 
 from conekit import cones, solvers
@@ -269,10 +269,10 @@ def assert_matches_dykstra(L, R, points):
     want, want_fd, want_ok = IntersectionCone(L, R).project_batch(points)
     converged = 0
     for x, p, fd, ok in zip(points, want, want_fd, want_ok):
+        got = project(C, x)
         if not ok:
             continue
         converged += 1
-        got = project(C, x)
         assert got.converged
         assert (np.linalg.norm(got.point - p)
                 <= 1e-6 * (1.0 + np.linalg.norm(x)))
@@ -294,20 +294,20 @@ def test_hrep_intersection_matches_dykstra():
 # lockstep Dykstra against the point-by-point oracle
 # ---------------------------------------------------------------------------
 
-def assert_matches_point_oracle(L, R, X, tol, rows=slice(None),
-                                sweeps=True):
+def assert_matches_point_oracle(L, R, X, tol, rows=slice(None)):
     """IntersectionCone(L, R).project_batch(X) agrees on X[rows] with
-    Dykstra one point at a time: flags and face dims equal, points within
-    tol (1 + |x|), and, when ``sweeps``, equal sweep counts.  Returns the
-    batch's flags."""
-    P, fd, ok = batch = IntersectionCone(L, R).project_batch(X)
+    Dykstra one point at a time: sweeps, flags and face dims equal (the
+    face dim of the oracle's last points), points within tol (1 + |x|).
+    Returns the batch's flags."""
+    C = IntersectionCone(L, R)
+    P, fd, ok = batch = C.project_batch(X)
     for i in range(len(X))[rows]:
-        want = dykstra_project(L, R, X[i])
-        assert ok[i] == want.converged
-        assert fd[i] == (-1 if want.face_dim is None else want.face_dim)
-        assert (np.linalg.norm(P[i] - want.point)
+        p, n_sweeps, conv, ya = _dykstra_point(L, R, X[i])
+        assert ok[i] == conv
+        assert fd[i] == C._face_dim(X[i], ya, p)
+        assert (np.linalg.norm(P[i] - p)
                 <= tol * (1.0 + np.linalg.norm(X[i])))
-        assert not sweeps or batch.iterations[i] == want.iterations
+        assert batch.iterations[i] == n_sweeps
     return ok
 
 
@@ -322,17 +322,25 @@ def test_lockstep_dykstra_matches_point_oracle():
 
 
 def test_lockstep_dykstra_with_fista_side_matches_point_oracle():
-    # batched accelerated projected gradient iterates every row until the
-    # whole batch converges, so a row's inner projections differ from its
-    # one-row ones within that kernel's tolerance, which moves some rows'
-    # stopping sweep (by up to 6 on 21 of 200 rows of 20 such pairs) and
-    # their points (by up to 1.2e-8); here 3 of the 5 rows differ by 1 or
-    # 2 of about 160 sweeps
+    # batched accelerated projected gradient stops each row once it
+    # converges, so its rows take their one-row steps and the same sweeps
     rng = np.random.default_rng(28)
     L = LinearImage(rng.standard_normal((3, 4)), NonnegOrthant(4))
     R = InequalityCone(rng.standard_normal((3, 2)))
-    assert_matches_point_oracle(L, R, rng.standard_normal((5, 3)), 1e-7,
-                                sweeps=False)
+    assert_matches_point_oracle(L, R, rng.standard_normal((5, 3)), 1e-9)
+
+
+def test_fista_image_rows_are_independent():
+    rng = np.random.default_rng(29)
+    C = LinearImage(rng.standard_normal((3, 4)), NonnegOrthant(4))
+    X = rng.standard_normal((20, 3)) * rng.uniform(0.1, 10.0, (20, 1))
+    P, _, ok = batch = C.project_batch(X)
+    assert ok.all() and len(set(batch.iterations)) > 1
+    for i, x in enumerate(X):
+        p, _, o = alone = C.project_batch(x[None])
+        assert (np.linalg.norm(p[0] - P[i])
+                <= 1e-12 * (1.0 + np.linalg.norm(x)))
+        assert (o[0], alone.iterations[0]) == (ok[i], batch.iterations[i])
 
 
 def test_lockstep_dykstra_rows_are_independent():
@@ -749,10 +757,10 @@ def test_planar_intersections_are_exact():
                     points)
                 for x, p, fd, ok in zip(points, want, want_fd, want_ok):
                     total += 1
+                    got = project(C, x)
                     if not ok:
                         continue
                     converged += 1
-                    got = project(C, x)
                     assert got.converged
                     assert (np.linalg.norm(got.point - p)
                             <= 1e-6 * (1.0 + np.linalg.norm(x)))
