@@ -16,13 +16,13 @@ certificate, not certified); ``auto`` takes the first that applies.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone, Subspace, _inequality_matrix, generators_of
+from .cones import (EXACT_MAX_PAIRS, Cone, Subspace, _directions,
+                    _inequality_matrix, _supports, generators_of)
 from .numerics import SeededStream, haar_from_rng, haar_stack
 from .solvers import LPStandardForm, _chunk_rows, lp_solve_standard
 from .statdim import Estimate, mc_estimate
@@ -47,7 +47,6 @@ __all__ = [
 METHODS = ("auto", "exact", "multistart")
 MULTISTART_DEFAULT = 50
 MULTISTART_TOL = 1e-9
-EXACT_MAX_PAIRS = 10_000   # support pairs above which auto runs multistart
 _DEFAULT_STREAM = SeededStream(1_000_003, 0)
 
 
@@ -136,34 +135,9 @@ def _subspace_pair(A, C, D, sense):
                            False)
 
 
-def _directions(V):
-    """Unit columns of V, with zero columns and columns within 1e-12 of the
-    direction of an earlier one dropped; None when V is None."""
-    if V is None:
-        return None
-    norms = np.linalg.norm(V, axis=0)
-    keep = norms > 1e-14 * max(1.0, norms.max(initial=0.0))
-    U = V[:, keep] / norms[keep]
-    i = np.arange(U.shape[1])
-    return U[:, ~((U.T @ U > 1.0 - 1e-12) & (i[:, None] < i)).any(axis=0)]
-
-
 def _support_count(k, n, smallest):
     """Number of subsets of k columns in R^n with smallest..n members."""
     return sum(math.comb(k, s) for s in range(smallest, min(n, k) + 1))
-
-
-def _supports(U, size):
-    """(S, Q, R^{-1}) for the linearly independent size-subsets S of the
-    unit columns of U, each U[:, S] = Q R, stacked."""
-    S = np.array(list(itertools.combinations(range(U.shape[1]), size)),
-                 dtype=np.intp).reshape(math.comb(U.shape[1], size), size)
-    B = np.swapaxes(U.T[S], 1, 2)
-    if size <= 1:
-        return S, B, np.ones((len(S), size, size))
-    Q, R = np.linalg.qr(B)
-    ok = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > 1e-10).all(axis=1)
-    return S[ok], Q[ok], np.linalg.inv(R[ok])
 
 
 def _padded_supports(U, smallest):
@@ -219,7 +193,8 @@ def _support_enumeration(A, C, D, sense):
     normalized, lies in C; one ``D.project_batch(faces=False)`` call
     scores all, and only that score counts, since a candidate's own value
     bounds ||Proj_D(A x)|| from one side only.  A C whose generators span
-    one line needs no representation of D.
+    one line needs no representation of D; a generated D has the normals
+    of its facets.
     """
     U = _directions(generators_of(C))
     if U is None:

@@ -1,47 +1,37 @@
 """Closed convex cone representations with Euclidean projections.
 
-Every representation knows how to project a point, classify the face whose
-relative interior contains the projection (used by intrinsic-volume
-estimators), and produce its polar.  Structural simplifications are applied
-where they are exact:
+Every representation projects a batch of rows (``project_point`` is row 0
+of a one-row batch), classifies the face whose relative interior holds
+each projection, and has a polar.  Structural rules, where exact:
 
-* polars of finitely generated cones become inequality cones and back, and
-  a generic polar takes its generators from the inner cone's normals and
-  its normals from the inner cone's generators;
-* linear images of generated cones become generated cones;
-* l1 subdifferential cones, subspaces and products of cones with normals
-  carry outer normals, so they count as inequality cones wherever normals
-  are needed;
-* images of inequality cones under square invertible maps (rotations
-  included) become inequality cones, A{x : W^T x <= 0} = {y : (A^{-T}W)^T y
-  <= 0}, and under tall maps of full column rank A = QR they become the
-  isometric image Q{x : (R^{-T}W)^T x <= 0};
-* intersections of two inequality cones stack their outer normals; a
-  generated cone with square invertible V counts as the inequality cone
-  {x : V^{-1} x >= 0}, and a planar generated cone takes its normals from
-  its polar wedge;
-* planar generated and inequality cones project by closed-form wedge
-  arithmetic, and so does a stack of one 2-row matrix per row;
-* a rotation Q maps an inequality cone to the normals Q W, since
-  Q^{-T} = Q.
+* generated and inequality cones are each other's polars, and a generic
+  polar swaps the inner cone's generators and normals;
+* a generated cone takes outer normals from its facets (:func:`_facets`);
+  l1 subdifferential cones, subspaces, isometric images and products of
+  cones with normals carry normals too, so all count as inequality cones
+  where normals are needed, and intersections stack them;
+* images of generated cones are generated cones; images of inequality
+  cones under square invertible maps are inequality cones (A^{-T} W, or
+  Q W for a rotation), and under tall maps A = QR of full column rank the
+  isometric image Q of one (R^{-T} W);
+* planar generated and inequality cones, and stacks of one 2-row matrix
+  per row, project by closed-form wedge arithmetic.
 
-Each representation projects a batch of rows; ``project_point`` is row 0
-of a one-row batch.  Generated and inequality cones project by a batched
-Lawson-Hanson NNLS active set that advances all rows together.  The
-batched projections and face rules are module functions that also take one
-matrix per row, for cones that change from row to row.
-``project_batch(X, faces=False)`` returns the same points and flags with
-``face_dims`` None and skips face classification (one batched rank svd per
-call for generated and inequality cones), for callers that read only the
-points.  Two batched iterative fallbacks remain: Dykstra's alternating
-projections for intersections with a side that has no inequality matrix
-(e.g. a generated cone in R^3 with more generators than dimensions), and
-accelerated projected gradient for images under wide or singular maps.
+Otherwise generated and inequality cones project by a batched
+Lawson-Hanson NNLS active set; these projections and face rules are module
+functions that also take one matrix per row.  ``project_batch(X,
+faces=False)`` returns the same points and flags with ``face_dims`` None,
+skipping face classification.  Two batched iterative fallbacks remain:
+Dykstra's alternating projections for intersections with a side that has
+no normals (a non-isometric image, or a generated cone over
+``EXACT_MAX_PAIRS`` facet subsets), and accelerated projected gradient for
+images under wide or singular maps.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,6 +72,8 @@ DYKSTRA_MAX_SWEEPS = 10_000
 # Accelerated projected gradient for linear-image projections.
 FISTA_TOL = 1e-9
 FISTA_MAX_ITER = 50_000
+# Subsets above which the facet and support enumerations give up.
+EXACT_MAX_PAIRS = 10_000
 
 _TWO_PI = 2.0 * math.pi
 
@@ -244,6 +236,56 @@ def _span_intersection_dim(Ba: np.ndarray, Bb: np.ndarray) -> int:
     s = np.linalg.svd(np.hstack([Ba, Bb]), compute_uv=False)
     r = int(np.sum(s > 1e-8 * max(1.0, s[0])))
     return ka + kb - r
+
+
+def _directions(V):
+    """Unit columns of V, with zero columns and columns within 1e-12 of the
+    direction of an earlier one dropped; None when V is None."""
+    if V is None:
+        return None
+    norms = np.linalg.norm(V, axis=0)
+    keep = norms > 1e-14 * max(1.0, norms.max(initial=0.0))
+    U = V[:, keep] / norms[keep]
+    i = np.arange(U.shape[1])
+    return U[:, ~((U.T @ U > 1.0 - 1e-12) & (i[:, None] < i)).any(axis=0)]
+
+
+def _supports(U, size):
+    """(S, Q, R^{-1}) for the linearly independent size-subsets S of the
+    unit columns of U, each U[:, S] = Q R, stacked."""
+    S = np.array(list(itertools.combinations(range(U.shape[1]), size)),
+                 dtype=np.intp).reshape(math.comb(U.shape[1], size), size)
+    B = np.swapaxes(U.T[S], 1, 2)
+    if size <= 1:
+        return S, B, np.ones((len(S), size, size))
+    Q, R = np.linalg.qr(B)
+    ok = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > 1e-10).all(axis=1)
+    return S[ok], Q[ok], np.linalg.inv(R[ok])
+
+
+def _facets(V: np.ndarray) -> np.ndarray | None:
+    """Outer normals W with cone(V) = {x : W^T x <= 0} (a double-description
+    step), or None above ``EXACT_MAX_PAIRS`` subsets.
+
+    With r = rank V and B an orthonormal basis of span(V), each facet of
+    cone(V) in span(V) spans the hyperplane of r - 1 independent unit
+    generators Y = B^T U (:func:`_directions`).  Each such hyperplane's
+    unit normal a is kept, as a or -a, when every generator lies behind it
+    (Y^T a <= FACE_TOL); the kept ones, duplicates dropped, are mapped back
+    by B, and plus and minus a basis of span(V)^perp appended."""
+    U = _directions(V)
+    B = _orth(U)
+    r = B.shape[1]
+    A = np.zeros((r, 0))
+    if r:
+        if math.comb(U.shape[1], r - 1) > EXACT_MAX_PAIRS:
+            return None
+        Y = B.T @ U
+        a = np.linalg.svd(_supports(Y, r - 1)[1])[0][:, :, -1]
+        a = np.vstack([a, -a])
+        A = _directions(a[(a @ Y <= FACE_TOL).all(axis=1)].T)
+    N = _orth_complement(B, V.shape[0])
+    return np.hstack([B @ A, N, -N])
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +491,6 @@ def _planar_face_basis(form, p: np.ndarray, atol: float) -> np.ndarray:
     return np.eye(2)
 
 
-def _planar_generator_matrix(form) -> np.ndarray:
-    kind = form[0]
-    if kind == "zero":
-        return np.zeros((2, 0))
-    if kind == "full":
-        return np.column_stack([_unit(0.0), _unit(2 * math.pi / 3),
-                                _unit(4 * math.pi / 3)])
-    if kind == "line":
-        return np.column_stack([_unit(form[1]), -_unit(form[1])])
-    if kind == "ray":
-        return _unit(form[1]).reshape(2, 1)
-    a, w = form[1], form[2]
-    if abs(w - math.pi) <= 1e-12:
-        return np.column_stack([_unit(a), _unit(a + w / 2), _unit(a + w)])
-    return np.column_stack([_unit(a), _unit(a + w)])
-
-
 # ---------------------------------------------------------------------------
 # cone representations
 # ---------------------------------------------------------------------------
@@ -597,6 +622,11 @@ class GeneratorCone(Cone):
         """Wedge form of a planar cone, built when first read; None off
         the plane."""
         return _planar_from_generators(self.V) if self.n == 2 else None
+
+    @functools.cached_property
+    def _normals(self):
+        """Outer normals from :func:`_facets`, built when first read."""
+        return _facets(self.V)
 
     def project_batch(self, X, faces=True):
         if self._planar is not None:
@@ -1028,12 +1058,10 @@ def preimage_cone(A: np.ndarray, D: Cone) -> Cone:
 def _inequality_matrix(cone: Cone) -> np.ndarray | None:
     """Outer-normal matrix W with cone = {x : W^T x <= 0}, when available.
 
-    A planar generated cone, with any number of generators, takes W from
-    the generators of its polar wedge, since a closed cone is the polar of
-    its polar.  A generated cone with a square invertible V (smallest
-    singular value above 1e-12 times the largest, as in
-    :func:`linear_image`) is {x : V^{-1} x >= 0}, so W = -V^{-T}.  The
-    normals of a :class:`PolarCone` are the generators of its inner cone.
+    A generated cone has the normals of its facets (:func:`_facets`, None
+    above ``EXACT_MAX_PAIRS`` subsets), a :class:`PolarCone` the generators
+    of its inner cone, and an isometric :class:`LinearImage`
+    {A v : W^T v <= 0} has [A W, N, -N], N a basis of (range A)^perp.
     An l1 subdifferential cone with support I, signs sigma and weights w
     has u = sigma w on I (zero elsewhere) and t = <u, x>/|u|^2; its
     normals are e_j - w_j u/|u|^2 and -e_j - w_j u/|u|^2 for each j off
@@ -1043,22 +1071,21 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
     A :class:`Subspace` has plus and minus an orthonormal basis of its
     complement (the zero subspace +-I, the full space no columns), and a
     :class:`ProductCone` the block-diagonal normals of its parts, or None
-    when a part has none.  :func:`intersect` and :func:`linear_image`
-    treat subspaces before asking for normals, so these two rules serve
-    products, rotation checks and hit detection.
+    when a part has none.
     """
     if isinstance(cone, InequalityCone):
         return cone.W
     if isinstance(cone, NonnegOrthant):
         return -np.eye(cone.n)
-    if isinstance(cone, GeneratorCone) and cone._planar is not None:
-        return _planar_generator_matrix(_planar_polar(cone._planar))
-    if isinstance(cone, GeneratorCone) and cone.n == cone.k:
-        s = np.linalg.svd(cone.V, compute_uv=False)
-        if s[-1] > 1e-12 * s[0]:
-            return -np.linalg.inv(cone.V).T
+    if isinstance(cone, GeneratorCone):
+        return cone._normals
     if isinstance(cone, PolarCone):
         return generators_of(cone.inner)
+    if isinstance(cone, LinearImage) and cone._isometric:
+        W = _inequality_matrix(cone.inner)
+        if W is not None:
+            N = _orth_complement(cone.A, cone.n)
+            return np.hstack([cone.A @ W, N, -N])
     if isinstance(cone, L1SubdiffCone):
         return _l1_normals(cone)
     if isinstance(cone, Subspace):
@@ -1089,17 +1116,12 @@ def _l1_normals(cone: L1SubdiffCone) -> np.ndarray:
 def intersect(C: Cone, D: Cone) -> Cone:
     """Intersection C ∩ D.
 
-    Exact rules, in order: subspace pairs and subspace sections of
-    inequality-representable cones reduce to exact lower-dimensional
-    representations; two inequality cones {x : W_C^T x <= 0} and
-    {x : W_D^T x <= 0} give ``InequalityCone([W_C W_D])``, where a
-    generated cone with square invertible V has W = -V^{-T}, a planar
-    generated cone takes W from its polar wedge and an l1 subdifferential
-    cone has the normals of :func:`_inequality_matrix`.  So every planar
-    pair of subspaces, orthants, generated and inequality cones is exact,
-    and the planar result projects in closed form.  Every other pair, such
-    as one with a generated cone of more generators than dimensions in R^3
-    and up or a :class:`LinearImage` on either side, returns an
+    Exact rules, in order: subspace pairs and subspace sections of cones
+    with normals reduce to exact lower-dimensional representations; two
+    cones with normals (:func:`_inequality_matrix`, which covers every
+    generated cone under the facet cap) give ``InequalityCone([W_C
+    W_D])``, projected in closed form in the plane.  Every other pair, such
+    as one with a non-isometric :class:`LinearImage` side, returns an
     :class:`IntersectionCone` projected by Dykstra's algorithm.
     """
     if C.n != D.n:

@@ -23,9 +23,9 @@ block of 2-row matrices (planar cones and 2-dimensional sections) takes
 each draw's exact wedge form instead.  A draw whose stacked projection
 did not converge is projected onto its own cone and counted in the
 report's ``retried``.  A kinematic side
-without normals (a generated cone with more generators than dimensions
-in R^3 and up, a :class:`~conekit.cones.LinearImage`) projects each draw
-onto its own cone ``intersect(C, rotate(D, Q_i))``.  A compression of a
+without normals (a non-isometric :class:`~conekit.cones.LinearImage`, a
+generated cone over the facet cap) projects each draw onto its own cone
+``intersect(C, rotate(D, Q_i))``.  A compression of a
 cone without generators under a wide or singular T raises ValueError,
 since its images classify no faces; ``projected_statdim`` projects them
 by FISTA.
@@ -162,7 +162,8 @@ def _stacked_faces(samples, stream, n, m, width, project_block, make_cone):
 
 def _kinematic_faces(C: Cone, D: Cone, samples: int, stream: SeededStream):
     """Per-draw face dims, flags and retry count of Proj_{C cap QD}(g),
-    stacked when both sides have an inequality matrix.
+    stacked when both sides have an inequality matrix, as every generated
+    cone under the facet cap has.
 
     A :class:`~conekit.cones.Subspace` side L with orthonormal basis B
     projects in its section frame, as ``intersect`` does: draw i has the
@@ -211,8 +212,9 @@ def verify_kinematic(C: Cone, D: Cone, samples: int,
     the plane by the exact wedge form of each draw's W.  A subspace side
     of dimension d projects in its section frame instead, onto the
     section normals of the other side in R^d (a wedge form at d = 2).
-    Otherwise each draw projects onto ``intersect(C, rotate(D, Q))``, by
-    Dykstra's algorithm when the intersection has no exact form."""
+    A side without normals (a non-isometric image, a generated cone over
+    the facet cap) projects each draw onto ``intersect(C, rotate(D, Q))``
+    by Dykstra."""
     if C.n != D.n:
         raise ValueError("C and D must share an ambient dimension")
     n = C.n

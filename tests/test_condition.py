@@ -186,6 +186,25 @@ def test_support_enumeration_is_chunk_invariant(monkeypatch):
         assert np.array_equal(a.certificate, b.certificate)
 
 
+def test_generated_pairs_are_exact_on_both_sides():
+    # generated cones with more generators than dimensions take their
+    # normals from their facets, so both sides enumerate supports; the
+    # exact minima stay below the multistart bounds, up to rounding
+    for s in range(20):
+        rng = np.random.default_rng(10000 + s)
+        C = GeneratorCone(rng.standard_normal((4, 6)))
+        D = GeneratorCone(rng.standard_normal((4, 5)))
+        A = rng.standard_normal((4, 4))
+        rep = condition_report(A, C, D)
+        assert (rep.method, rep.method_dual) == ("exact", "exact")
+        ms = condition_report(A, C, D, method="multistart",
+                              stream=stream(440, s))
+        for exact, bound in ((rep.sigma_CD, ms.sigma_CD),
+                             (rep.sigma_DC_transposed,
+                              ms.sigma_DC_transposed)):
+            assert -1e-12 <= bound - exact <= 1e-8
+
+
 def _suite_pair(seed):
     """A, C and D of the condition suite of ``verify --seed seed``."""
     st = SeededStream(seed, 0).child(sorted(cli._VERIFY_SUITES).index(

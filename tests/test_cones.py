@@ -665,6 +665,12 @@ NORMAL_RULE_CONES = [
                  L1SubdiffCone(3, [0], [1.0])]),
     ProductCone([zero_cone(1), InequalityCone(
         np.random.default_rng(37).standard_normal((3, 4)))]),
+    # isometric images: a rotation and a tall map with orthonormal columns
+    LinearImage(haar_orthogonal(3, SeededStream(38)),
+                L1SubdiffCone(3, [0], [1.0])),
+    LinearImage(np.linalg.qr(np.random.default_rng(39).standard_normal(
+        (5, 3)))[0], InequalityCone(
+            np.random.default_rng(40).standard_normal((3, 4)))),
 ]
 
 
@@ -683,8 +689,9 @@ def test_subspace_and_product_normals_match_own_projection(C):
 
 
 def test_product_with_a_part_without_normals_has_none():
-    C = ProductCone([NonnegOrthant(2), GeneratorCone(
-        np.random.default_rng(39).standard_normal((3, 5)))])
+    # a non-isometric image has no normals
+    C = ProductCone([NonnegOrthant(2), LinearImage(
+        np.random.default_rng(39).standard_normal((3, 5)), NonnegOrthant(5))])
     assert _inequality_matrix(C) is None
 
 
@@ -769,9 +776,12 @@ def test_planar_intersections_are_exact():
 
 
 @pytest.mark.parametrize("angles", [[0.4, 1.1, 0.4 + math.pi],
-                                    [-0.3, 0.2, 0.6, 1.2]])
+                                    [-0.3, 0.2, 0.6, 1.2], [0.4],
+                                    [0.4, 0.4 + math.pi], [],
+                                    [0.0, 2.0, 4.0]])
 def test_planar_generated_cone_has_inequality_matrix(angles):
-    # generators of unequal lengths: a halfplane from 3, a wedge from 4
+    # generators of unequal lengths: a halfplane from 3, a wedge from 4, a
+    # ray, a line, the zero cone and the full plane
     G = GeneratorCone(_unit_columns(np.array(angles))
                       * np.arange(1.0, len(angles) + 1.0))
     H = InequalityCone(_inequality_matrix(G))
@@ -780,6 +790,56 @@ def test_planar_generated_cone_has_inequality_matrix(angles):
         got, want = project(H, x), project(G, x)
         assert np.allclose(got.point, want.point, atol=1e-12, rtol=0.0)
         assert got.face_dim == want.face_dim
+
+
+def facet_rule_generators():
+    """Generator matrices with k < n, k = n and k > n in R^2 to R^6, and
+    degenerate ones: rank-deficient, containing a line, with duplicated,
+    parallel or zero columns, only zero columns, and the full space."""
+    rng = np.random.default_rng(50)
+    mats = [rng.standard_normal((n, k)) for n in range(2, 7)
+            for k in (n - 1, n, n + 2)]
+    V = rng.standard_normal((3, 4))
+    u = rng.standard_normal(4)
+    mats += [
+        rng.standard_normal((5, 2)) @ np.abs(rng.standard_normal((2, 6))),
+        rng.standard_normal((5, 3)) @ np.abs(rng.standard_normal((3, 6))),
+        np.column_stack([u, -u, rng.standard_normal((4, 3))]),
+        np.column_stack([V, V[:, 0], 3.0 * V[:, 1]]),
+        np.column_stack([rng.standard_normal((4, 5)), np.zeros(4)]),
+        np.zeros((3, 2)),
+        np.column_stack([np.eye(4), -np.ones(4)]),
+    ]
+    return mats
+
+
+@pytest.mark.parametrize("V", facet_rule_generators(),
+                         ids=lambda V: "x".join(map(str, V.shape)))
+def test_facet_rule_matches_nnls_projection(V):
+    # wherever NNLS converges on cone(V), the inequality cone of its facets
+    # projects to the same point with the same face dimension
+    G = GeneratorCone(V)
+    W = _inequality_matrix(G)
+    assert W is _inequality_matrix(G)               # computed once
+    X = np.random.default_rng(51).standard_normal((300, G.n))
+    P, fd, ok = G.project_batch(X)
+    Ph, fdh, okh = InequalityCone(W).project_batch(X)
+    both = ok & okh
+    assert both.mean() >= 0.95
+    scale = 1.0 + np.linalg.norm(X, axis=1)
+    assert np.all(np.linalg.norm(P - Ph, axis=1)[both] <= 1e-9 * scale[both])
+    assert np.array_equal(fd[both], fdh[both])
+
+
+def test_facet_rule_returns_none_above_the_cap(monkeypatch):
+    # a 3 x 5 V has C(5, 2) = 10 subsets of r - 1 = 2 generators
+    V = np.random.default_rng(52).standard_normal((3, 5))
+    assert isinstance(intersect(NonnegOrthant(3), GeneratorCone(V)),
+                      InequalityCone)
+    monkeypatch.setattr(cones, "EXACT_MAX_PAIRS", 9)
+    assert _inequality_matrix(GeneratorCone(V)) is None
+    assert isinstance(intersect(NonnegOrthant(3), GeneratorCone(V)),
+                      IntersectionCone)
 
 
 def numpy_planar_from_generators(V):

@@ -176,13 +176,17 @@ def test_crofton_l1_subdiff_cones_and_their_polars(C, m):
     assert rep.verdict
 
 
-# a generated cone in R^3 with five generators and no inequality matrix
+# a generated cone in R^3 with five generators and four facets
 V_3X5 = np.random.default_rng(0).standard_normal((3, 5))
 
 
 def test_crofton_generated_cone_with_more_generators_than_dimensions():
+    # its facets give it normals, so both hit routes exist and agree
     C = GeneratorCone(V_3X5)
-    assert _inequality_matrix(C) is None and generators_of(C) is not None
+    st = stream(325, 1)
+    for i in range(200):
+        w_route, v_route = _routes(C, haar_from_rng(3, st.gen(i)), 2)
+        assert w_route == v_route
     rep = crofton_probability(C, 1, 2000, stream(325))
     assert rep.verdict
 
@@ -549,13 +553,16 @@ def test_stacked_compression_draws_match_per_draw_cones(T, C):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def test_per_draw_cones_take_the_stacked_draws():
-    # a side without a stacked form (an l1 cone under a fixed rotation has
-    # neither generators nor normals) projects each draw onto its own cone
-    # inside _stacked_faces, with the draws of the per-draw oracle
+def test_per_draw_cones_take_the_stacked_draws(monkeypatch):
+    # a side without a stacked form (a rotated generated orthant whose
+    # C(3, 2) = 3 facet subsets exceed the cap has neither generators nor
+    # normals) projects each draw onto its own cone inside _stacked_faces,
+    # with the draws of the per-draw oracle
+    monkeypatch.setattr(cone_module, "EXACT_MAX_PAIRS", 2)
     st = stream(335)
     C = LinearImage(haar_from_rng(3, np.random.default_rng(3)),
-                    L1SubdiffCone(3, [0], [1.0]))
+                    GeneratorCone(np.eye(3)))
+    assert _inequality_matrix(C) is None and generators_of(C) is None
     L = subspace_dim(3, 2)
     got = _kinematic_faces(C, L, 20, st)
     want = _faces_per_draw(20, st, lambda Q: intersect(C, rotate(L, Q)), 3)
@@ -612,6 +619,18 @@ def _forbid(monkeypatch, *names):
     for cls in [cone_module.Cone] + cone_module.Cone.__subclasses__():
         if "project_point" in vars(cls):
             monkeypatch.setattr(cls, "project_point", boom)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kinematic_generated_cone_with_more_generators_runs_stacked(
+        monkeypatch, seed):
+    # its facets stack the draws; through Dykstra seed 2 left 5 of 300
+    # draws unconverged and raised
+    _forbid(monkeypatch, "_dykstra")
+    rep = verify_kinematic(GeneratorCone(V_3X5), NonnegOrthant(3), 300,
+                           SeededStream(seed, 2))
+    assert rep.failures == 0 and rep.samples == 300
+    assert rep.verdict
 
 
 def test_identity_suites_never_take_the_per_draw_loop(monkeypatch):
