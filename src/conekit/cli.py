@@ -285,7 +285,7 @@ def cmd_condition(args) -> int:
          else cone_from_dict({"variant": "nonneg_orthant", "n": A.shape[0]}))
     stream = SeededStream(args.seed, 0)
     rep = condition_report(A, C, D, method=args.method, stream=stream)
-    feas = classify_feasibility(A, C, D, method=args.method, stream=stream)
+    feas = rep.feasibility()
     if args.json:
         _emit_json(args.out, {"condition": rep.to_dict(),
                               "feasibility": feas.to_dict()})
@@ -298,7 +298,8 @@ def cmd_condition(args) -> int:
             f"renegar_R            = {rep.renegar_R:.10g}",
             f"kappa                = {rep.kappa:.10g}",
             f"feasibility          = {feas.status}"
-            f" (margins {feas.primal_margin:.3g} / {feas.dual_margin:.3g})",
+            f" (margins {feas.primal_margin:.3g} / {feas.dual_margin:.3g})"
+            f"  [{feas.method} / {feas.method_dual}]",
         ])
     return 0
 
@@ -385,8 +386,7 @@ def _suite_condition(samples: int, stream: SeededStream):
                    f"|exact - multistart| = {diff:.2e}", None))
     dA, rv = min_perturbation_to_primal(A, C, D, method="multistart",
                                         stream=stream.child(3))
-    feas = classify_feasibility(A + dA, C, D, method="multistart",
-                                stream=stream.child(4))
+    feas = classify_feasibility(A + dA, C, D, stream=stream.child(4))
     norm_err = abs(float(np.linalg.norm(dA, 2)) - rv.value)
     checks.append(("min-perturbation",
                    norm_err <= 1e-6 * max(1.0, rv.value)

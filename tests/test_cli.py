@@ -127,6 +127,32 @@ def test_condition_command(capsys):
     assert abs(float(line.split("=")[1].split()[0]) - 2.0) <= 1e-6
 
 
+def test_condition_json_of_an_orthant_pair(tmp_path):
+    # the margins are sigma_CD = 1 and -sigma_DC, which prints 0, not -0
+    orthant = '{"variant": "nonneg_orthant", "n": 2}'
+    rc, text = run_to_file(
+        ["condition", "--matrix", "[[2,0],[0,1]]", "--cone-c", orthant,
+         "--cone-d", orthant, "--seed", "1", "--json"],
+        tmp_path / "condition.json")
+    assert rc == 0
+    assert "-0.0" not in text
+    assert json.loads(text) == {
+        "condition": {"certificate_dual": [1.0, 0.0],
+                      "certificate_primal": [0.0, 1.0], "kappa": 2.0,
+                      "method": "exact", "method_dual": "exact",
+                      "op_norm": 2.0, "renegar_R": 2.0, "sigma_CD": 1.0,
+                      "sigma_DC_transposed": 0.0},
+        "feasibility": {"dual_margin": 0.0, "method": "exact",
+                        "method_dual": "exact", "primal_margin": 1.0,
+                        "status": "DualFeasible", "tol": 2e-08}}
+    rc, text = run_to_file(
+        ["condition", "--matrix", "[[2,0],[0,1]]", "--cone-c", orthant,
+         "--cone-d", orthant, "--seed", "1"], tmp_path / "condition.txt")
+    assert rc == 0
+    assert text.splitlines()[-1] == ("feasibility          = DualFeasible"
+                                     " (margins 1 / 0)  [exact / exact]")
+
+
 def test_tv_statdim_csv(tmp_path):
     rc, text = run_to_file(
         ["tv-statdim", "--n", "12", "--s-min", "2", "--s-max", "4",

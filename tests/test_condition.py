@@ -505,13 +505,50 @@ def test_gaussian_instances_never_ill_posed():
 
 @pytest.mark.parametrize("seed,status", [(518, "DualFeasible"),
                                          (752, "DualFeasible"),
-                                         (1555, "PrimalFeasible")])
-def test_polyhedral_classification_solves_one_margin_lp(seed, status):
-    # by the minimax theorem the primal and dual margins are one value
+                                         (1555, "PrimalFeasible"),
+                                         (712, "DualFeasible"),
+                                         (753, "PrimalFeasible")])
+def test_polyhedral_classification_by_restricted_values(seed, status):
+    # the margins are the exact sigma_CD(A) and -sigma_DC(-A^T), and one of
+    # them is far from zero: sigma_CD = 0.1303 at 712, sigma_DC = 0.2536 at
+    # 753
     A = np.random.default_rng(seed).standard_normal((3, 3))
-    out = classify_feasibility(A, NonnegOrthant(3), NonnegOrthant(3))
+    C = D = NonnegOrthant(3)
+    out = classify_feasibility(A, C, D)
     assert out.status == status
-    assert out.primal_margin == out.dual_margin
+    assert out.primal_margin == restricted_sv(A, C, D, method="exact").value
+    assert out.dual_margin == -restricted_sv(-A.T, D, C, method="exact").value
+    assert (out.method, out.method_dual) == ("exact", "exact")
+    assert max(out.primal_margin, -out.dual_margin) > 1e-3
+
+
+@pytest.mark.parametrize("seed,sigma", [(24, 0.6809), (41, 0.1103)])
+def test_full_space_pairs_are_ambiguous(seed, sigma):
+    # both generated cones are all of R^4 and A is invertible, so neither
+    # problem has a nonzero solution: sigma_CD = sigma_DC = sigma_min(A)
+    rng = np.random.default_rng(10000 + seed)
+    C = GeneratorCone(rng.standard_normal((4, 6)))
+    D = GeneratorCone(rng.standard_normal((4, 5)))
+    A = rng.standard_normal((4, 4))
+    out = classify_feasibility(A, C, D)
+    smin = np.linalg.svd(A, compute_uv=False)[-1]
+    assert out.status == "Ambiguous"
+    assert smin == pytest.approx(sigma, abs=5e-5)
+    assert out.primal_margin == pytest.approx(smin, abs=1e-12)
+    assert out.dual_margin == pytest.approx(-smin, abs=1e-12)
+
+
+def test_over_the_cap_classification_runs_multistart():
+    # 20 generators in R^6 give over EXACT_MAX_PAIRS supports on the primal
+    # side and over EXACT_MAX_PAIRS facet subsets, so no normals, on the
+    # dual side
+    rng = np.random.default_rng(20000)
+    C = GeneratorCone(rng.standard_normal((6, 20)))
+    A = rng.standard_normal((6, 6))
+    out = classify_feasibility(A, C, NonnegOrthant(6), stream=stream(232))
+    assert (out.method, out.method_dual) == ("multistart", "multistart")
+    assert out.status == "PrimalFeasible"
+    assert out.to_dict()["method_dual"] == "multistart"
 
 
 def test_classification_matches_grid_oracle():
