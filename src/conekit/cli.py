@@ -206,12 +206,10 @@ def cmd_phase(args) -> int:
         D = None
     elif args.family == "tv_square":
         D = finite_difference_matrix(n, "square_bidiagonal")
-    elif args.family == "analysis":
+    else:  # "analysis": argparse's choices admit no other family
         if not args.analysis_d:
             raise SystemExit("family=analysis requires --analysis-d")
         D = _parse_matrix(args.analysis_d)
-    else:
-        raise SystemExit(f"unknown family {args.family!r}")
     stream = SeededStream(args.seed, 0)
     m_grid = list(range(args.m_min, min(args.m_max, n) + 1, args.m_step))
     rows = phase_transition_experiment(n, s, m_grid, args.trials,

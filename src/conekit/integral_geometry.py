@@ -20,15 +20,16 @@ side, the other side's normals in the subspace's section frame; generators
 M_i V or normals M_i^{-T} W for a compression M_i = T Q_i.  One batched
 Lawson-Hanson call, with one Gram matrix per draw, projects the block; a
 block of 2-row matrices (planar cones and 2-dimensional sections) takes
-each draw's exact wedge form instead.  A draw whose stacked projection
-did not converge is projected onto its own cone and counted in the
-report's ``retried``.  A kinematic side
-without normals (a non-isometric :class:`~conekit.cones.LinearImage`, a
-generated cone over the facet cap) projects each draw onto its own cone
-``intersect(C, rotate(D, Q_i))``.  A compression of a
-cone without generators under a wide or singular T raises ValueError,
-since its images classify no faces; ``projected_statdim`` projects them
-by FISTA.
+each draw's exact wedge form instead.  A Crofton block decides its hits
+at once: lines by one projection call, larger subspaces by one stacked
+Gordan section test.  A draw whose stacked projection did not converge is
+projected onto its own cone and counted in the report's ``retried``.  A
+kinematic side without normals (a non-isometric
+:class:`~conekit.cones.LinearImage`, a generated cone over the facet cap)
+projects each draw onto its own cone ``intersect(C, rotate(D, Q_i))``.  A
+compression of a cone without generators under a wide or singular T
+raises ValueError, since its images classify no faces;
+``projected_statdim`` projects them by FISTA.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, Subspace, _inequality_matrix, _orthonormal_columns,
-                    _project_generated, _project_normals, _rows_times,
-                    _transpose, generators_of, intersect, linear_image,
-                    project, rotate)
+from .cones import (Cone, NonnegOrthant, Subspace, _inequality_matrix,
+                    _orthonormal_columns, _project_generated,
+                    _project_normals, _rows_times, _transpose, generators_of,
+                    intersect, linear_image, project, rotate)
 from .numerics import SeededStream, haar_stack, row_projection
 from .statdim import (Estimate, estimate_intrinsic_volumes, face_histogram,
                       mc_estimate, tails)
-from .solvers import _chunk_rows, nnls
+from .solvers import _chunk_rows, _sections
 
 __all__ = [
     "IdentityCheckReport",
@@ -125,9 +126,8 @@ def _rotation_draws(samples, stream, n, m, width):
     Gaussian matrix and then its Gaussian point in R^m, the draws of
     ``stream.gen(i)``, from one ``stream.normals`` call per block, and the
     block's rotations come from one ``haar_stack`` call, bit-identical to
-    ``haar_from_rng(n, stream.gen(i))``.  A block
-    holds as many samples as fit ``width`` floats each (at least n^2) into
-    ``CHUNK_BYTES``."""
+    ``haar_from_rng(n, stream.gen(i))``.  A block holds as many samples as
+    fit ``width`` floats each (at least n^2) into ``CHUNK_BYTES``."""
     step = _chunk_rows(max(n * n, width))
     for a in range(0, samples, step):
         G, g = stream.normals(a, min(step, samples - a), (n, n), (m,))
@@ -142,9 +142,8 @@ def _stacked_faces(samples, stream, n, m, width, project_block, make_cone):
 
     A draw whose stacked projection did not converge is retried: it takes
     the answer and flag of its own cone make_cone(Q).  With project_block
-    None every draw takes its own cone, and none counts as retried.
-    Stacks of 2-row matrices project by their exact wedge forms and always
-    converge.
+    None every draw takes its own cone, and none counts as retried.  Stacks
+    of 2-row matrices project by their exact wedge forms and always converge.
     """
     fd = np.zeros(samples, dtype=np.int64)
     ok = np.zeros(samples, dtype=bool)
@@ -243,7 +242,6 @@ def verify_kinematic(C: Cone, D: Cone, samples: int,
 
 
 _LINE_TOL = 1e-9    # distance at which a projected line point counts as in C
-_SECTION_TOL = 1e-9  # NNLS residual cutoff, relative to 1 + sum(lambda)
 
 
 def _line_hits_cone(C: Cone, U: np.ndarray):
@@ -257,51 +255,27 @@ def _line_hits_cone(C: Cone, U: np.ndarray):
     return hits if U.ndim == 2 else bool(hits[0])
 
 
-def _section_nontrivial(A: np.ndarray, B: np.ndarray) -> bool:
-    """Whether {c : M^T c <= 0} != {0} for M = B^T A, with d = B.shape[1].
-
-    By Gordan's alternative the set is {0} exactly when the columns of M
-    positively span R^d: more than d of them, rank M = d, and M lam = 0
-    for some lam > 0.  With zero columns dropped and the rest scaled to
-    unit length, the last condition is -M 1 in cone(M), one NNLS solve.
-    Its residual is judged against 1e-9 (1 + sum lam), which stays
-    scale-free when near-antipodal columns need a large lam.
-    """
-    M = B.T @ A
-    norms = np.linalg.norm(M, axis=0)
-    keep = norms > 1e-12 * np.linalg.norm(A, axis=0)
-    M = M[:, keep] / norms[keep]
-    d = B.shape[1]
-    if M.shape[1] <= d or np.linalg.matrix_rank(M) < d:
-        return True
-    res = nnls(M, -M.sum(axis=1))
-    return res.residual > _SECTION_TOL * (1.0 + float(res.coef.sum()))
-
-
-def _subspace_hits_cone(C: Cone, Q: np.ndarray, d: int) -> bool:
-    """Whether C cap span(Q[:, :d]) != {0}, for a rotation Q drawn from the
-    Haar measure."""
-    W = _inequality_matrix(C)
-    if W is not None:
-        return _section_nontrivial(W, Q[:, :d])
-    V = generators_of(C)
-    if V is None:
-        raise ValueError("hit detection needs a generator or inequality "
-                         "representation")
-    # conic alternative: a Haar subspace L is in general position with
-    # probability 1, so C meets L exactly when the polar meets L^perp
-    # only at 0
-    return not _section_nontrivial(V, Q[:, d:])
-
-
 def _crofton_hits(C: Cone, d: int, samples: int, stream: SeededStream):
     """Whether C meets span(Q[:, :d]) beyond 0, for each rotation draw."""
     hits = np.zeros(samples, dtype=bool)
-    for a, Q, _ in _rotation_draws(samples, stream, C.n, 0, 0):
-        if d == 1:
+    if d == 1:
+        for a, Q, _ in _rotation_draws(samples, stream, C.n, 0, 0):
             hits[a:a + len(Q)] = _line_hits_cone(C, Q[:, :, 0])
+        return hits
+    W = _inequality_matrix(C)
+    A = generators_of(C) if W is None else W
+    if A is None:
+        raise ValueError("hit detection needs a generator or inequality "
+                         "representation")
+    k = A.shape[1]
+    for a, Q, _ in _rotation_draws(samples, stream, C.n, 0, max(C.n, k) * k):
+        if W is None:
+            # conic alternative: a Haar subspace L is in general position
+            # with probability 1, so C meets L exactly when the polar
+            # meets L^perp only at 0
+            hits[a:a + len(Q)] = ~_sections(A, Q[:, :, d:])[0]
         else:
-            hits[a:a + len(Q)] = [_subspace_hits_cone(C, Qi, d) for Qi in Q]
+            hits[a:a + len(Q)] = _sections(A, Q[:, :, :d])[0]
     return hits
 
 
@@ -313,13 +287,13 @@ def crofton_probability(C: Cone, m: int, samples: int,
     Each draw decides its hit exactly; the rotations of a block of draws
     come from one stacked QR.  A line (d = n - m = 1) hits C when u or -u
     projects onto C at distance <= 1e-9, with one ``project_batch`` call
-    for the whole block; this serves every cone.  For d >= 2 each draw
-    makes one section test (Gordan's alternative, one NNLS solve): a cone
-    with an inequality matrix W hits when its section
-    {c : (B^T W)^T c <= 0}, B = Q[:, :d], is nontrivial; a cone with only
-    generators V hits when the section of its polar {y : V^T y <= 0} by
-    L^perp = span(Q[:, d:]) is trivial.  A cone with neither
-    representation raises ValueError for d >= 2.
+    for the whole block; this serves every cone.  For d >= 2 a block makes
+    one stacked section test (Gordan's alternative, one batched NNLS call,
+    see ``solvers._sections``): a cone with an inequality matrix W hits
+    when its section {c : (B^T W)^T c <= 0}, B = Q[:, :d], is nontrivial;
+    a cone with only generators V hits when the section of its polar
+    {y : V^T y <= 0} by L^perp = span(Q[:, d:]) is trivial.  A cone with
+    neither representation raises ValueError for d >= 2.
     """
     n = C.n
     if not 1 <= m <= n - 1:
@@ -476,29 +450,24 @@ def eta_for_projection_margin(delta: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _suite_kinematic_planar(samples, stream):
-    from .cones import NonnegOrthant
     return verify_kinematic(NonnegOrthant(2), NonnegOrthant(2), samples,
                             stream)
 
 
 def _suite_kinematic_subspace(samples, stream):
-    from .cones import NonnegOrthant
     L = Subspace(np.eye(3)[:, :2])
     return verify_kinematic(NonnegOrthant(3), L, samples, stream)
 
 
 def _suite_crofton(samples, stream):
-    from .cones import NonnegOrthant
     return crofton_probability(NonnegOrthant(3), 2, samples, stream)
 
 
 def _suite_projection(samples, stream):
-    from .cones import NonnegOrthant
     return verify_projection_formula(NonnegOrthant(4), 2, samples, stream)
 
 
 def _suite_tqc(samples, stream):
-    from .cones import NonnegOrthant
     T = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     return verify_tqc(T, NonnegOrthant(3), samples, stream)
 

@@ -3,10 +3,10 @@ a dense primal-dual interior-point LP solver, basis-pursuit recovery, and
 phase-transition experiments.
 
 One batched Lawson-Hanson NNLS kernel, which advances every right-hand
-side at once, is the projection kernel for generated and inequality cones;
-``nnls`` runs it on one row.  The LP solver backs basis-pursuit recovery
-and polyhedral feasibility tests.  All are deterministic given their
-inputs.
+side at once, projects onto generated and inequality cones; ``nnls`` runs
+it on one row, and ``_sections`` on the stacked Gordan tests that decide
+phase-transition trials.  The LP solver backs basis-pursuit recovery,
+``recover`` and ``solve_bp_analysis``.  All are deterministic.
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ def nnls(A: np.ndarray, y: np.ndarray) -> NNLSResult:
     """Solve ``min ||A c - y||_2`` subject to ``c >= 0``.
 
     Active-set method of Lawson and Hanson working on the normal equations
-    (:func:`_nnls_batch` on one row).
-    At the solution the KKT conditions hold: the gradient ``A^T(Ac - y)`` is
-    ~0 on the passive set and >= -tol elsewhere, with the dual feasibility
-    tolerance ``tol = 1e-10 * max(1, |A^T y|_inf)``.  Active-set changes are
-    capped at ``3 * k + 30``.
+    (:func:`_nnls_batch` on one row).  At the solution the KKT conditions
+    hold: the gradient ``A^T(Ac - y)`` is ~0 on the passive set and >= -tol
+    elsewhere, with the dual feasibility tolerance ``tol = 1e-10 * max(1,
+    |A^T y|_inf)``.  Active-set changes are capped at ``3 * k + 30``.
 
     Parameters
     ----------
@@ -256,6 +255,37 @@ def _passive_solves(Gb: np.ndarray, Wb: np.ndarray, rows: np.ndarray,
     return z
 
 
+_SECTION_TOL = 1e-9  # NNLS residual cutoff, relative to 1 + sum(lambda)
+
+
+def _sections(A: np.ndarray, B: np.ndarray):
+    """Whether {c : M^T c <= 0} != {0} for M = B^T A, and whether the NNLS
+    that decided it converged, per draw of the stacks A (N x n x k) and
+    B (N x n x d); either may be one shared matrix.
+
+    By Gordan's alternative the set is {0} exactly when the columns of M
+    positively span R^d: with zero columns zeroed and the rest scaled to
+    unit length, giving U, when U has more than d kept columns, rank d,
+    and -U 1 in cone(U), one batched NNLS with a residual within
+    1e-9 (1 + sum lam) (scale-free when near-antipodal columns need a
+    large lam)."""
+    M = np.matmul(np.swapaxes(B, -1, -2), A)
+    M = M.reshape((-1,) + M.shape[-2:])
+    norms = np.linalg.norm(M, axis=1)
+    keep = norms > 1e-12 * np.linalg.norm(A, axis=-2)
+    U = np.divide(M, norms[:, None], out=np.zeros_like(M), where=keep[:, None])
+    d = U.shape[1]
+    test = (keep.sum(axis=1) > d) & (np.linalg.matrix_rank(U) == d)
+    nontrivial, converged = ~test, np.ones(len(U), dtype=bool)
+    if test.any():
+        U = U[test]
+        G = np.matmul(np.swapaxes(U, 1, 2), U)
+        lam, _, converged[test] = _nnls_batch(G, -G.sum(axis=2))
+        res = np.linalg.norm(U @ (lam + 1.0)[:, :, None], axis=(1, 2))
+        nontrivial[test] = res > _SECTION_TOL * (1.0 + lam.sum(axis=1))
+    return nontrivial, converged
+
+
 # ---------------------------------------------------------------------------
 # Golden-section minimization
 # ---------------------------------------------------------------------------
@@ -431,22 +461,15 @@ def lp_solve_standard(lp: LPStandardForm) -> LPResult:
             M.diagonal().max(initial=0.0))
         try:
             # predictor (affine scaling) direction
-            r_xs = x * s
-            rhs = -rp + A @ ((r_xs - x * rd) / s)
-            dy = _solve_sym(M, rhs)
-            ds_ = -rd - A.T @ dy
-            dx_ = (-r_xs - x * ds_) / s
+            dx_, dy, ds_ = _newton(A, M, x, s, rp, rd, x * s)
             a_p = _step_to_boundary(x, dx_)
             a_d = _step_to_boundary(s, ds_)
             mu = gap / n
             mu_aff = float((x + a_p * dx_) @ (s + a_d * ds_)) / n
             sigma = (max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0
             # corrector
-            r_xs = x * s + dx_ * ds_ - sigma * mu
-            rhs = -rp + A @ ((r_xs - x * rd) / s)
-            dy = _solve_sym(M, rhs)
-            ds_ = -rd - A.T @ dy
-            dx_ = (-r_xs - x * ds_) / s
+            dx_, dy, ds_ = _newton(A, M, x, s, rp, rd,
+                                   x * s + dx_ * ds_ - sigma * mu)
         except np.linalg.LinAlgError:
             status = "numerical"
             break
@@ -455,12 +478,8 @@ def lp_solve_standard(lp: LPStandardForm) -> LPResult:
         if min(a_p, a_d) < 1e-3:
             # the second-order corrector can misfire near a degenerate
             # face; retry with a pure centering direction before giving up
-            sigma_c = max(sigma, 0.8)
-            r_xs = x * s - sigma_c * mu
-            rhs = -rp + A @ ((r_xs - x * rd) / s)
-            dy2 = _solve_sym(M, rhs)
-            ds2 = -rd - A.T @ dy2
-            dx2 = (-r_xs - x * ds2) / s
+            dx2, dy2, ds2 = _newton(A, M, x, s, rp, rd,
+                                    x * s - max(sigma, 0.8) * mu)
             a_p2 = min(1.0, 0.99995 * _step_to_boundary(x, dx2))
             a_d2 = min(1.0, 0.99995 * _step_to_boundary(s, ds2))
             if min(a_p2, a_d2) > min(a_p, a_d):
@@ -488,6 +507,13 @@ def lp_solve_standard(lp: LPStandardForm) -> LPResult:
         dual_residual=float(np.linalg.norm(rd) / (1.0 + np.linalg.norm(c0))),
         rel_gap=abs(pobj - dobj) / (1.0 + abs(pobj)),
     )
+
+
+def _newton(A, M, x, s, rp, rd, r_xs):
+    """Step (dx, dy, ds) to complementarity r_xs; M = A diag(x / s) A^T."""
+    dy = _solve_sym(M, -rp + A @ ((r_xs - x * rd) / s))
+    ds = -rd - A.T @ dy
+    return (-r_xs - x * ds) / s, dy, ds
 
 
 def _solve_sym(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -569,11 +595,8 @@ def recover(D: np.ndarray, A: np.ndarray, x0: np.ndarray) -> RecoveryOutcome:
     err = float(np.max(np.abs(x_hat - x0))) if x0.size else 0.0
     thresh = 1e-4 * max(1.0, float(np.max(np.abs(x0))) if x0.size else 1.0)
     ok = res.converged and err <= thresh
-    return RecoveryOutcome(
-        x_hat=x_hat, success=ok, linf_error=err,
-        solver_status=res.status,
-        objective=res.primal_obj,
-    )
+    return RecoveryOutcome(x_hat=x_hat, success=ok, linf_error=err,
+                           solver_status=res.status, objective=res.primal_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +617,11 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 @dataclass
 class PhaseRow:
+    """One measurement count m of a phase scan: ``successes`` of ``trials``
+    recovered, ``solver_failures`` trials whose NNLS did not converge
+    (counted, never successes), and the ``rate`` with its 95% Wilson
+    interval ``[wilson_lo, wilson_hi]``."""
+
     m: int
     trials: int
     successes: int
@@ -608,47 +636,49 @@ def phase_transition_experiment(n: int, s: int, m_values, trials: int,
                                 D: np.ndarray | None = None) -> list[PhaseRow]:
     """Empirical recovery rates of basis pursuit across measurement counts.
 
-    For each m, ``trials`` independent instances are drawn: a Gaussian
-    measurement matrix and a signal whose sparsity structure lives in the
-    analysis domain (s nonzero entries of D x0 when D is given, of x0
-    itself otherwise, with +-1 values on a uniformly random support).
-    D must be n x n and invertible; a :func:`recover` solve that does not
-    end ``optimal`` counts in the row's ``solver_failures``.
+    Trial t at ``m_values[i]`` draws from ``stream.child(i).gen(t)`` a
+    uniform support of s entries, their +-1 signs, then a Gaussian m x n A;
+    z0 = D x0 (x0 when D is None) is s-sparse, and D must be n x n and
+    invertible.  Basis pursuit recovers x0 exactly when null(A D^{-1}) meets
+    the l1 descent cone at z0 only at 0, which for a Gaussian A holds when
+    range(D^{-T} A^T) meets the l1 subdifferential cone at z0 beyond 0
+    (Amelunxen, Lotz, McCoy & Tropp, Fact 2.8): one :func:`_sections` test
+    per trial, stacked in chunks of about ``CHUNK_BYTES``, with no LP.
     """
+    from .cones import L1SubdiffCone, _inequality_matrix
+
     if not 0 < s <= n:
         raise ValueError("need 0 < s <= n")
-    D_eff = np.eye(n) if D is None else np.asarray(D, dtype=float)
-    if D_eff.shape != (n, n):
-        raise ValueError("analysis signals need an n x n invertible D")
+    if D is not None:
+        D = np.asarray(D, dtype=float)
+        if D.shape != (n, n):
+            raise ValueError("analysis signals need an n x n invertible D")
+        if np.linalg.matrix_rank(D) < n:
+            raise ValueError("D must be invertible")
+    step = _chunk_rows(4 * n * n)  # k x k Gram matrices of k < 2n normals
     rows = []
     for mi, m in enumerate(m_values):
         m = int(m)
         if not 0 < m <= n:
             raise ValueError("each m must lie in (0, n]")
         sub = stream.child(mi)
-        succ = 0
-        fails = 0
-        for t in range(trials):
-            rng = sub.gen(t)
-            x0 = _sparse_signal(n, s, rng, D_eff if D is not None else None)
-            A = rng.standard_normal((m, n))
-            out = recover(D_eff, A, x0)
-            if not out.solver_status == "optimal":
-                fails += 1
-            if out.success:
-                succ += 1
+        hit, ok = np.zeros((2, trials), dtype=bool)
+        for a in range(0, trials, step):
+            W, B = [], []
+            for t in range(a, min(a + step, trials)):
+                rng = sub.gen(t)
+                idx = rng.choice(n, size=s, replace=False)
+                signs = rng.choice([-1.0, 1.0], size=s)
+                A = rng.standard_normal((m, n))
+                W.append(_inequality_matrix(L1SubdiffCone(n, idx, signs)))
+                B.append(A.T if D is None else np.linalg.solve(D.T, A.T))
+            hit[a:a + len(W)], ok[a:a + len(W)] = _sections(
+                np.stack(W), np.linalg.qr(np.stack(B))[0])
+        succ = int((hit & ok).sum())
         lo, hi = wilson_interval(succ, trials)
-        rows.append(PhaseRow(m, trials, succ, fails, succ / trials, lo, hi))
+        rows.append(PhaseRow(m, trials, succ, trials - int(ok.sum()),
+                             succ / trials, lo, hi))
     return rows
-
-
-def _sparse_signal(n: int, s: int, rng: np.random.Generator,
-                   D: np.ndarray | None) -> np.ndarray:
-    """Signal with an s-sparse +-1 pattern, in the analysis domain if D given."""
-    idx = rng.choice(n, size=s, replace=False)
-    y0 = np.zeros(n)
-    y0[idx] = rng.choice([-1.0, 1.0], size=s)
-    return y0 if D is None else np.linalg.solve(D, y0)
 
 
 def crossing_from_rows(rows: list[PhaseRow], level: float = 0.5):

@@ -1,6 +1,7 @@
 """Kinematic, Crofton, and projection identities under random rotations."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from conekit.integral_geometry import (IDENTITY_SUITES, IdentityCheckReport,
                                        _compression_faces,
                                        _crofton_hits, _kinematic_faces,
                                        _line_hits_cone,
-                                       _section_nontrivial,
                                        crofton_probability,
                                        eta_for_projection_margin,
                                        projected_statdim, run_identity_suite,
@@ -30,6 +30,7 @@ from conekit.integral_geometry import (IDENTITY_SUITES, IdentityCheckReport,
                                        verify_projection_formula, verify_tqc)
 from conekit.numerics import (SeededStream, haar_from_rng, haar_stack,
                               row_projection)
+from conekit.solvers import _sections
 from conekit.statdim import (estimate_intrinsic_volumes, estimate_statdim,
                              mc_estimate, tails)
 
@@ -197,9 +198,9 @@ def _routes(C, Q, d):
     W, V = _inequality_matrix(C), generators_of(C)
     out = []
     if W is not None:
-        out.append(_section_nontrivial(W, Q[:, :d]))
+        out.append(bool(_sections(W, Q[:, :d])[0][0]))
     if V is not None:
-        out.append(not _section_nontrivial(V, Q[:, d:]))
+        out.append(not _sections(V, Q[:, d:])[0][0])
     return out
 
 
@@ -249,9 +250,43 @@ def test_section_test_near_antipodal_columns(deg):
     for sign, nontrivial in ((1.0, False), (-1.0, True)):
         M = np.array([[1.0, 0.0], [-math.cos(e), -sign * math.sin(e)],
                       [0.0, 1.0]]).T
-        assert _section_nontrivial(M, np.eye(2)) is nontrivial
+        assert bool(_sections(M, np.eye(2))[0][0]) is nontrivial
         # the same columns inside a random plane of R^3
-        assert _section_nontrivial(Q[:, :2] @ M, Q[:, :2]) is nontrivial
+        assert bool(_sections(Q[:, :2] @ M, Q[:, :2])[0][0]) is nontrivial
+
+
+def test_crofton_sections_make_one_nnls_call_per_block(monkeypatch):
+    # d >= 2 decides a block of draws by one stacked section test, on the
+    # normals of the orthant and on the generators of a cone over the
+    # facet cap; the one-row nnls is never called
+    calls, blocks = [], []
+    batch, draws = solvers._nnls_batch, ig_module._rotation_draws
+
+    def count_calls(G, W0):
+        calls.append(len(W0))
+        return batch(G, W0)
+
+    def count_blocks(*args):
+        for block in draws(*args):
+            blocks.append(len(block[1]))
+            yield block
+
+    def refuse(*args):
+        raise AssertionError("one-row nnls reached")
+
+    monkeypatch.setattr(solvers, "_nnls_batch", count_calls)
+    monkeypatch.setattr(solvers, "nnls", refuse)
+    monkeypatch.setattr(ig_module, "_rotation_draws", count_blocks)
+    # blocks of 40 draws for the orthant, of 1 draw for the 5 x 40 cone
+    monkeypatch.setattr(solvers, "CHUNK_BYTES", 8 * 16 * 40)
+    V = np.random.default_rng(6).standard_normal((5, 40))
+    over_cap = GeneratorCone(V)
+    assert _inequality_matrix(over_cap) is None
+    for C in (NonnegOrthant(4), over_cap):
+        calls.clear()
+        blocks.clear()
+        _crofton_hits(C, 2, 120, stream(328))
+        assert len(blocks) > 1 and calls == blocks
 
 
 def test_crofton_rejects_subspaces():
@@ -700,7 +735,10 @@ def test_stacked_draws_are_chunk_invariant(monkeypatch):
                 (_crofton_hits(NonnegOrthant(4), 2, 100, st),),
                 projected(GeneratorCone(V_3X5), 2, st),
                 projected(ProductCone([NonnegOrthant(3), zero_cone(2)]), 4,
-                          st)]
+                          st),
+                [np.array(astuple(row)) for row in
+                 solvers.phase_transition_experiment(12, 2, [3, 6, 12], 9,
+                                                     st)]]
 
     def projected(C, m, st):
         est = projected_statdim(C, m, 300, st)

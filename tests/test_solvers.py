@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conekit import solvers
 from conekit.numerics import SeededStream
 from conekit.regularizers import finite_difference_matrix
 from conekit.solvers import (LPStandardForm, bp_extract, crossing_from_rows,
@@ -267,11 +268,50 @@ def test_phase_experiment_rejects_zero_m():
                                     stream=SeededStream(1, 0))
 
 
-def test_phase_experiment_rejects_d_of_wrong_shape():
-    for D in (np.eye(12), np.ones((10, 12))):
-        with pytest.raises(ValueError):
+def _forbid(monkeypatch, target, *names):
+    def boom(*args, **kwargs):
+        raise AssertionError(f"reached {names}")
+
+    for name in names:
+        monkeypatch.setattr(target, name, boom)
+
+
+def test_phase_experiment_rejects_d_of_wrong_shape(monkeypatch):
+    # each D is rejected before any trial draws
+    _forbid(monkeypatch, SeededStream, "gen")
+    singular = np.eye(10)
+    singular[9] = singular[8]
+    for D in (np.eye(12), np.ones((10, 12)), singular):
+        with pytest.raises(ValueError) as err:
             phase_transition_experiment(10, 2, [4], trials=2,
                                         stream=SeededStream(1, 0), D=D)
+    assert str(err.value) == "D must be invertible"
+
+
+@pytest.mark.parametrize("D", [None, finite_difference_matrix(
+    20, "square_bidiagonal")], ids=["l1", "tv_square"])
+def test_phase_experiment_matches_basis_pursuit_lp(monkeypatch, D):
+    # the section test decides each trial as the LP solve of recover does,
+    # on the same draws: the support, its signs, then A
+    n, s, trials, st = 20, 3, 20, SeededStream(1019, 0)
+    ms = list(range(4, n + 1, 2))
+    D_eff = np.eye(n) if D is None else D
+    want = []
+    for i, m in enumerate(ms):
+        wins = 0
+        for t in range(trials):
+            rng = st.child(i).gen(t)
+            idx = rng.choice(n, size=s, replace=False)
+            z0 = np.zeros(n)
+            z0[idx] = rng.choice([-1.0, 1.0], size=s)
+            A = rng.standard_normal((m, n))
+            wins += recover(D_eff, A, np.linalg.solve(D_eff, z0)).success
+        want.append(wins)
+    assert 0 < sum(want) < len(ms) * trials
+    _forbid(monkeypatch, solvers, "lp_solve_standard")
+    rows = phase_transition_experiment(n, s, ms, trials, st, D=D)
+    assert [r.successes for r in rows] == want
+    assert [r.solver_failures for r in rows] == [0] * len(ms)
 
 
 def test_crossing_interpolation():
