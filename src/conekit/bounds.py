@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import svd
+from .numerics import Record, svd
 from .regularizers import AnalysisInstance, build_BC_matrices
 from .statdim import Estimate, a_eta, stojnic_recipe_l1
 
 
 @dataclass
-class BoundReport:
+class BoundReport(Record):
     """A bound evaluation bundled with an optional Monte Carlo comparison.
 
     `inputs` records the raw ingredients (delta_c, kappa or kbar2, R,
@@ -45,17 +45,6 @@ class BoundReport:
         if (self.lower is not None and self.upper is not None
                 and self.lower > self.upper + 1e-12):
             raise ValueError("lower bound exceeds upper bound")
-
-    def to_dict(self) -> dict:
-        return {
-            "inputs": dict(self.inputs),
-            "lower": self.lower,
-            "upper": self.upper,
-            "valid": self.valid,
-            "mc_mean": self.mc_mean,
-            "mc_stderr": self.mc_stderr,
-            "z": self.z,
-        }
 
     def attach_mc(self, est: Estimate) -> "BoundReport":
         """Attach an MC estimate of the bounded quantity and score it."""
@@ -243,17 +232,13 @@ def analysis_statdim_bound(inst: AnalysisInstance,
 
 
 @dataclass
-class ThresholdReport:
+class ThresholdReport(Record):
     """A sample-count threshold, clipped into [0, n] when vacuous."""
 
     m_required: float
     raw: float
     clipped: bool
     details: dict
-
-    def to_dict(self) -> dict:
-        return {"m_required": self.m_required, "raw": self.raw,
-                "clipped": self.clipped, "details": dict(self.details)}
 
 
 def l1_analysis_threshold(inst: AnalysisInstance, eta: float,
@@ -280,18 +265,13 @@ def l1_analysis_threshold(inst: AnalysisInstance, eta: float,
 
 
 @dataclass
-class EdgeWindow:
+class EdgeWindow(Record):
     """Success/failure thresholds ``delta +- a_eta sqrt(n)``, clipped."""
 
     m_succeed: float
     m_fail: float
     clipped_high: bool
     clipped_low: bool
-
-    def to_dict(self) -> dict:
-        return {"m_succeed": self.m_succeed, "m_fail": self.m_fail,
-                "clipped_high": self.clipped_high,
-                "clipped_low": self.clipped_low}
 
 
 def edge_thresholds(delta: float, n: int, eta: float) -> EdgeWindow:

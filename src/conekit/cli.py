@@ -260,12 +260,7 @@ def cmd_project(args) -> int:
     x = _parse_vector(args.point)
     res = project(C, x)
     if args.json:
-        _emit_json(args.out, {
-            "point": res.point.tolist(),
-            "face_dim": res.face_dim,
-            "iterations": res.iterations,
-            "converged": res.converged,
-        })
+        _emit_json(args.out, res.to_dict())
     else:
         _emit_text(args.out, [
             "projection: " + np.array2string(res.point, precision=8),

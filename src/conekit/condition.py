@@ -23,7 +23,7 @@ import numpy as np
 
 from .cones import (EXACT_MAX_PAIRS, Cone, Subspace, _directions,
                     _inequality_matrix, _supports, generators_of)
-from .numerics import SeededStream, haar_from_rng, haar_stack
+from .numerics import Record, SeededStream, haar_from_rng, haar_stack
 from .solvers import _chunk_rows
 from .statdim import Estimate, mc_estimate
 
@@ -51,7 +51,7 @@ _DEFAULT_STREAM = SeededStream(1_000_003, 0)
 
 
 @dataclass
-class RestrictedValue:
+class RestrictedValue(Record):
     """Extreme value of ||Proj_D(A x)|| over x in C with |x| = 1.
 
     heuristic is True for a multistart bound, False for an exact value.
@@ -62,13 +62,9 @@ class RestrictedValue:
     method: str
     heuristic: bool
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "certificate": self.certificate.tolist(),
-                "method": self.method, "heuristic": self.heuristic}
-
 
 @dataclass
-class ConditionReport:
+class ConditionReport(Record):
     """Condition summary of A relative to the cone pair (C, D).
 
     ``method`` is the method that computed ``sigma_CD`` and
@@ -85,14 +81,6 @@ class ConditionReport:
     method_dual: str
     certificate_primal: np.ndarray
     certificate_dual: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"op_norm": self.op_norm, "sigma_CD": self.sigma_CD,
-                "sigma_DC_transposed": self.sigma_DC_transposed,
-                "renegar_R": self.renegar_R, "kappa": self.kappa,
-                "method": self.method, "method_dual": self.method_dual,
-                "certificate_primal": self.certificate_primal.tolist(),
-                "certificate_dual": self.certificate_dual.tolist()}
 
     def feasibility(self, tol: float | None = None) -> Feasibility:
         """Classify the pair by sigma_CD and sigma_DC_transposed (see
@@ -114,7 +102,7 @@ class ConditionReport:
 
 
 @dataclass
-class Feasibility:
+class Feasibility(Record):
     """Feasibility label of the pair (C, D) at a matrix A.
 
     status is one of PrimalFeasible, DualFeasible, IllPosed, Ambiguous.
@@ -130,12 +118,6 @@ class Feasibility:
     dual_margin: float
     method: str
     method_dual: str
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "tol": self.tol,
-                "primal_margin": self.primal_margin,
-                "dual_margin": self.dual_margin, "method": self.method,
-                "method_dual": self.method_dual}
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +485,7 @@ def gordon_kappa_bound(A, m: int) -> float:
 
 
 @dataclass
-class GordonReport:
+class GordonReport(Record):
     """Monte Carlo check of the Gaussian extreme-singular-value bounds."""
 
     smin_mean: float
@@ -517,12 +499,6 @@ class GordonReport:
     smax_ok: bool
     trials: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("smin_mean", "smin_stderr", "smax_mean", "smax_stderr",
-                 "fro_norm", "smin_lower", "smax_upper", "smin_ok",
-                 "smax_ok", "trials", "seed")}
 
 
 def empirical_gordon_check(sigma, m: int, trials: int,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvers import _chunk_rows, _nnls_batch
-from .numerics import svd
+from .numerics import Record, svd
 
 __all__ = [
     "ProjectionResult",
@@ -79,7 +79,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 @dataclass
-class ProjectionResult:
+class ProjectionResult(Record):
     """Projection of a point onto a cone.
 
     ``face_dim`` is the dimension of the face whose relative interior

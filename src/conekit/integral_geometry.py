@@ -43,9 +43,9 @@ from .cones import (Cone, NonnegOrthant, Subspace, _inequality_matrix,
                     _orthonormal_columns, _project_generated,
                     _project_normals, _rows_times, _transpose, generators_of,
                     intersect, linear_image, project, rotate)
-from .numerics import SeededStream, haar_stack, row_projection
-from .statdim import (Estimate, estimate_intrinsic_volumes, face_histogram,
-                      mc_estimate, tails)
+from .numerics import Record, SeededStream, haar_stack, row_projection
+from .statdim import (Estimate, _check_failures, estimate_intrinsic_volumes,
+                      face_histogram, mc_estimate, tails)
 from .solvers import _chunk_rows, _sections
 
 __all__ = [
@@ -63,7 +63,7 @@ __all__ = [
 
 
 @dataclass
-class IdentityCheckReport:
+class IdentityCheckReport(Record):
     """Per-index comparison of an identity's two sides.  ``failures``
     counts the draws dropped as unconverged or unclassified, and
     ``retried`` the draws whose stacked projection did not converge and
@@ -81,20 +81,12 @@ class IdentityCheckReport:
     retried: int
     verdict: bool
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "ks": list(self.ks),
-                "lhs": self.lhs.tolist(),
-                "lhs_stderr": self.lhs_stderr.tolist(),
-                "rhs": self.rhs.tolist(),
-                "rhs_stderr": self.rhs_stderr.tolist(),
-                "z": self.z.tolist(), "samples": self.samples,
-                "failures": self.failures, "retried": self.retried,
-                "verdict": self.verdict}
-
 
 @dataclass
-class CroftonReport:
-    """Hit-probability estimate against the half-tail target."""
+class CroftonReport(Record):
+    """Hit-probability estimate against the half-tail target.  ``failures``
+    counts the draws whose decision rests on an unconverged projection or
+    NNLS; they are dropped, and ``samples`` counts the rest."""
 
     hit_rate: float
     stderr: float
@@ -102,13 +94,9 @@ class CroftonReport:
     target_stderr: float
     z: float
     samples: int
+    failures: int
     seed: int
     verdict: bool
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("hit_rate", "stderr", "target", "target_stderr", "z",
-                 "samples", "seed", "verdict")}
 
 
 def _zscores(lhs, lse, rhs, rse):
@@ -134,29 +122,36 @@ def _rotation_draws(samples, stream, n, m, width):
         yield a, haar_stack(G), g
 
 
-def _stacked_faces(samples, stream, n, m, width, project_block, make_cone):
-    """Face dims of Proj_{K(Q)}(g) per draw, flagged False when the
-    projection did not converge or could not be classified, with
-    project_block(Q, g) projecting a block of draws at once, and the
-    number of draws retried.
+def _stacked_draws(samples, stream, n, m, width, decide_block, decide_one):
+    """Value and flag of every draw of :func:`_rotation_draws`, and the
+    number of draws retried.  decide_block(Q, g) decides a block at once,
+    flagging False a draw whose projection or NNLS did not converge; such
+    a draw is retried alone by decide_one(Q_i, g_i) when that is given.
+    With decide_block None every draw takes decide_one, unretried."""
+    vals, oks, retried = [], [], 0
+    for _, Q, g in _rotation_draws(samples, stream, n, m, width):
+        if decide_block is None:
+            v, ok = map(np.array, zip(*map(decide_one, Q, g)))
+        else:
+            v, ok = decide_block(Q, g)
+            if decide_one is not None:
+                bad = np.flatnonzero(~ok)
+                retried += len(bad)
+                for i in bad:
+                    v[i], ok[i] = decide_one(Q[i], g[i])
+        vals.append(v)
+        oks.append(ok)
+    return np.concatenate(vals), np.concatenate(oks), retried
 
-    A draw whose stacked projection did not converge is retried: it takes
-    the answer and flag of its own cone make_cone(Q).  With project_block
-    None every draw takes its own cone, and none counts as retried.  Stacks
-    of 2-row matrices project by their exact wedge forms and always converge.
-    """
-    fd = np.zeros(samples, dtype=np.int64)
-    ok = np.zeros(samples, dtype=bool)
-    retried = 0
-    for a, Q, g in _rotation_draws(samples, stream, n, m, width):
-        if project_block is not None:
-            _, fd[a:a + len(g)], ok[a:a + len(g)] = project_block(Q, g)
-            retried += len(g) - int(ok[a:a + len(g)].sum())
-        for i in np.flatnonzero(~ok[a:a + len(g)]):
-            r = project(make_cone(Q[i]), g[i])
-            if r.converged and r.face_dim is not None:
-                fd[a + i], ok[a + i] = r.face_dim, True
-    return fd, ok, retried
+
+def _faces_of(make_cone):
+    """decide_one of :func:`_stacked_draws`: the face dim of
+    Proj_{make_cone(Q)}(g), flagged False when unconverged or unclassified."""
+    def decide_one(Q, g):
+        r = project(make_cone(Q), g)
+        ok = r.converged and r.face_dim is not None
+        return (r.face_dim if ok else 0), ok
+    return decide_one
 
 
 def _kinematic_faces(C: Cone, D: Cone, samples: int, stream: SeededStream):
@@ -178,7 +173,8 @@ def _kinematic_faces(C: Cone, D: Cone, samples: int, stream: SeededStream):
         return intersect(C, rotate(D, Q))
 
     if WC is None or WD is None:
-        return _stacked_faces(samples, stream, n, n, 0, None, make_cone)
+        return _stacked_draws(samples, stream, n, n, 0, None,
+                              _faces_of(make_cone))
     if isinstance(C, Subspace) or isinstance(D, Subspace):
         rotated = not isinstance(C, Subspace)
         B, W = (D.basis, WC) if rotated else (C.basis, WD)
@@ -187,17 +183,18 @@ def _kinematic_faces(C: Cone, D: Cone, samples: int, stream: SeededStream):
         def project_block(Q, g):
             Bs = Q @ B if rotated else B
             Ws = W if rotated else Q @ W
-            return _project_normals(_transpose(Bs) @ Ws, _rows_times(g, Bs))
+            return _project_normals(_transpose(Bs) @ Ws,
+                                    _rows_times(g, Bs))[1:]
     else:
         k = WC.shape[1] + WD.shape[1]
 
         def project_block(Q, g):
             WCs = np.broadcast_to(WC, (len(g),) + WC.shape)
             return _project_normals(np.concatenate([WCs, Q @ WD], axis=2),
-                                    g)
+                                    g)[1:]
 
-    return _stacked_faces(samples, stream, n, n, max(n, k) * k,
-                          project_block, make_cone)
+    return _stacked_draws(samples, stream, n, n, max(n, k) * k,
+                          project_block, _faces_of(make_cone))
 
 
 def verify_kinematic(C: Cone, D: Cone, samples: int,
@@ -245,38 +242,40 @@ _LINE_TOL = 1e-9    # distance at which a projected line point counts as in C
 
 
 def _line_hits_cone(C: Cone, U: np.ndarray):
-    """Whether span{u} meets C beyond the origin, for one vector u or for
-    each row u of U (one ``project_batch`` call on [U; -U])."""
-    S = np.atleast_2d(U)
-    S = np.vstack([S, -S])
-    hit = np.linalg.norm(C.project_batch(S, faces=False)[0] - S,
-                         axis=1) <= _LINE_TOL
-    hits = hit[:len(S) // 2] | hit[len(S) // 2:]
-    return hits if U.ndim == 2 else bool(hits[0])
+    """Whether span{u} meets C beyond the origin, for each row u of U, and
+    whether both projections that decided it converged (one
+    ``project_batch`` call on [U; -U])."""
+    S = np.vstack([U, -U])
+    P, _, conv = C.project_batch(S, faces=False)
+    hit = np.linalg.norm(P - S, axis=1) <= _LINE_TOL
+    return hit.reshape(2, -1).any(axis=0), conv.reshape(2, -1).all(axis=0)
 
 
 def _crofton_hits(C: Cone, d: int, samples: int, stream: SeededStream):
-    """Whether C meets span(Q[:, :d]) beyond 0, for each rotation draw."""
-    hits = np.zeros(samples, dtype=bool)
+    """Whether C meets span(Q[:, :d]) beyond 0, for each rotation draw, and
+    whether the projections or NNLS that decided it converged."""
     if d == 1:
-        for a, Q, _ in _rotation_draws(samples, stream, C.n, 0, 0):
-            hits[a:a + len(Q)] = _line_hits_cone(C, Q[:, :, 0])
-        return hits
-    W = _inequality_matrix(C)
-    A = generators_of(C) if W is None else W
-    if A is None:
-        raise ValueError("hit detection needs a generator or inequality "
-                         "representation")
-    k = A.shape[1]
-    for a, Q, _ in _rotation_draws(samples, stream, C.n, 0, max(C.n, k) * k):
-        if W is None:
+        def decide_block(Q, _):
+            return _line_hits_cone(C, Q[:, :, 0])
+        width = 0
+    else:
+        W = _inequality_matrix(C)
+        A = generators_of(C) if W is None else W
+        if A is None:
+            raise ValueError("hit detection needs a generator or inequality "
+                             "representation")
+
+        def decide_block(Q, _):
+            if W is not None:
+                return _sections(A, Q[:, :, :d])
             # conic alternative: a Haar subspace L is in general position
             # with probability 1, so C meets L exactly when the polar
             # meets L^perp only at 0
-            hits[a:a + len(Q)] = ~_sections(A, Q[:, :, d:])[0]
-        else:
-            hits[a:a + len(Q)] = _sections(A, Q[:, :, :d])[0]
-    return hits
+            nontrivial, converged = _sections(A, Q[:, :, d:])
+            return ~nontrivial, converged
+        width = max(C.n, A.shape[1]) * A.shape[1]
+    return _stacked_draws(samples, stream, C.n, 0, width, decide_block,
+                          None)[:2]
 
 
 def crofton_probability(C: Cone, m: int, samples: int,
@@ -285,7 +284,10 @@ def crofton_probability(C: Cone, m: int, samples: int,
     and compare against the half-tail h_{m+1}(C).
 
     Each draw decides its hit exactly; the rotations of a block of draws
-    come from one stacked QR.  A line (d = n - m = 1) hits C when u or -u
+    come from one stacked QR.  A draw whose decision rests on an
+    unconverged projection or NNLS is dropped and counted in
+    ``failures``; more than ``MAX_FAILURE_FRACTION`` of them raise
+    ``RuntimeError``.  A line (d = n - m = 1) hits C when u or -u
     projects onto C at distance <= 1e-9, with one ``project_batch`` call
     for the whole block; this serves every cone.  For d >= 2 a block makes
     one stacked section test (Gordan's alternative, one batched NNLS call,
@@ -302,36 +304,47 @@ def crofton_probability(C: Cone, m: int, samples: int,
         raise ValueError("C must not be a linear subspace")
     d = n - m
 
-    rate = int(_crofton_hits(C, d, samples, stream).sum()) / samples
-    se = math.sqrt(rate * (1 - rate) / samples)
+    hits, ok = _crofton_hits(C, d, samples, stream)
+    failures = _check_failures(ok)
+    n_eff = samples - failures
+    rate = int(hits[ok].sum()) / n_eff
+    se = math.sqrt(rate * (1 - rate) / n_eff)
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
     _, h = tails(prof)
     target = float(h[m + 1])
     tse = 2.0 * math.sqrt(float(np.sum(prof.stderr[m + 1::2] ** 2)))
     denom = math.sqrt(se ** 2 + tse ** 2)
     z = (rate - target) / denom if denom > 0 else 0.0
-    return CroftonReport(rate, se, target, tse, z, samples,
+    return CroftonReport(rate, se, target, tse, z, n_eff, failures,
                          stream.master_seed, abs(z) <= 3.0)
 
 
 def _compression_block(T: np.ndarray, C: Cone, faces=True):
-    """(project_block, width) for :func:`_stacked_faces` on the cones
-    T Q C, or None for a cone with only normals under a wide or singular
-    T, whose ``linear_image(T Q, C)`` is not exact."""
+    """(decide_block, width) for :func:`_stacked_draws` on the cones
+    T Q C, whose values are face dims, or squared projection norms when
+    ``faces`` is false; or None for a cone with only normals under a wide
+    or singular T, whose ``linear_image(T Q, C)`` is not exact."""
     m, n = T.shape
     V = generators_of(C)
     if V is not None:
         def project_block(Q, g):
             return _project_generated((T @ Q) @ V, g, faces=faces)
-        return project_block, max(m, V.shape[1]) * V.shape[1]
-    W = _inequality_matrix(C)
-    s = np.linalg.svd(T, compute_uv=False)
-    if W is not None and m == n and s[-1] > 1e-12 * s[0]:
+        k = V.shape[1]
+    else:
+        W = _inequality_matrix(C)
+        s = np.linalg.svd(T, compute_uv=False)
+        if W is None or m != n or s[-1] <= 1e-12 * s[0]:
+            return None
+
         def project_block(Q, g):
             return _project_normals(
                 np.linalg.solve(np.swapaxes(T @ Q, 1, 2), W), g, faces=faces)
-        return project_block, max(m, W.shape[1]) * W.shape[1]
-    return None
+        k = W.shape[1]
+
+    def decide_block(Q, g):
+        P, fd, ok = project_block(Q, g)
+        return (fd if faces else np.array([v @ v for v in P])), ok
+    return decide_block, max(m, k) * k
 
 
 def _compression_faces(T: np.ndarray, C: Cone, samples: int,
@@ -344,12 +357,12 @@ def _compression_faces(T: np.ndarray, C: Cone, samples: int,
     def make_cone(Q):
         return linear_image(T @ Q, C)
 
-    project_block, width = _compression_block(T, C) or (None, 0)
-    if project_block is None and not _orthonormal_columns(T):
+    decide_block, width = _compression_block(T, C) or (None, 0)
+    if decide_block is None and not _orthonormal_columns(T):
         raise ValueError(f"{type(C).__name__} has no generators: FISTA "
                          "would project its images, classifying no faces")
-    return _stacked_faces(samples, stream, n, m, width, project_block,
-                          make_cone)
+    return _stacked_draws(samples, stream, n, m, width, decide_block,
+                          _faces_of(make_cone))
 
 
 def _compression_report(name, C, T, samples, stream):
@@ -423,16 +436,14 @@ def projected_statdim(C: Cone, m: int, samples: int,
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     P = row_projection(m, n)
-    project_block, width = _compression_block(P, C, faces=False) or (None, 0)
-    vals = np.zeros(samples)
-    ok = np.zeros(samples, dtype=bool)
-    for a, Q, g in _rotation_draws(samples, stream, n, m, width):
-        if project_block is not None:
-            p, _, ok[a:a + len(g)] = project_block(Q, g)
-            vals[a:a + len(g)] = [v @ v for v in p]
-        for i in np.flatnonzero(~ok[a:a + len(g)]):
-            r = project(linear_image(P @ Q[i], C), g[i])
-            vals[a + i], ok[a + i] = r.point @ r.point, r.converged
+    decide_block, width = _compression_block(P, C, faces=False) or (None, 0)
+
+    def decide_one(Q, g):
+        r = project(linear_image(P @ Q, C), g)
+        return r.point @ r.point, r.converged
+
+    vals, ok, _ = _stacked_draws(samples, stream, n, m, width, decide_block,
+                                 decide_one)
     return mc_estimate(vals, ok, stream.master_seed)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,22 @@ _MASK64 = (1 << 64) - 1
 # Smallest normal float: a squared column norm below it lost digits to
 # underflow.
 _TINY = float(np.finfo(float).tiny)
+
+
+class Record:
+    """Base of the package's result dataclasses.  ``to_dict`` gives every
+    init field by name, an array as its ``tolist()`` and a dict, list or
+    tuple copied (a tuple as a list), so a record's JSON form follows from
+    its fields alone."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for name in (f.name for f in fields(self) if f.init):
+            v = getattr(self, name)
+            out[name] = (v.tolist() if isinstance(v, np.ndarray) else
+                         dict(v) if isinstance(v, dict) else
+                         list(v) if isinstance(v, (list, tuple)) else v)
+        return out
 
 
 def _splitmix64(z: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Cone, L1SubdiffCone, linear_image
-from .numerics import SeededStream, svd
+from .numerics import Record, SeededStream, svd
 from .statdim import Estimate, estimate_statdim
 
 # Relative magnitude below which an anchor coordinate counts as zero.
@@ -41,7 +41,7 @@ def _support_pattern(y: np.ndarray):
 
 
 @dataclass
-class AnalysisInstance:
+class AnalysisInstance(Record):
     """An analysis regularizer ``x -> ||D x||_1`` anchored at a signal.
 
     Attributes
@@ -86,9 +86,6 @@ class AnalysisInstance:
     @property
     def s(self) -> int:
         return int(self.support.size)
-
-    def to_dict(self) -> dict:
-        return {"D": self.D.tolist(), "x0": self.x0.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisInstance":
@@ -258,7 +255,7 @@ def finite_difference_matrix(n: int, variant: str = "square_bidiagonal"):
 
 
 @dataclass
-class TVSpectrum:
+class TVSpectrum(Record):
     """Spectrum report for the square bidiagonal difference matrix.
 
     ``D^T D`` is the second-difference matrix with a free boundary at
@@ -280,18 +277,6 @@ class TVSpectrum:
     max_mismatch_dirichlet: float
     fro_sq: float
     dirichlet_sum_sq: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "singular_values": self.singular_values.tolist(),
-            "mixed_formula": self.mixed_formula.tolist(),
-            "dirichlet_formula": self.dirichlet_formula.tolist(),
-            "max_mismatch_mixed": self.max_mismatch_mixed,
-            "max_mismatch_dirichlet": self.max_mismatch_dirichlet,
-            "fro_sq": self.fro_sq,
-            "dirichlet_sum_sq": self.dirichlet_sum_sq,
-        }
 
 
 def tv_singular_values(n: int) -> TVSpectrum:

@@ -3,8 +3,8 @@
 Estimates intrinsic volumes (the face-dimension distribution of Gaussian
 projections), the statistical dimension delta(C) = E||Proj_C g||^2, raw
 projection moments, Gaussian width, tail/half-tail functionals, plus the
-concentration bound and the closed-form/Monte-Carlo recipe for the descent
-cones of the l1 norm.
+concentration bound and the closed-form recipe for the descent cones of the
+l1 norm.
 
 All estimators draw through counter-based substreams: sample block j always
 uses the same Philox key, so seeded results are bit-identical run to run.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import Cone, L1SubdiffCone, polar
-from .numerics import SeededStream, block_ranges
+from .numerics import Record, SeededStream, block_ranges
 from .solvers import golden_section_min
 
 __all__ = [
@@ -45,7 +45,7 @@ MAX_FAILURE_FRACTION = 0.01
 
 
 @dataclass
-class Estimate:
+class Estimate(Record):
     """A Monte Carlo estimate with its standard error."""
 
     mean: float
@@ -53,13 +53,9 @@ class Estimate:
     samples: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr,
-                "samples": self.samples, "seed": self.seed}
-
 
 @dataclass
-class IVProfile:
+class IVProfile(Record):
     """Empirical intrinsic-volume profile of a cone in R^n.
 
     v[k] estimates the probability that the projection of a standard
@@ -78,10 +74,6 @@ class IVProfile:
     def statdim(self) -> float:
         """Mean of the profile, sum_k k*v_k."""
         return float(np.arange(len(self.v)) @ self.v)
-
-    def to_dict(self) -> dict:
-        return {"v": self.v.tolist(), "stderr": self.stderr.tolist(),
-                "samples": self.samples, "seed": self.seed}
 
 
 def _check_failures(ok: np.ndarray) -> int:
@@ -248,12 +240,9 @@ def _std_normal_pdf(t):
     return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
-def _std_normal_cdf_neg(t):
-    """Phi(-t) for scalar or array t."""
-    if np.isscalar(t):
-        return 0.5 * math.erfc(t / math.sqrt(2.0))
-    t = np.asarray(t, dtype=float)
-    return 0.5 * np.vectorize(math.erfc)(t / math.sqrt(2.0))
+def _std_normal_cdf_neg(t: float) -> float:
+    """Phi(-t)."""
+    return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
 def _l1_recipe_objective(tau: float, n: int, s: int) -> float:
@@ -267,57 +256,16 @@ def _tau_bracket(n: int) -> float:
     return 10.0 + 5.0 * math.sqrt(math.log(max(n, 2)))
 
 
-def stojnic_recipe_l1(n: int, s: int, mode: str = "closed_form",
-                      samples: int = 20_000,
-                      stream: SeededStream | None = None) -> Estimate:
+def stojnic_recipe_l1(n: int, s: int) -> Estimate:
     """Recipe value inf_tau E dist^2(g, tau * subdiff of the l1 norm) for a
-    vector with s nonzero entries in R^n.
-
-    closed_form evaluates the Gaussian integral exactly and minimizes by
-    golden section; monte_carlo estimates the objective on a tau grid with
-    common random numbers (``samples * n`` floats, drawn once for every
-    tau), then refines around the best grid point.
-    """
+    vector with s nonzero entries in R^n: the Gaussian integral in closed
+    form, minimized over tau by golden section."""
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n")
-    hi = _tau_bracket(n)
-    if mode == "closed_form":
-        tau, val = golden_section_min(
-            lambda t: _l1_recipe_objective(t, n, s), 0.0, hi, tol=1e-10)
-        return Estimate(val, 0.0, 0, 0)
-    if mode != "monte_carlo":
-        raise ValueError("mode must be 'closed_form' or 'monte_carlo'")
-    if stream is None:
-        raise ValueError("monte_carlo mode needs a stream")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-
-    def dist2(G, tau):
-        on = (G[:, :s] - tau) ** 2  # signs symmetric: take +1 pattern
-        off = np.maximum(np.abs(G[:, s:]) - tau, 0.0) ** 2
-        return on.sum(axis=1) + off.sum(axis=1)
-
-    blocks = [stream.normal_block(b, count, n)
-              for b, _, count in block_ranges(samples)]
-    vals_at = {}
-
-    def mean_at(tau):
-        if tau not in vals_at:
-            acc = 0.0
-            for G in blocks:
-                acc += dist2(G, tau).sum()
-            vals_at[tau] = acc / samples
-        return vals_at[tau]
-
-    grid = np.linspace(0.0, hi, 41)
-    means = np.array([mean_at(float(t)) for t in grid])
-    j = int(np.argmin(means))
-    lo = grid[max(j - 1, 0)]
-    up = grid[min(j + 1, len(grid) - 1)]
-    tau_star, _ = golden_section_min(mean_at, float(lo), float(up), tol=1e-6)
-    # final pass collects per-sample values for the standard error
-    vals = np.concatenate([dist2(G, tau_star) for G in blocks])
-    return mc_estimate(vals, np.ones(samples, dtype=bool), stream.master_seed)
+    _, val = golden_section_min(
+        lambda t: _l1_recipe_objective(t, n, s), 0.0, _tau_bracket(n),
+        tol=1e-10)
+    return Estimate(val, 0.0, 0, 0)
 
 
 def descent_statdim_l1(n: int, support, signs, samples: int,

@@ -48,9 +48,8 @@ CONES = {
     "intersection": {"variant": "intersection", "left": _ORTHANT,
                      "right": _GEN},
 }
-_C3 = json.dumps({"variant": "nonneg_orthant", "n": 3})
-_W3 = json.dumps({"variant": "inequality_cone",
-                  "W": [[1.0, -0.5], [0.3, 1.0], [-0.2, 0.6]]})
+_C3 = json.dumps(_ORTHANT)
+_W3 = json.dumps(CONES["inequality_cone"])
 _A3 = "[[1.0, 0.4, -0.2], [0.3, -1.1, 0.5], [0.2, 0.1, 0.9]]"
 
 RUNS = {

@@ -220,7 +220,9 @@ def test_section_test_matches_line_projection():
         hits = 0
         for i in range(300):
             Q = haar_from_rng(C.n, st.gen(i))
-            oracle = _line_hits_cone(C, Q[:, 0])
+            hit, converged = _line_hits_cone(C, Q[None, :, 0])
+            assert converged[0]
+            oracle = bool(hit[0])
             routes = _routes(C, Q, 1)
             assert routes and all(r == oracle for r in routes)
             hits += oracle
@@ -287,6 +289,43 @@ def test_crofton_sections_make_one_nnls_call_per_block(monkeypatch):
         blocks.clear()
         _crofton_hits(C, 2, 120, stream(328))
         assert len(blocks) > 1 and calls == blocks
+
+
+@pytest.mark.parametrize("C,m", [(GeneratorCone(V_3X5), 2),
+                                 (NonnegOrthant(4), 2)],
+                         ids=["lines", "sections"])
+def test_crofton_counts_unconverged_decisions(monkeypatch, C, m):
+    # a draw decided by an unconverged NNLS (a line's projection or a
+    # stacked section test) is dropped and counted in ``failures``, the
+    # rate is taken over the rest, and more than MAX_FAILURE_FRACTION of
+    # them raise
+    samples, batch = 2000, solvers._nnls_batch
+    want, ok = _crofton_hits(C, C.n - m, samples, stream(339))
+    assert ok.all()
+
+    def unconverged_rows(every):
+        def wrapped(G, W0):
+            coef, iters, conv = batch(G, W0)
+            conv = conv.copy()
+            conv[::every] = False
+            return coef, iters, conv
+        for module in (solvers, cone_module):
+            monkeypatch.setattr(module, "_nnls_batch", wrapped)
+
+    unconverged_rows(300)
+    hits, ok = _crofton_hits(C, C.n - m, samples, stream(339))
+    failures = int(samples - ok.sum())
+    assert 0 < failures <= 0.01 * samples
+    assert np.array_equal(hits[ok], want[ok])
+    rep = crofton_probability(C, m, samples, stream(339))
+    assert (rep.failures, rep.samples) == (failures, samples - failures)
+    assert rep.hit_rate == want[ok].sum() / (samples - failures)
+    assert rep.to_dict()["failures"] == failures
+    # the profile is never reached: the hits raise first
+    unconverged_rows(20)
+    monkeypatch.setattr(ig_module, "estimate_intrinsic_volumes", None)
+    with pytest.raises(RuntimeError, match="converge"):
+        crofton_probability(C, m, samples, stream(339))
 
 
 def test_crofton_rejects_subspaces():
@@ -490,7 +529,9 @@ def _suite_draws(name):
 def test_stacked_suite_draws_match_per_draw_cones(name):
     got, want = _suite_draws(name)
     if name == "crofton":
-        assert np.array_equal(got, want) and 0 < got.sum() < 1000
+        hits, ok = got
+        assert ok.all()
+        assert np.array_equal(hits, want) and 0 < hits.sum() < 1000
         return
     assert want[1].all()
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -591,7 +632,7 @@ def test_stacked_compression_draws_match_per_draw_cones(T, C):
 def test_per_draw_cones_take_the_stacked_draws(monkeypatch):
     # a side without a stacked form (a rotated generated orthant whose
     # C(3, 2) = 3 facet subsets exceed the cap has neither generators nor
-    # normals) projects each draw onto its own cone inside _stacked_faces,
+    # normals) projects each draw onto its own cone inside _stacked_draws,
     # with the draws of the per-draw oracle
     monkeypatch.setattr(cone_module, "EXACT_MAX_PAIRS", 2)
     st = stream(335)
@@ -731,8 +772,8 @@ def test_stacked_draws_are_chunk_invariant(monkeypatch):
                                  st),
                 _kinematic_faces(NonnegOrthant(2), NonnegOrthant(2), 500, st),
                 _compression_faces(T, NonnegOrthant(3), 500, st),
-                (_crofton_hits(NonnegOrthant(3), 1, 500, st),),
-                (_crofton_hits(NonnegOrthant(4), 2, 100, st),),
+                _crofton_hits(NonnegOrthant(3), 1, 500, st),
+                _crofton_hits(NonnegOrthant(4), 2, 100, st),
                 projected(GeneratorCone(V_3X5), 2, st),
                 projected(ProductCone([NonnegOrthant(3), zero_cone(2)]), 4,
                           st),

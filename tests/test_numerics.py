@@ -1,6 +1,10 @@
-"""Randomness plumbing, Haar sampling, and the svd wrapper."""
+"""Randomness plumbing, Haar sampling, the svd wrapper and result records."""
 
+import dataclasses
+import importlib
+import json
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -10,9 +14,11 @@ import numpy as np
 import pytest
 
 import conekit
-from conekit.numerics import (SeededStream, block_ranges, gaussian_vector,
-                              haar_from_rng, haar_orthogonal, haar_stack,
-                              row_projection, svd)
+from conekit.cones import Cone
+from conekit.numerics import (Record, SeededStream, block_ranges,
+                              gaussian_vector, haar_from_rng,
+                              haar_orthogonal, haar_stack, row_projection,
+                              svd)
 
 
 def test_stream_reproducible_across_instances():
@@ -316,3 +322,58 @@ def test_row_projection():
     assert np.allclose(P @ P.T, np.eye(3))
     with pytest.raises(ValueError):
         row_projection(6, 5)
+
+
+# ---------------------------------------------------------------------------
+# result records
+# ---------------------------------------------------------------------------
+
+RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+def _synthetic(cls):
+    """An instance of ``cls`` with each field set by its annotation,
+    bypassing ``__init__`` and its checks."""
+    rec = object.__new__(cls)
+    for f in dataclasses.fields(cls):
+        t = str(f.type)
+        setattr(rec, f.name,
+                np.array([[0.5, 1.5]]) if "ndarray" in t else
+                {"k": 1.0} if "dict" in t else (1, 2) if "list" in t else
+                True if "bool" in t else 3 if "int" in t else
+                "s" if "str" in t else 0.25)
+    return rec
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_dict_holds_every_init_field(cls):
+    rec = _synthetic(cls)
+    d = rec.to_dict()
+    init = [f.name for f in dataclasses.fields(cls) if f.init]
+    assert list(d) == init
+    for name in init:
+        v = getattr(rec, name)
+        if isinstance(v, np.ndarray):
+            assert d[name] == v.tolist()
+        elif isinstance(v, (dict, tuple)):
+            assert d[name] == (v if isinstance(v, dict) else list(v))
+            assert d[name] is not v
+        else:
+            assert d[name] is v
+    json.dumps(d)
+
+
+def test_no_dataclass_defines_its_own_to_dict():
+    modules = [importlib.import_module(f"conekit.{m.name}")
+               for m in pkgutil.iter_modules(conekit.__path__)
+               if m.name != "__main__"]
+    classes = [c for m in modules for c in vars(m).values()
+               if isinstance(c, type) and c.__module__ == m.__name__]
+    records = [c for c in classes if dataclasses.is_dataclass(c)
+               and issubclass(c, Record)]
+    assert sorted(records, key=lambda cls: cls.__name__) == RECORDS
+    assert len(RECORDS) == 14
+    for cls in classes:
+        if "to_dict" in vars(cls):
+            assert cls is Record or issubclass(cls, Cone), cls
+            assert not dataclasses.is_dataclass(cls), cls

@@ -11,11 +11,13 @@ from conftest import (combined_stderr, planar_wedge, random_generator_cone,
 from conekit.cones import (GeneratorCone, InequalityCone, L1SubdiffCone,
                            NonnegOrthant, ProductCone, Subspace, polar,
                            rotate, zero_cone)
-from conekit.numerics import haar_orthogonal
-from conekit.statdim import (a_eta, concentration_bound, descent_statdim_l1,
-                             estimate_intrinsic_volumes, estimate_moment,
-                             estimate_statdim, estimate_width,
-                             stojnic_recipe_l1, tails)
+from conekit.numerics import block_ranges, haar_orthogonal
+from conekit.solvers import golden_section_min
+from conekit.statdim import (_tau_bracket, a_eta, concentration_bound,
+                             descent_statdim_l1, estimate_intrinsic_volumes,
+                             estimate_moment, estimate_statdim,
+                             estimate_width, mc_estimate, stojnic_recipe_l1,
+                             tails)
 
 
 def subspace_dim(n, k):
@@ -265,10 +267,36 @@ def test_stojnic_recipe_saturates_at_full_support():
     assert est.mean == 12.0
 
 
+def _stojnic_recipe_mc(n, s, samples, stream):
+    """Monte Carlo oracle of the recipe: the objective on a tau grid with
+    common random numbers (``samples * n`` floats, drawn once for every
+    tau), refined by golden section around the best grid point."""
+
+    def dist2(G, tau):
+        on = (G[:, :s] - tau) ** 2  # signs symmetric: take +1 pattern
+        off = np.maximum(np.abs(G[:, s:]) - tau, 0.0) ** 2
+        return on.sum(axis=1) + off.sum(axis=1)
+
+    blocks = [stream.normal_block(b, count, n)
+              for b, _, count in block_ranges(samples)]
+    vals_at = {}
+
+    def mean_at(tau):
+        if tau not in vals_at:
+            vals_at[tau] = sum(dist2(G, tau).sum() for G in blocks) / samples
+        return vals_at[tau]
+
+    grid = np.linspace(0.0, _tau_bracket(n), 41)
+    j = int(np.argmin([mean_at(float(t)) for t in grid]))
+    lo, up = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    tau_star, _ = golden_section_min(mean_at, float(lo), float(up), tol=1e-6)
+    vals = np.concatenate([dist2(G, tau_star) for G in blocks])
+    return mc_estimate(vals, np.ones(samples, dtype=bool), stream.master_seed)
+
+
 def test_stojnic_recipe_modes_agree():
-    cf = stojnic_recipe_l1(100, 10, mode="closed_form")
-    mc = stojnic_recipe_l1(100, 10, mode="monte_carlo", samples=40000,
-                           stream=stream(128))
+    cf = stojnic_recipe_l1(100, 10)
+    mc = _stojnic_recipe_mc(100, 10, 40000, stream(128))
     assert abs(cf.mean - mc.mean) <= 3 * max(mc.stderr, 1e-12) + 0.05
 
 
