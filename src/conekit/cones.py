@@ -15,7 +15,9 @@ each projection, and has a polar.  Structural rules, where exact:
   Q W for a rotation), and under tall maps A = QR of full column rank the
   isometric image Q of one (R^{-T} W);
 * planar generated and inequality cones, and stacks of one 2-row matrix
-  per row, project by closed-form wedge arithmetic.
+  per row, project by closed-form wedge arithmetic;
+* one face rule serves every cone (:func:`_face_span`): the active
+  normals where a cone has normals, else the positive generators.
 
 Otherwise generated and inequality cones project by a batched
 Lawson-Hanson NNLS active set; these projections and face rules are module
@@ -467,30 +469,6 @@ def _planar_project(form, X: np.ndarray):
     return P, fd
 
 
-def _planar_face_basis(form, p: np.ndarray, atol: float) -> np.ndarray:
-    kind = form[0]
-    if kind == "zero":
-        return np.zeros((2, 0))
-    if kind == "full":
-        return np.eye(2)
-    if kind == "line":
-        return _unit(form[1]).reshape(2, 1)
-    if np.linalg.norm(p) <= atol:
-        if kind == "arc" and abs(form[2] - math.pi) <= 1e-12:
-            return _unit(form[1]).reshape(2, 1)
-        return np.zeros((2, 0))
-    if kind == "ray":
-        return _unit(form[1]).reshape(2, 1)
-    a, w = form[1], form[2]
-    rel = np.mod(math.atan2(p[1], p[0]) - a, _TWO_PI)
-    ang_tol = atol / max(np.linalg.norm(p), atol)
-    if rel <= ang_tol or rel >= _TWO_PI - ang_tol:
-        return _unit(a).reshape(2, 1)
-    if abs(rel - w) <= ang_tol:
-        return _unit(a + w).reshape(2, 1)
-    return np.eye(2)
-
-
 # ---------------------------------------------------------------------------
 # cone representations
 # ---------------------------------------------------------------------------
@@ -499,7 +477,9 @@ class Cone:
     """Base class: a closed convex cone in R^n.
 
     A subclass defines one of :meth:`project_batch` and
-    :meth:`project_point`; each default runs the other.
+    :meth:`project_point`; each default runs the other.  The span of a
+    face, which only an intersection reads, comes from one module rule over
+    the normals or generators (:func:`_face_span`), not from a method.
     """
 
     n: int
@@ -529,14 +509,6 @@ class Cone:
         return _Batch(P, fd if faces else None,
                       np.array([r.converged for r in rs], dtype=bool),
                       np.array([r.iterations for r in rs], dtype=np.int64))
-
-    def face_basis(self, p: np.ndarray, atol: float | None = None):
-        """Orthonormal basis of the span of the smallest face containing p.
-
-        p must lie (numerically) in the cone.  Returns None when the
-        representation cannot classify faces.
-        """
-        return None
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -572,9 +544,6 @@ class Subspace(Cone):
         fd = np.full(X.shape[0], self.dim, dtype=np.int64) if faces else None
         return _closed_form(P, fd)
 
-    def face_basis(self, p, atol=None):
-        return self.basis
-
     def to_dict(self):
         return {"variant": "subspace", "basis": self.basis.tolist()}
 
@@ -594,11 +563,6 @@ class NonnegOrthant(Cone):
             atol = FACE_TOL * np.maximum(1.0, np.abs(X).max(axis=1))
             fd = (P > atol[:, None]).sum(axis=1).astype(np.int64)
         return _closed_form(P, fd)
-
-    def face_basis(self, p, atol=None):
-        if atol is None:
-            atol = FACE_TOL * max(1.0, float(np.max(np.abs(p), initial=0.0)))
-        return np.eye(self.n)[:, p > atol]
 
     def to_dict(self):
         return {"variant": "nonneg_orthant", "n": self.n}
@@ -634,19 +598,6 @@ class GeneratorCone(Cone):
             return _closed_form(P, fd if faces else None)
         return _project_generated(self.V, X, self._gram, faces)
 
-    def face_basis(self, p, atol=None):
-        if self._planar is not None:
-            if atol is None:
-                atol = FACE_TOL * max(1.0, float(np.linalg.norm(p)))
-            return _planar_face_basis(self._planar, p, atol)
-        if self.k == 0:
-            return np.zeros((self.n, 0))
-        coef = _nnls_batch(self._gram, (self.V.T @ p)[None, :])[0][0]
-        ctol = (atol if atol is not None else FACE_TOL) * \
-            max(1.0, float(np.max(coef, initial=0.0)))
-        S = coef > ctol
-        return _orth(self.V[:, S]) if S.any() else np.zeros((self.n, 0))
-
     def to_dict(self):
         return {"variant": "generator_cone", "V": self.V.tolist()}
 
@@ -676,16 +627,6 @@ class InequalityCone(Cone):
             P, fd = _planar_project(self._planar, X)
             return _closed_form(P, fd if faces else None)
         return _project_normals(self.W, X, self._gram, faces)
-
-    def face_basis(self, p, atol=None):
-        if self._planar is not None:
-            a = atol if atol is not None else \
-                FACE_TOL * max(1.0, float(np.linalg.norm(p)))
-            return _planar_face_basis(self._planar, p, a)
-        J = _active_normals(self.W, p, atol)
-        if not J.any():
-            return np.eye(self.n)
-        return _null_basis(self.W[:, J].T, self.n)
 
     def to_dict(self):
         return {"variant": "inequality_cone", "W": self.W.tolist()}
@@ -766,29 +707,6 @@ class L1SubdiffCone(Cone):
         fd = np.where(pos, 1 + free.sum(axis=1), 0).astype(np.int64)
         return _closed_form(P, fd)
 
-    def face_basis(self, p, atol=None):
-        scale = max(1.0, float(np.max(np.abs(p), initial=0.0)))
-        a = atol if atol is not None else FACE_TOL * scale
-        tI = p[self.support] / (self.signs * self.weights[self.support])
-        t = float(np.mean(tI))
-        if t <= a:
-            return np.zeros((self.n, 0))
-        u = self._su.copy()
-        free = []
-        for j in self._off:
-            cap = t * self.weights[j]
-            if abs(p[j]) >= cap - a:
-                u[j] = math.copysign(self.weights[j], p[j]) if p[j] != 0 else \
-                    self.weights[j]
-            else:
-                free.append(j)
-        cols = [u / np.linalg.norm(u)]
-        for j in free:
-            e = np.zeros(self.n)
-            e[j] = 1.0
-            cols.append(e)
-        return np.column_stack(cols)
-
     def to_dict(self):
         return {"variant": "l1_subdiff_cone", "ambient": self.n,
                 "support": self.support.tolist(),
@@ -825,12 +743,6 @@ class LinearImage(Cone):
         P, _, conv, it = _fista_image(self.A, self.inner, X, self._lip)
         fd = np.full(X.shape[0], -1, dtype=np.int64) if faces else None
         return _Batch(P, fd, conv, it)
-
-    def face_basis(self, p, atol=None):
-        if not self._isometric:
-            return None
-        B = self.inner.face_basis(self.A.T @ p, atol)
-        return None if B is None else self.A @ B
 
     def to_dict(self):
         return {"variant": "linear_image", "A": self.A.tolist(),
@@ -885,11 +797,6 @@ class ProductCone(Cone):
         fd[bad] = -1
         return _Batch(P, fd if faces else None, conv, iters)
 
-    def face_basis(self, p, atol=None):
-        return _block_diagonal(self, [part.face_basis(p[sl], atol) for
-                                      part, sl in zip(self.parts,
-                                                      self._slices)])
-
     def to_dict(self):
         return {"variant": "product",
                 "parts": [p.to_dict() for p in self.parts]}
@@ -897,7 +804,8 @@ class ProductCone(Cone):
 
 class IntersectionCone(Cone):
     """Intersection of two cones, projected by Dykstra's alternating scheme
-    on all rows in lockstep; faces come row by row from both sides."""
+    on all rows in lockstep; faces come row by row from both sides, each
+    side's face span by the one rule :func:`_face_span`."""
 
     def __init__(self, left: Cone, right: Cone):
         if left.n != right.n:
@@ -916,8 +824,8 @@ class IntersectionCone(Cone):
         atol = max(100 * DYKSTRA_TOL, FACE_TOL) * (1.0 + float(np.linalg.norm(x)))
         if np.linalg.norm(pb) <= atol:
             return 0
-        Ba = self.left.face_basis(pa, atol)
-        Bb = self.right.face_basis(pb, atol)
+        Ba = _face_span(self.left, pa, atol)
+        Bb = _face_span(self.right, pb, atol)
         return -1 if Ba is None or Bb is None else _span_intersection_dim(Ba, Bb)
 
     def to_dict(self):
@@ -1060,8 +968,9 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
 
     A generated cone has the normals of its facets (:func:`_facets`, None
     above ``EXACT_MAX_PAIRS`` subsets), a :class:`PolarCone` the generators
-    of its inner cone, and an isometric :class:`LinearImage`
-    {A v : W^T v <= 0} has [A W, N, -N], N a basis of (range A)^perp.
+    of its inner cone, else the facets of the inner cone's normals, and an
+    isometric :class:`LinearImage` {A v : W^T v <= 0} has [A W, N, -N], N
+    a basis of (range A)^perp.
     An l1 subdifferential cone with support I, signs sigma and weights w
     has u = sigma w on I (zero elsewhere) and t = <u, x>/|u|^2; its
     normals are e_j - w_j u/|u|^2 and -e_j - w_j u/|u|^2 for each j off
@@ -1080,7 +989,9 @@ def _inequality_matrix(cone: Cone) -> np.ndarray | None:
     if isinstance(cone, GeneratorCone):
         return cone._normals
     if isinstance(cone, PolarCone):
-        return generators_of(cone.inner)
+        V = generators_of(cone.inner)
+        W = _inequality_matrix(cone.inner) if V is None else None
+        return V if W is None else _facets(W)
     if isinstance(cone, LinearImage) and cone._isometric:
         W = _inequality_matrix(cone.inner)
         if W is not None:
@@ -1111,6 +1022,31 @@ def _l1_normals(cone: L1SubdiffCone) -> np.ndarray:
     if off.size == 0:
         cols.append(-t[:, None])
     return np.hstack(cols)
+
+
+def _face_span(cone: Cone, p: np.ndarray, atol: float) -> np.ndarray | None:
+    """Orthonormal basis of the span of the face of the cone whose relative
+    interior holds p, a point of the cone, or None without a rule: the null
+    space of the normals active at p (:func:`_inequality_matrix`), else the
+    span of the generators whose NNLS coefficients for p exceed atol max(1,
+    largest), as :func:`_normal_face_dims` and :func:`_coef_face_dims`
+    count; else a product's parts on their slices, or an isometric image
+    A's inner cone at A^T p, mapped by A."""
+    W = _inequality_matrix(cone)
+    if W is not None:
+        return _null_basis(W[:, _active_normals(W, p, atol)].T, cone.n)
+    V = generators_of(cone)
+    if V is not None:
+        coef = _nnls_batch(V.T @ V, (V.T @ p)[None, :])[0][0]
+        return _orth(V[:, coef > atol * max(1.0, coef.max(initial=0.0))])
+    if isinstance(cone, ProductCone):
+        return _block_diagonal(cone, [_face_span(part, p[sl], atol) for
+                                      part, sl in zip(cone.parts,
+                                                      cone._slices)])
+    if isinstance(cone, LinearImage) and cone._isometric:
+        B = _face_span(cone.inner, cone.A.T @ p, atol)
+        return None if B is None else cone.A @ B
+    return None
 
 
 def intersect(C: Cone, D: Cone) -> Cone:

@@ -21,6 +21,7 @@ from conekit.numerics import SeededStream, haar_orthogonal, row_projection
 from conekit.regularizers import (AnalysisInstance, finite_difference_matrix,
                                   reduced_analysis_cone)
 from conekit.solvers import _nnls_batch
+from conekit.statdim import estimate_intrinsic_volumes
 
 
 ALL_SAMPLE_CONES = None
@@ -238,7 +239,8 @@ def test_intersect_cone_with_polar_is_zero():
 # ---------------------------------------------------------------------------
 
 def hrep_pairs():
-    """Seeded pairs of inequality-representable cones in R^3 to R^5."""
+    """Seeded pairs of inequality-representable cones in R^3 to R^5, then
+    :func:`polar_l1_pairs`."""
     rng = np.random.default_rng(20)
     rng_gen = np.random.default_rng(23)
     pairs = []
@@ -257,7 +259,7 @@ def hrep_pairs():
             (GeneratorCone(rng_gen.standard_normal((n, n))),
              InequalityCone(rng_gen.standard_normal((n, 2)))),
         ]
-    return pairs
+    return pairs + polar_l1_pairs()
 
 
 def assert_matches_dykstra(L, R, points):
@@ -288,6 +290,57 @@ def test_hrep_intersection_matches_dykstra():
         converged += assert_matches_dykstra(L, R, points)
         total += len(points)
     assert converged >= 0.95 * total
+
+
+def polar_l1_pairs():
+    """Polars of l1 subdifferential cones, whose inner cones have normals
+    but no generators, against orthant, generated and inequality sides in
+    R^3 and R^4."""
+    rng = np.random.default_rng(60)
+    pairs = []
+    for n in (3, 4):
+        P = polar(L1SubdiffCone(n, [1], [-1.0]))
+        pairs += [
+            (P, NonnegOrthant(n)),
+            (polar(L1SubdiffCone(n, [0, 2], [1.0, -1.0])),
+             GeneratorCone(rng.standard_normal((n, n + 1)))),
+            (P, InequalityCone(rng.standard_normal((n, 1)))),
+        ]
+    return pairs
+
+
+def test_polar_l1_intersection_profile_is_exact():
+    # a polar l1 side has the facets of the l1 normals, so the face rule
+    # classifies every Dykstra row (the hrep tests check the rows)
+    L, R = polar_l1_pairs()[0]
+    prof = estimate_intrinsic_volumes(IntersectionCone(L, R), 200,
+                                      SeededStream(62))
+    want = estimate_intrinsic_volumes(intersect(L, R), 200, SeededStream(62))
+    assert prof.samples == 200 and np.array_equal(prof.v, want.v)
+
+
+def test_face_rule_over_the_facet_cap_matches_exact(monkeypatch):
+    # over the cap a generated part or inner cone has generators only, so
+    # the face rule recurses into the product and the isometric image and
+    # classifies by NNLS coefficients; face dims equal the exact ones
+    def sides():
+        rng = np.random.default_rng(70)
+        V = rng.standard_normal((3, 4))
+        Q = haar_orthogonal(3, SeededStream(72))
+        return [ProductCone([GeneratorCone(V), L1SubdiffCone(2, [0], [1.0])]),
+                LinearImage(Q, GeneratorCone(Q.T @ (
+                    rng.standard_normal((3, 5)) + 1.0)))]
+
+    exact = [intersect(NonnegOrthant(S.n), S) for S in sides()]
+    monkeypatch.setattr(cones, "EXACT_MAX_PAIRS", 2)
+    rng = np.random.default_rng(71)
+    for S, E in zip(sides(), exact):
+        assert isinstance(E, InequalityCone)
+        assert _inequality_matrix(S) is None and generators_of(S) is None
+        X = rng.standard_normal((40, S.n))
+        _, fd, ok = IntersectionCone(NonnegOrthant(S.n), S).project_batch(X)
+        assert ok.mean() >= 0.9 and len(set(fd[ok])) >= 3
+        assert np.array_equal(fd[ok], E.project_batch(X[ok])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +703,13 @@ def test_polar_cone_swaps_representations():
     P = polar(K)
     assert isinstance(P, PolarCone)
     assert np.array_equal(generators_of(P), _inequality_matrix(K))
-    assert _inequality_matrix(P) is None       # K has no generators
+    # K has no generators, so P takes the facets of K's normals
+    X = np.random.default_rng(35).standard_normal((100, K.n))
+    Pp, fd, ok = P.project_batch(X)
+    Ph, fdh, okh = InequalityCone(_inequality_matrix(P)).project_batch(X)
+    assert ok.all() and okh.all()
+    assert np.abs(Pp - Ph).max() <= 1e-10
+    assert np.array_equal(fd, fdh)
     V = np.random.default_rng(35).standard_normal((3, 3))
     assert np.array_equal(_inequality_matrix(PolarCone(GeneratorCone(V))), V)
 
