@@ -29,8 +29,8 @@ from .cones import (GeneratorCone, NonnegOrthant, cone_from_dict, polar,
                     project)
 from .integral_geometry import IDENTITY_SUITES, run_identity_suite
 from .numerics import SeededStream
-from .regularizers import (AnalysisInstance, finite_difference_matrix,
-                           reduced_analysis_cone)
+from .regularizers import (AnalysisInstance, _operator_shorthand,
+                           finite_difference_matrix, reduced_analysis_cone)
 from .solvers import (_chunk_rows, crossing_from_rows,
                       phase_transition_experiment)
 from .statdim import (descent_statdim_l1, estimate_intrinsic_volumes,
@@ -93,7 +93,7 @@ def _parse_cone(text: str):
 def _parse_matrix(text: str) -> np.ndarray:
     """Matrix from inline JSON, a .json/.npy path, or tv_square(n)."""
     if text.startswith("tv_square(") and text.endswith(")"):
-        return finite_difference_matrix(int(text[10:-1]), "square_bidiagonal")
+        return _operator_shorthand(text)
     if text.endswith(".npy"):
         return np.asarray(np.load(text), dtype=float)
     if text.endswith(".json"):

@@ -13,21 +13,22 @@ each projection, and has a polar.  Structural rules, where exact:
 * images of generated cones are generated cones; images of inequality
   cones under square invertible maps are inequality cones (A^{-T} W, or
   Q W for a rotation), and under tall maps A = QR of full column rank the
-  isometric image Q of one (R^{-T} W);
+  isometric image Q of one (R^{-T} W); any other image of K is cone(A V),
+  V the generators of K (an inequality cone's from the facets of cone(W)),
+  or is priced (an l1 subdifferential cone, :func:`_generators`);
 * planar generated and inequality cones, and stacks of one 2-row matrix
   per row, project by closed-form wedge arithmetic;
 * one face rule serves every cone (:func:`_face_span`): the active
   normals where a cone has normals, else the positive generators.
 
-Otherwise generated and inequality cones project by a batched
+Otherwise generated and inequality cones and images project by a batched
 Lawson-Hanson NNLS active set; these projections and face rules are module
 functions that also take one matrix per row.  ``project_batch(X,
 faces=False)`` returns the same points and flags with ``face_dims`` None,
-skipping face classification.  Two batched iterative fallbacks remain:
-Dykstra's alternating projections for intersections with a side that has
-no normals (a non-isometric image, or a generated cone over
-``EXACT_MAX_PAIRS`` facet subsets), and accelerated projected gradient for
-images under wide or singular maps.
+skipping face classification.  The one batched iterative fallback,
+Dykstra's alternating projections, serves intersections with a side that
+has no normals (a non-isometric image, or a generated cone over
+``EXACT_MAX_PAIRS`` facet subsets).
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ FACE_TOL = 1e-10
 # Dykstra alternating projections.
 DYKSTRA_TOL = 1e-9
 DYKSTRA_MAX_SWEEPS = 10_000
-# Accelerated projected gradient for linear-image projections.
-FISTA_TOL = 1e-9
-FISTA_MAX_ITER = 50_000
 # Subsets above which the facet and support enumerations give up.
 EXACT_MAX_PAIRS = 10_000
 
@@ -622,6 +620,12 @@ class InequalityCone(Cone):
         return (_planar_polar(_planar_from_generators(self.W))
                 if self.n == 2 else None)
 
+    @functools.cached_property
+    def _generators(self):
+        """Generators from :func:`_facets` of cone(W), whose polar this
+        cone is, built when first read."""
+        return _facets(self.W)
+
     def project_batch(self, X, faces=True):
         if self._planar is not None:
             P, fd = _planar_project(self._planar, X)
@@ -715,13 +719,14 @@ class L1SubdiffCone(Cone):
 
 
 class LinearImage(Cone):
-    """Image cone {A v : v in inner}, projected by accelerated projected
-    gradient on the lifted least-squares problem.
+    """Image cone {A v : v in inner}, projected exactly.
 
     When A has orthonormal columns the image is an isometric embedding, so
-    projection and face classification reduce exactly to the inner cone.
-    Construct through :func:`linear_image` to pick up further structural
-    simplifications; instantiate directly to force this representation.
+    projection and face classification reduce exactly to the inner cone;
+    otherwise it projects onto cone(A V) or over priced generators (see
+    :func:`_generators`).  Construct through :func:`linear_image` to pick
+    up further structural simplifications; instantiate directly to force
+    this representation.
     """
 
     def __init__(self, A: np.ndarray, inner: Cone):
@@ -732,17 +737,19 @@ class LinearImage(Cone):
         self.inner = inner
         self.n = A.shape[0]
         self._isometric = _orthonormal_columns(A)
-        if not self._isometric:        # FISTA's step is 1 / ||A||^2
-            s = np.linalg.svd(A, compute_uv=False)
-            self._lip = float(s[0] ** 2) if s.size else 1.0
 
     def project_batch(self, X, faces=True):
         if self._isometric:
             P, fd, conv = batch = self.inner.project_batch(X @ self.A, faces)
             return _Batch(P @ self.A.T, fd, conv, batch.iterations)
-        P, _, conv, it = _fista_image(self.A, self.inner, X, self._lip)
-        fd = np.full(X.shape[0], -1, dtype=np.int64) if faces else None
-        return _Batch(P, fd, conv, it)
+        g = _generators(self.inner)
+        if g is None:
+            raise ValueError(f"{type(self.inner).__name__} has no pricing "
+                             "oracle and no generators within EXACT_MAX_PAIRS"
+                             f" = {EXACT_MAX_PAIRS} facet subsets")
+        if callable(g):
+            return _project_priced(self.A, g, X, faces)
+        return _project_generated(self.A @ g, X, faces=faces)
 
     def to_dict(self):
         return {"variant": "linear_image", "A": self.A.tolist(),
@@ -912,9 +919,8 @@ def linear_image(A: np.ndarray, inner: Cone) -> Cone:
     ``InequalityCone(Q W)``; under a tall A of full column rank, A = QR
     with min |diag R| above 1e-12 times the largest, it maps to
     ``LinearImage(Q, InequalityCone(R^{-T} W))``, projected isometrically.
-    Every other pair, such as an inequality cone under a wide or singular
-    map, returns a :class:`LinearImage` projected by accelerated projected
-    gradient.
+    Every other pair, such as an inequality or l1 subdifferential cone
+    under a wide or singular map, returns a :class:`LinearImage`.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != inner.n:
@@ -1024,19 +1030,63 @@ def _l1_normals(cone: L1SubdiffCone) -> np.ndarray:
     return np.hstack(cols)
 
 
+def _generators(cone: Cone):
+    """The cone's generators for its images: a matrix V (as
+    :func:`generators_of` gives, an inequality cone's facets of cone(W), a
+    product's or an image's from its parts), or a pricing oracle price(C)
+    giving, per row c of C, a generator u maximizing <u, c>; None for a
+    part with neither.  An l1 subdifferential cone is generated by u(s) =
+    sigma w on its support and s w off it, s in {-1, 1}^off, so the best
+    has s = sign(c_off), ties going to +1."""
+    if isinstance(cone, L1SubdiffCone):
+        off, w = cone._off, cone.weights[cone._off]
+
+        def price(C):
+            U = np.tile(cone._su, (len(C), 1))
+            U[:, off] = np.where(C[:, off] < 0, -w, w)
+            return U
+        return price
+    if isinstance(cone, InequalityCone):
+        return cone._generators
+    if isinstance(cone, LinearImage):       # A u for the inner cone's u
+        g = _generators(cone.inner)
+        if callable(g):
+            return lambda C: g(C @ cone.A) @ cone.A.T
+        return None if g is None else cone.A @ g
+    if not isinstance(cone, ProductCone):
+        return generators_of(cone)
+    parts = [_generators(p) for p in cone.parts]
+    if not any(map(callable, parts)):
+        return _block_diagonal(cone, parts)
+    if any(g is None for g in parts):
+        return None
+    prices = [g if callable(g) else (   # a zero column serves empty parts
+        lambda C, V=np.hstack([g, np.zeros((len(g), 1))]):
+        V.T[np.argmax(C @ V, axis=1)]) for g in parts]
+
+    def price(C):        # the best of the parts' best, each on its slice
+        U = np.zeros((len(parts),) + C.shape)
+        for Ui, f, sl in zip(U, prices, cone._slices):
+            Ui[:, sl] = f(C[:, sl])
+        best = np.einsum("pij,ij->pi", U, C).argmax(axis=0)
+        return U[best, np.arange(len(C))]
+    return price
+
+
 def _face_span(cone: Cone, p: np.ndarray, atol: float) -> np.ndarray | None:
     """Orthonormal basis of the span of the face of the cone whose relative
     interior holds p, a point of the cone, or None without a rule: the null
     space of the normals active at p (:func:`_inequality_matrix`), else the
-    span of the generators whose NNLS coefficients for p exceed atol max(1,
-    largest), as :func:`_normal_face_dims` and :func:`_coef_face_dims`
-    count; else a product's parts on their slices, or an isometric image
-    A's inner cone at A^T p, mapped by A."""
+    span of the listed generators (:func:`_generators`, images included)
+    whose NNLS coefficients for p exceed atol max(1, largest), as
+    :func:`_normal_face_dims` and :func:`_coef_face_dims` count; else a
+    product's parts on their slices, or an isometric image A's inner cone
+    at A^T p, mapped by A."""
     W = _inequality_matrix(cone)
     if W is not None:
         return _null_basis(W[:, _active_normals(W, p, atol)].T, cone.n)
-    V = generators_of(cone)
-    if V is not None:
+    V = _generators(cone)
+    if V is not None and not callable(V):
         coef = _nnls_batch(V.T @ V, (V.T @ p)[None, :])[0][0]
         return _orth(V[:, coef > atol * max(1.0, coef.max(initial=0.0))])
     if isinstance(cone, ProductCone):
@@ -1141,34 +1191,42 @@ def _dykstra(Ca: Cone, Cb: Cone, X: np.ndarray):
     return P, np.where(conv, sweeps, DYKSTRA_MAX_SWEEPS), conv, Ya
 
 
-def _fista_image(A: np.ndarray, inner: Cone, X: np.ndarray, lip: float):
-    """Accelerated projected gradient for min_{v in inner} ||x - A v||^2.
+def _project_priced(A: np.ndarray, price, X: np.ndarray, faces=True):
+    """Project each row x of X onto cone(A K), K given by its pricing
+    oracle (:func:`_generators`), by Lawson-Hanson over priced columns.
 
-    Batched over the rows of X with per-row adaptive restart; a row stops
-    once it converges, so it takes the steps it would take alone.  Returns
-    (P, V, converged, iterations), one row each, with P = V A^T.
-    """
-    N, k = X.shape[0], A.shape[1]
-    V, it = np.zeros((N, k)), np.zeros(N, dtype=np.int64)
-    conv = np.zeros(N, dtype=bool) if lip > 0 else np.ones(N, dtype=bool)
-    live = np.flatnonzero(~conv)
-    x, v, y, t = X[live], V[live], V[live], np.ones(live.size)
-    tol = FISTA_TOL * (1.0 + np.linalg.norm(x, axis=1))
-    for i in range(1, FISTA_MAX_ITER + 1):
+    A row keeps m + 1 column slots: its passive columns and one entering.
+    Each round prices u = price(A^T r) at the residual r, so that A u has
+    the largest gradient <A u, r>; above the row's dual tolerance, 1e-10
+    max(1, that gradient at r = x), A u takes a free slot and
+    ``_nnls_batch`` continues from the row's coefficients.  A row stops
+    converged within its tolerance or when a round did not decrease |r|,
+    unconverged when a solve did not converge or after 3 m + 30 rounds
+    (the kernel's step cap, m for k).  Faces follow the coefficient rule."""
+    N, m = X.shape
+    B, coef = np.zeros((N, m, m + 1)), np.zeros((N, m + 1))
+    obj, iters = np.full(N, np.inf), np.zeros(N, dtype=np.int64)
+    conv, live = np.zeros(N, dtype=bool), np.arange(N)
+    for rnd in range(3 * m + 30):
+        r = X[live] - _rows_times(coef[live], _transpose(B[live]))
+        b = price(r @ A) @ A.T
+        gain, res = np.einsum("ij,ij->i", b, r), np.einsum("ij,ij->i", r, r)
+        tol = 1e-10 * np.maximum(1.0, gain) if rnd == 0 else tol
+        done = (gain <= tol[live]) | (res >= obj[live])
+        conv[live[done]], obj[live] = True, res
+        live, b = live[~done], b[~done]
         if not live.size:
             break
-        vn = inner.project_batch(y - (y @ A.T - x) @ A / lip, faces=False)[0]
-        step = vn - v
-        # adaptive restart: drop momentum on rows moving against the step
-        bad = np.einsum("ij,ij->i", y - vn, step) > 0
-        done = lip * np.linalg.norm(y - vn, axis=1) <= tol
-        V[live], it[live], conv[live] = vn, i, done
-        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = np.where(bad, 0.0, (t - 1.0) / tn)
-        y = (vn + beta[:, None] * step)[~done]
-        live, x, v, tol = live[~done], x[~done], vn[~done], tol[~done]
-        t = np.where(bad, 1.0, tn)[~done]
-    return V @ A.T, V, conv, it
+        slot = coef[live].argmin(axis=1)
+        coef[live, slot], B[live, :, slot] = 0.0, b
+        Bl = B[live]
+        c, it, ok = _nnls_batch(_transpose(Bl) @ Bl,
+                                _rows_times(X[live], Bl), coef[live])
+        B[live], coef[live] = Bl * (c > 0)[:, None, :], c
+        iters[live] += it
+        live = live[ok]
+    P = _rows_times(coef, _transpose(B))
+    return _Batch(P, _coef_face_dims(B, coef) if faces else None, conv, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -1191,13 +1249,13 @@ def cone_from_dict(d: dict) -> Cone:
         return L1SubdiffCone(int(d["ambient"]), d["support"], d["signs"],
                              None if w is None else np.asarray(w, dtype=float))
     if v == "linear_image":
-        return LinearImage(np.asarray(d["A"], dtype=float),
-                           cone_from_dict(d["inner"]))
+        return linear_image(np.asarray(d["A"], dtype=float),
+                            cone_from_dict(d["inner"]))
     if v == "polar":
         return PolarCone(cone_from_dict(d["inner"]))
     if v == "product":
         return ProductCone([cone_from_dict(p) for p in d["parts"]])
     if v == "intersection":
-        return IntersectionCone(cone_from_dict(d["left"]),
-                                cone_from_dict(d["right"]))
+        return intersect(cone_from_dict(d["left"]),
+                         cone_from_dict(d["right"]))
     raise ValueError(f"unknown cone variant: {v!r}")

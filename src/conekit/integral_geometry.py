@@ -26,10 +26,9 @@ Gordan section test.  A draw whose stacked projection did not converge is
 projected onto its own cone and counted in the report's ``retried``.  A
 kinematic side without normals (a non-isometric
 :class:`~conekit.cones.LinearImage`, a generated cone over the facet cap)
-projects each draw onto its own cone ``intersect(C, rotate(D, Q_i))``.  A
-compression of a cone without generators under a wide or singular T
-raises ValueError, since its images classify no faces;
-``projected_statdim`` projects them by FISTA.
+projects each draw onto its own cone ``intersect(C, rotate(D, Q_i))``, and
+a compression of a cone without generators under a wide or singular T onto
+its own exact image ``linear_image(T Q_i, C)``.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (Cone, NonnegOrthant, Subspace, _inequality_matrix,
-                    _orthonormal_columns, _project_generated,
-                    _project_normals, _rows_times, _transpose, generators_of,
-                    intersect, linear_image, project, rotate)
+                    _project_generated, _project_normals, _rows_times,
+                    _transpose, generators_of, intersect, linear_image,
+                    project, rotate)
 from .numerics import Record, SeededStream, haar_stack, row_projection
 from .statdim import (Estimate, _check_failures, estimate_intrinsic_volumes,
                       face_histogram, mc_estimate, tails)
@@ -322,8 +321,8 @@ def crofton_probability(C: Cone, m: int, samples: int,
 def _compression_block(T: np.ndarray, C: Cone, faces=True):
     """(decide_block, width) for :func:`_stacked_draws` on the cones
     T Q C, whose values are face dims, or squared projection norms when
-    ``faces`` is false; or None for a cone with only normals under a wide
-    or singular T, whose ``linear_image(T Q, C)`` is not exact."""
+    ``faces`` is false; or None for a cone without generators under a wide
+    or singular T, whose draws each project onto ``linear_image(T Q, C)``."""
     m, n = T.shape
     V = generators_of(C)
     if V is not None:
@@ -350,7 +349,7 @@ def _compression_block(T: np.ndarray, C: Cone, faces=True):
 def _compression_faces(T: np.ndarray, C: Cone, samples: int,
                        stream: SeededStream):
     """Per-draw face dims, flags and retry count of Proj_{T Q C}(g),
-    stacked where ``linear_image(T Q, C)`` is exact; see
+    stacked where :func:`_compression_block` gives a block form; see
     :func:`_compression_report`."""
     m, n = T.shape
 
@@ -358,9 +357,6 @@ def _compression_faces(T: np.ndarray, C: Cone, samples: int,
         return linear_image(T @ Q, C)
 
     decide_block, width = _compression_block(T, C) or (None, 0)
-    if decide_block is None and not _orthonormal_columns(T):
-        raise ValueError(f"{type(C).__name__} has no generators: FISTA "
-                         "would project its images, classifying no faces")
     return _stacked_draws(samples, stream, n, m, width, decide_block,
                           _faces_of(make_cone))
 
@@ -373,9 +369,8 @@ def _compression_report(name, C, T, samples, stream):
     with generators V is projected onto cone(M_i V), M_i = T Q_i, and one
     with only normals W under a square invertible T onto
     {x : (M_i^{-T} W)^T x <= 0}; at m = 2 each image is a wedge, projected
-    in closed form.  A cone without generators under a wide or singular,
-    non-orthogonal T raises ValueError before any draw, since FISTA would
-    project its images and cannot classify their faces."""
+    in closed form.  A cone without generators under a wide or singular T
+    projects each draw onto its own exact image ``linear_image(T Q_i, C)``."""
     m, n = T.shape
     fd, ok, retried = _compression_faces(T, C, samples, stream.child(0))
     prof = estimate_intrinsic_volumes(C, samples, stream.child(1))
@@ -428,9 +423,9 @@ def projected_statdim(C: Cone, m: int, samples: int,
     The draws are those of :func:`_rotation_draws`, stacked as in
     :func:`_compression_report`; at m = 2 they are exact wedge forms.  A
     draw whose stacked projection did not converge (in R^3 and up), and
-    every draw of a cone with only normals at m < n, is
-    projected onto its own cone ``linear_image(P Q, C)`` (by FISTA for the
-    latter); a draw is dropped when that projection did not converge.
+    every draw of a cone without generators at m < n, is projected onto its
+    own exact image ``linear_image(P Q, C)``; a draw is dropped when that
+    projection did not converge.
     """
     n = C.n
     if not 1 <= m <= n:

@@ -91,10 +91,7 @@ class AnalysisInstance(Record):
     def from_dict(cls, d: dict) -> "AnalysisInstance":
         D = d["D"]
         if isinstance(D, str):
-            name, _, arg = D.partition("(")
-            if name != "tv_square" or not arg.endswith(")"):
-                raise ValueError(f"unknown operator shorthand {D!r}")
-            D = finite_difference_matrix(int(arg[:-1]), "square_bidiagonal")
+            D = _operator_shorthand(D)
         return cls(np.asarray(D, dtype=float), np.asarray(d["x0"], dtype=float))
 
     @classmethod
@@ -117,6 +114,14 @@ class AnalysisInstance(Record):
         return cls(D, x0)
 
 
+def _operator_shorthand(text: str) -> np.ndarray:
+    """The matrix that ``tv_square(n)`` names; ValueError for other names."""
+    name, _, arg = text.partition("(")
+    if name != "tv_square" or not arg.endswith(")"):
+        raise ValueError(f"unknown operator shorthand {text!r}")
+    return finite_difference_matrix(int(arg[:-1]), "square_bidiagonal")
+
+
 def analysis_subdiff_cone(inst: AnalysisInstance) -> Cone:
     """Cone generated by the subdifferential of ``||D .||_1`` at ``inst.x0``.
 
@@ -125,8 +130,8 @@ def analysis_subdiff_cone(inst: AnalysisInstance) -> Cone:
     under ``D^T`` of the l1 subdifferential cone.  When ``D`` is the
     identity the inner cone is returned directly; otherwise
     :func:`~conekit.cones.linear_image` represents the image, as an
-    inequality cone for square invertible ``D`` and as constrained least
-    squares over the inner cone when ``D^T`` is wide or singular.
+    inequality cone for square invertible ``D``, else as a
+    :class:`~conekit.cones.LinearImage` projected over priced generators.
     """
     inner = L1SubdiffCone(inst.p, inst.support, inst.signs)
     if inst.p == inst.n and np.array_equal(inst.D, np.eye(inst.n)):

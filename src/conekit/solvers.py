@@ -105,9 +105,10 @@ def _chunk_rows(per_row: int) -> int:
     return max(1, CHUNK_BYTES // (8 * max(per_row, 1)))
 
 
-def _nnls_batch(G: np.ndarray, W0: np.ndarray):
+def _nnls_batch(G: np.ndarray, W0: np.ndarray, C0=None):
     """Lawson-Hanson NNLS on every row w0 = A^T y of W0 (N x k), given
-    G = A^T A shared (k x k) or one per row (N x k x k).
+    G = A^T A shared (k x k) or one per row (N x k x k), each row
+    starting from its row of C0 (0 off its passive set) when given.
 
     Each row keeps its own passive set, tolerance ``1e-10 max(1,
     |w0|_inf)``, caps of ``3 k + 30`` steps in all and ``k + 1`` per
@@ -142,6 +143,10 @@ def _nnls_batch(G: np.ndarray, W0: np.ndarray):
     L = np.full((N, 0), k)                 # per live row: its passive list
     # C, G and W0 bordered by a zero column (and row) for the dead slot k
     Cb = np.zeros((N, k + 1))
+    if C0 is not None:
+        E[C0 > 0] = -np.inf
+        Cb[:, :k] = C0
+        L = np.sort(np.where(C0 > 0, np.arange(k), k), axis=1)
     Gb = np.zeros(G.shape[:-2] + (k + 1, k + 1))
     Gb[..., :k, :k] = G
     Wb = np.zeros((N, k + 1))

@@ -508,3 +508,18 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out.strip()
     assert out and all(part.isdigit() for part in out.split("."))
+
+
+def test_matrix_shorthand_takes_the_regularizers_parser(monkeypatch):
+    assert np.array_equal(cli._parse_matrix("tv_square(5)"),
+                          finite_difference_matrix(5))
+    for bad in ("tv_square(x)", "tv_square(1)"):
+        with pytest.raises(ValueError):
+            cli._parse_matrix(bad)
+    # other text is read as JSON, so an unknown name is not a shorthand
+    with pytest.raises(json.JSONDecodeError):
+        cli._parse_matrix("dct(5)")
+    names = []
+    monkeypatch.setattr(cli, "_operator_shorthand", names.append)
+    cli._parse_matrix("tv_square(7)")
+    assert names == ["tv_square(7)"]

@@ -1,5 +1,6 @@
 """Cone representations, projections, polarity, and serialization."""
 
+import itertools
 import math
 from functools import partial
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import planar_wedge, random_generator_cone
 from dykstra_oracle import _dykstra_point
+from fista_oracle import FistaImage
 from nnls_oracle import _nnls_gram
 
 from conekit import cones, solvers
@@ -375,17 +377,18 @@ def test_lockstep_dykstra_matches_point_oracle():
 
 
 def test_lockstep_dykstra_with_fista_side_matches_point_oracle():
-    # batched accelerated projected gradient stops each row once it
-    # converges, so its rows take their one-row steps and the same sweeps
+    # the oracle's batched accelerated projected gradient stops each row
+    # once it converges, so its rows take their one-row steps and the same
+    # sweeps
     rng = np.random.default_rng(28)
-    L = LinearImage(rng.standard_normal((3, 4)), NonnegOrthant(4))
+    L = FistaImage(rng.standard_normal((3, 4)), NonnegOrthant(4))
     R = InequalityCone(rng.standard_normal((3, 2)))
     assert_matches_point_oracle(L, R, rng.standard_normal((5, 3)), 1e-9)
 
 
 def test_fista_image_rows_are_independent():
     rng = np.random.default_rng(29)
-    C = LinearImage(rng.standard_normal((3, 4)), NonnegOrthant(4))
+    C = FistaImage(rng.standard_normal((3, 4)), NonnegOrthant(4))
     X = rng.standard_normal((20, 3)) * rng.uniform(0.1, 10.0, (20, 1))
     P, _, ok = batch = C.project_batch(X)
     assert ok.all() and len(set(batch.iterations)) > 1
@@ -630,6 +633,8 @@ def faces_flag_cones():
             rng.standard_normal((5, 7)))), id="fista-image"),
         pytest.param(IntersectionCone(NonnegOrthant(3), GeneratorCone(
             rng.standard_normal((3, 4)))), id="intersection-loop"),
+        pytest.param(LinearImage(rng.standard_normal((3, 5)), L1SubdiffCone(
+            5, [2], [1.0])), id="priced-image"),
     ]
 
 
@@ -1071,12 +1076,125 @@ def test_invertible_image_matches_fista():
     W = rng.standard_normal((4, 3))
     C = linear_image(A, InequalityCone(W))
     assert isinstance(C, InequalityCone)
-    oracle = LinearImage(A, InequalityCone(W))
+    oracle = FistaImage(A, InequalityCone(W))
     for x in rng.standard_normal((30, 4)):
         want = oracle.project_point(x)
         assert want.converged
         assert (np.linalg.norm(project(C, x).point - want.point)
                 <= 1e-6 * (1.0 + np.linalg.norm(x)))
+
+
+def l1_image_draws(seed, n, m, s, points):
+    """(M, support, signs, g) per point, drawn in that order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(points):
+        M = rng.standard_normal((m, n))
+        support = rng.choice(n, s, replace=False)
+        signs = rng.choice([-1.0, 1.0], s)
+        yield M, support, signs, rng.standard_normal(m)
+
+
+def l1_generators(K):
+    """All 2^(n - |I|) generators u(s) of an l1 subdifferential cone K."""
+    U = np.tile(K._su, (2 ** K._off.size, 1))
+    U[:, K._off] = np.array(list(itertools.product(
+        [-1.0, 1.0], repeat=K._off.size))) * K.weights[K._off]
+    return U.T
+
+
+@pytest.mark.parametrize("seed,n,m,s,points", [(0, 8, 4, 2, 200),
+                                               (1, 8, 6, 3, 300)])
+def test_priced_l1_images_match_all_generators(seed, n, m, s, points):
+    # accelerated projected gradient flagged 2 rows of each batch converged
+    # more than 1e-8 from the projection, point 66 of the first at
+    # 1.3e-6 (1 + |g|); the priced kernel is exact on every row
+    for M, support, signs, g in l1_image_draws(seed, n, m, s, points):
+        K = L1SubdiffCone(n, support, signs)
+        P, fd, ok = LinearImage(M, K).project_batch(g[None])
+        Pw, fdw, okw = GeneratorCone(M @ l1_generators(K)).project_batch(
+            g[None])
+        assert ok[0] and okw[0]
+        assert (np.linalg.norm(P[0] - Pw[0])
+                <= 1e-9 * (1.0 + np.linalg.norm(g)))
+        assert fd[0] == fdw[0]
+
+
+def test_priced_image_rows_are_independent():
+    # a row's point, face and flag do not depend on its batch; its step
+    # count may, where a coefficient ties at 0 and rounding picks the drop
+    rng = np.random.default_rng(36)
+    C = LinearImage(rng.standard_normal((5, 9)),
+                    L1SubdiffCone(9, [0, 4], [1.0, -1.0]))
+    X = rng.standard_normal((30, 5)) * rng.uniform(0.1, 10.0, (30, 1))
+    P, fd, ok = batch = C.project_batch(X)
+    assert ok.all() and len(set(batch.iterations)) > 1
+    for i, x in enumerate(X):
+        p, f, o = C.project_batch(x[None])
+        assert (np.linalg.norm(p[0] - P[i])
+                <= 1e-12 * (1.0 + np.linalg.norm(x)))
+        assert (f[0], o[0]) == (fd[i], ok[i])
+
+
+def test_priced_products_polars_and_images_match_their_generators():
+    # a product prices the best of its parts' generators, an image prices
+    # its inner cone's; the polar of an l1 cone is generated by its normals
+    rng = np.random.default_rng(37)
+    K = L1SubdiffCone(5, [3], [-1.0], rng.uniform(0.5, 2.0, 5))
+    V = np.zeros((8, 2 ** 4 + 3))
+    V[:5, :16], V[5:, 16:] = l1_generators(K), np.eye(3)
+    Q = np.linalg.qr(rng.standard_normal((6, 5)))[0]
+    X = rng.standard_normal((40, 4))
+    for inner, gens in ((ProductCone([K, NonnegOrthant(3)]), V),
+                        (polar(K), _inequality_matrix(K)),
+                        (LinearImage(Q, K), Q @ l1_generators(K)),
+                        (LinearImage(Q, polar(K)),
+                         Q @ _inequality_matrix(K))):
+        A = rng.standard_normal((4, inner.n))
+        P, fd, ok = LinearImage(A, inner).project_batch(X)
+        Pw, fdw, okw = GeneratorCone(A @ gens).project_batch(X)
+        assert ok.all() and okw.all() and np.array_equal(fd, fdw)
+        assert np.all(np.linalg.norm(P - Pw, axis=1)
+                      <= 1e-9 * (1.0 + np.linalg.norm(X, axis=1)))
+
+
+def test_priced_rows_after_unconverged_solves_are_unconverged(monkeypatch):
+    batch = cones._nnls_batch
+
+    def unconverged(*args):
+        C, iters, ok = batch(*args)
+        return C, iters, np.zeros_like(ok)
+
+    monkeypatch.setattr(cones, "_nnls_batch", unconverged)
+    rng = np.random.default_rng(39)
+    C = LinearImage(rng.standard_normal((3, 6)), L1SubdiffCone(6, [0], [1.0]))
+    P, fd, ok = C.project_batch(rng.standard_normal((10, 3)))
+    assert not ok.any() and (fd >= 0).all()
+
+
+def test_intersections_with_wide_image_sides_classify_faces():
+    # a wide image of an inequality cone lists the images of its facet
+    # generators, so the one face rule classifies its side of each row
+    rng = np.random.default_rng(42)
+    A = rng.standard_normal((3, 5))
+    K = InequalityCone(rng.standard_normal((5, 7)))
+    X = rng.standard_normal((40, 3))
+    _, fd, ok = IntersectionCone(LinearImage(A, K),
+                                 NonnegOrthant(3)).project_batch(X)
+    exact = intersect(GeneratorCone(A @ K._generators), NonnegOrthant(3))
+    assert ok.all() and len(set(fd)) == 3
+    assert np.array_equal(fd, exact.project_batch(X)[1])
+
+
+def test_wide_images_without_generators_or_oracle_raise(monkeypatch):
+    # an inequality cone over the facet cap has no generators and no
+    # oracle, so its wide images name the cap
+    A = np.random.default_rng(38).standard_normal((3, 4))
+    x = np.ones(3)
+    monkeypatch.setattr(cones, "EXACT_MAX_PAIRS", 2)
+    for inner in (InequalityCone(np.eye(4)),
+                  IntersectionCone(NonnegOrthant(4), L1_CONES[0])):
+        with pytest.raises(ValueError, match="EXACT_MAX_PAIRS"):
+            LinearImage(A, inner).project_point(x)
 
 
 def test_singular_image_stays_linear_image():
@@ -1095,7 +1213,7 @@ def test_full_column_rank_image_is_isometric_over_inequality_cone():
     C = linear_image(A, InequalityCone(W))
     assert isinstance(C, LinearImage) and C._isometric
     assert isinstance(C.inner, InequalityCone)
-    oracle = LinearImage(A, InequalityCone(W))
+    oracle = FistaImage(A, InequalityCone(W))
     for x in rng.standard_normal((20, 6)):
         want = oracle.project_point(x)
         assert want.converged

@@ -650,16 +650,19 @@ def test_per_draw_cones_take_the_stacked_draws(monkeypatch):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-@pytest.mark.parametrize("C", [polar(NonnegOrthant(4)),
-                               L1SubdiffCone(4, [0], [1.0])],
-                         ids=["polar-orthant", "l1"])
-def test_unclassifiable_compressions_fail_before_any_draw(monkeypatch, C):
+@pytest.mark.parametrize("C,m", [
+    (polar(NonnegOrthant(4)), 2),
+    (L1SubdiffCone(4, [0], [1.0]), 2),
+    (L1SubdiffCone(8, [1, 4], [1.0, -1.0]), 4),
+], ids=["polar-orthant", "l1", "l1-n8"])
+def test_wide_compressions_of_normals_only_cones_classify_faces(C, m):
     # under a wide T a cone with only normals maps to a non-isometric
-    # LinearImage, whose FISTA projections classify no faces
-    _forbid(monkeypatch, "_fista_image")
-    monkeypatch.setattr(ig_module, "estimate_intrinsic_volumes", None)
-    with pytest.raises(ValueError, match="no generators"):
-        verify_projection_formula(C, 2, 200, SeededStream(1))
+    # LinearImage, projected exactly over the images of its facet or
+    # priced generators, so every draw classifies its face
+    T = np.random.default_rng(28).standard_normal((m + 1, C.n))
+    for rep in (verify_projection_formula(C, m, 400, SeededStream(28, 1)),
+                verify_tqc(T, C, 400, SeededStream(28, 2))):
+        assert rep.failures == 0 and rep.samples == 400 and rep.verdict
 
 
 def test_ill_conditioned_compression_loses_no_draw():
@@ -711,8 +714,8 @@ def test_kinematic_generated_cone_with_more_generators_runs_stacked(
 
 def test_identity_suites_never_take_the_per_draw_loop(monkeypatch):
     # the five suites and the l1 kinematic check run stacked: no Dykstra,
-    # no accelerated projected gradient, no per-point projection
-    _forbid(monkeypatch, "_dykstra", "_fista_image")
+    # no projection onto a non-isometric image, no per-point projection
+    _forbid(monkeypatch, "_dykstra", "_generators")
     for i, name in enumerate(sorted(IDENTITY_SUITES)):
         for st in (SeededStream(1303, 0).child(i), stream(333, i)):
             assert run_identity_suite(name, 1000, st).verdict

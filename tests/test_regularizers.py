@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import combined_stderr, stream
+from fista_oracle import FistaImage
 
 from conekit import condition, cones, integral_geometry
 from conekit.cli import main
@@ -305,8 +306,9 @@ def cone_tree(C):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tv_cones_never_reach_fista(seed):
-    # accelerated projected gradient serves only wide or singular images;
-    # every TV cone of the tv-statdim grid has an exact route
+    # no TV cone of the tv-statdim grid is a non-isometric image, the cones
+    # accelerated projected gradient once served: each keeps its closed
+    # form, its normals or an isometric image of them
     for inst in tv_grid_instances(30, seed):
         for C in (reduced_analysis_cone(inst), analysis_subdiff_cone(inst)):
             assert not any(isinstance(K, LinearImage) and not K._isometric
@@ -314,9 +316,10 @@ def test_tv_cones_never_reach_fista(seed):
 
 
 def test_norm_only_callers_never_rank_faces(monkeypatch, tmp_path):
-    # statdim, Moreau, support-enumeration, multistart, line-hit and FISTA
-    # projections read only the points, so the batched rank svd of the faces must not run;
-    # the intrinsic-volume profile inside crofton_probability reads faces
+    # statdim, Moreau, support-enumeration, multistart, line-hit and wide
+    # image projections read only the points, so the batched rank svd of
+    # the faces must not run; the intrinsic-volume profile inside
+    # crofton_probability, and a caller asking an image for faces, read them
     ranks = cones._masked_ranks
     reading = []
 
@@ -362,8 +365,15 @@ def test_norm_only_callers_never_rank_faces(monkeypatch, tmp_path):
     assert rep.samples == 400
     image = LinearImage(rng.standard_normal((3, 5)),
                         InequalityCone(rng.standard_normal((5, 7))))
-    _, fd, conv = image.project_batch(rng.standard_normal((20, 3)))
-    assert conv.all() and (fd == -1).all()
+    X = rng.standard_normal((20, 3))
+    P, fd, conv = image.project_batch(X, faces=False)
+    assert conv.all() and fd is None
+    reading.append(True)
+    P_faces, fd, conv = image.project_batch(X)
+    want = GeneratorCone(image.A @ image.inner._generators).project_batch(X)
+    reading.pop()
+    assert conv.all() and np.array_equal(P_faces, P)
+    assert np.array_equal(fd, want[1])
 
 
 def test_reduced_tv_cone_matches_fista_oracle():
@@ -376,7 +386,7 @@ def test_reduced_tv_cone_matches_fista_oracle():
             assert isinstance(C, LinearImage) and C._isometric
             assert isinstance(C.inner, InequalityCone)
         _, Cmat = build_BC_matrices(inst)
-        oracle = LinearImage(Cmat, reduced_subdiff_cone(inst))
+        oracle = FistaImage(Cmat, reduced_subdiff_cone(inst))
         for x in rng.standard_normal((8, inst.n)):
             want = oracle.project_point(x)
             assert want.converged
